@@ -16,9 +16,17 @@ from .snapshots import (
     parse_dependency_spec,
     parse_snapshot,
 )
-from .observer import (
+from .eventlog import (
+    CaseLog,
     EventKind,
     JobEvent,
+    LogStats,
+    compute_stats,
+    read_csv,
+    render_stats,
+    write_csv,
+)
+from .observer import (
     ObserverState,
     ReplayDirectorySource,
     diff_snapshot,
@@ -34,7 +42,6 @@ from .correlation import (
     assign_cases_implicit,
     build_dependency_graph,
 )
-from .eventlog import CaseEvent, CaseLog, LogStats, compute_stats, read_csv, render_stats, write_csv
 from .discovery import (
     Dfg,
     DurationMode,

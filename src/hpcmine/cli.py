@@ -2,7 +2,8 @@
 
 Each subcommand covers one pipeline stage and communicates through CSV
 files, so stages can be run and inspected independently; ``pipeline``
-chains observe, correlate, discover, and stats over a replay directory.
+chains observe, correlate, discover, and stats over a replay directory in
+memory. Both routes run the same stage functions and write the same files.
 """
 
 from __future__ import annotations
@@ -34,32 +35,41 @@ def _make_source(args) -> observer.SnapshotSource:
     return observer.CommandSource(command=command, interval=args.interval)
 
 
-def cmd_observe(args) -> int:
+class _KeepingSink:
+    """Streams events on to another sink and keeps them for the next stage."""
+
+    def __init__(self, sink: observer.EventSink) -> None:
+        self.sink = sink
+        self.events: list[eventlog.JobEvent] = []
+
+    def append(self, event: eventlog.JobEvent) -> None:
+        self.sink.append(event)
+        self.events.append(event)
+
+
+def _read(read, path):
     try:
-        source = _make_source(args)
-    except FileNotFoundError as exc:
+        return read(path)
+    except (OSError, eventlog.EventLogError, ValueError) as exc:
+        _err(str(exc))
+        return None
+
+
+def _observe(args, source: observer.SnapshotSource, sink: observer.EventSink) -> int:
+    try:
+        summary = observer.run_observation(
+            source, sink, synthetic_complete=not args.no_synthetic_complete
+        )
+    except observer.ObserverError as exc:
         _err(str(exc))
         return 1
-    with observer.CsvEventSink(args.output) as sink:
-        try:
-            summary = observer.run_observation(
-                source, sink, synthetic_complete=not args.no_synthetic_complete
-            )
-        except observer.ObserverError as exc:
-            _err(str(exc))
-            return 1
     print(f"snapshots: {summary.snapshots}  events: {summary.events}")
     return 0
 
 
-def cmd_correlate(args) -> int:
-    try:
-        events = observer.read_events_csv(args.events_csv)
-    except (OSError, observer.SourceFailure, ValueError) as exc:
-        _err(str(exc))
-        return 1
-    first_deps = correlation.extract_first_dependencies(events)
+def _correlate(args, events: list[eventlog.JobEvent], output) -> eventlog.CaseLog | None:
     if args.strategy == "explicit":
+        first_deps = correlation.extract_first_dependencies(events)
         graph = correlation.build_dependency_graph(events, first_deps)
         if not graph.edges and len(graph.vertices) > 1:
             _warn("no explicit interdependencies found: every event belongs to a different case")
@@ -72,26 +82,15 @@ def cmd_correlate(args) -> int:
         log = correlation.apply_cases(events, assignment)
     except correlation.UnassignedJob as exc:
         _err(str(exc))
-        return 1
-    rows = eventlog.write_csv(log, args.output)
-    print(f"cases: {len(set(assignment.cases.values()))}  rows: {rows}")
-    return 0
-
-
-def _read_case_log(path):
-    try:
-        return eventlog.read_csv(path)
-    except (OSError, eventlog.EventLogError, ValueError) as exc:
-        _err(str(exc))
         return None
+    rows = eventlog.write_csv(log, output)
+    print(f"cases: {len(set(assignment.cases.values()))}  rows: {rows}")
+    return log
 
 
-def cmd_discover(args) -> int:
-    log = _read_case_log(args.cases_csv)
-    if log is None:
-        return 1
+def _discover(args, log: eventlog.CaseLog, output, stats_out) -> None:
     if args.account:
-        log = eventlog.CaseLog([e for e in log.events if e.account == args.account])
+        log = eventlog.CaseLog([e for e in log if e.account == args.account])
     milestone = discovery.MILESTONES[args.milestone]
     traces = discovery.project_case_traces(log, milestone=milestone)
     dfg = discovery.discover_dfg(
@@ -99,28 +98,55 @@ def cmd_discover(args) -> int:
     )
     parallel = discovery.detect_parallel(dfg)
     dot = discovery.export_dot(dfg, parallel, min_edge_freq=args.min_edge_freq)
-    if args.output:
-        Path(args.output).write_text(dot)
+    if output:
+        Path(output).write_text(dot)
     else:
         sys.stdout.write(dot)
-    if args.stats_out:
-        with open(args.stats_out, "w", newline="") as fh:
+    if stats_out:
+        with open(stats_out, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["from", "to", "frequency", "mean_seconds", "median_seconds"])
             for (a, b), stats in sorted(dfg.edges.items()):
                 if stats.frequency < args.min_edge_freq:
                     continue
                 writer.writerow([a, b, stats.frequency, f"{stats.mean:.1f}", f"{stats.median:.1f}"])
+
+
+def _stats(log: eventlog.CaseLog) -> None:
+    first_deps = eventlog.extract_first_dependencies(log)
+    print(eventlog.render_stats(eventlog.compute_stats(log, first_deps)))
+
+
+def cmd_observe(args) -> int:
+    try:
+        source = _make_source(args)
+    except FileNotFoundError as exc:
+        _err(str(exc))
+        return 1
+    with observer.CsvEventSink(args.output) as sink:
+        return _observe(args, source, sink)
+
+
+def cmd_correlate(args) -> int:
+    events = _read(eventlog.read_events_csv, args.events_csv)
+    if events is None or _correlate(args, events, args.output) is None:
+        return 1
+    return 0
+
+
+def cmd_discover(args) -> int:
+    log = _read(eventlog.read_csv, args.cases_csv)
+    if log is None:
+        return 1
+    _discover(args, log, args.output, args.stats_out)
     return 0
 
 
 def cmd_stats(args) -> int:
-    log = _read_case_log(args.cases_csv)
+    log = _read(eventlog.read_csv, args.cases_csv)
     if log is None:
         return 1
-    first_deps = eventlog.first_dependencies_from_log(log)
-    stats = eventlog.compute_stats(log, first_deps)
-    print(eventlog.render_stats(stats))
+    _stats(log)
     return 0
 
 
@@ -152,40 +178,29 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    """Observe, correlate, discover and stats in one process, in memory.
+
+    Writes the files the separate commands would write, but never reads
+    one of them back.
+    """
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    observe_args = argparse.Namespace(
-        replay=args.replay,
-        interval=args.interval,
-        squeue_cmd=observer.DEFAULT_SQUEUE_COMMAND,
-        no_synthetic_complete=args.no_synthetic_complete,
-        output=str(out / "events.csv"),
-    )
-    rc = cmd_observe(observe_args)
+    try:
+        source = observer.ReplayDirectorySource(args.replay)
+    except FileNotFoundError as exc:
+        _err(str(exc))
+        return 1
+    with observer.CsvEventSink(out / "events.csv") as csv_sink:
+        sink = _KeepingSink(csv_sink)
+        rc = _observe(args, source, sink)
     if rc != 0:
         return rc
-    correlate_args = argparse.Namespace(
-        events_csv=str(out / "events.csv"),
-        strategy=args.strategy,
-        hash_case_ids=args.hash_case_ids,
-        output=str(out / "cases.csv"),
-    )
-    rc = cmd_correlate(correlate_args)
-    if rc != 0:
-        return rc
-    discover_args = argparse.Namespace(
-        cases_csv=str(out / "cases.csv"),
-        account=args.account,
-        milestone=args.milestone,
-        edge_duration=args.edge_duration,
-        min_edge_freq=args.min_edge_freq,
-        output=str(out / "dfg.dot"),
-        stats_out=str(out / "edges.csv"),
-    )
-    rc = cmd_discover(discover_args)
-    if rc != 0:
-        return rc
-    return cmd_stats(argparse.Namespace(cases_csv=str(out / "cases.csv")))
+    log = _correlate(args, sink.events, out / "cases.csv")
+    if log is None:
+        return 1
+    _discover(args, log, out / "dfg.dot", out / "edges.csv")
+    _stats(log)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="observe + correlate + discover + stats")
     p.add_argument("--replay", metavar="DIR", required=True)
-    p.add_argument("--interval", type=float, default=observer.DEFAULT_INTERVAL_SECONDS)
     p.add_argument("--no-synthetic-complete", action="store_true")
     p.add_argument("--strategy", choices=["explicit", "implicit"], default="explicit")
     p.add_argument("--hash-case-ids", action="store_true")

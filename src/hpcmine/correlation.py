@@ -11,12 +11,15 @@ from __future__ import annotations
 import enum
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
-from .eventlog import CaseEvent, CaseLog
-from .observer import LATE_DEPENDENCY, EventKind, JobEvent
-from .snapshots import DependencySpec, parse_dependency_spec
+from .eventlog import (  # extract_first_dependencies is re-exported
+    CaseLog,
+    JobEvent,
+    extract_first_dependencies,
+)
+from .snapshots import DependencySpec
 
 logger = logging.getLogger(__name__)
 
@@ -83,19 +86,6 @@ class DependencyGraph:
 class CaseAssignment:
     strategy: Strategy
     cases: Mapping[str, str]
-
-
-def extract_first_dependencies(events: Iterable[JobEvent]) -> dict[str, DependencySpec]:
-    """Recover each job's first-sight dependency view from its creation event."""
-    first_deps: dict[str, DependencySpec] = {}
-    for event in events:
-        if event.job_id in first_deps:
-            continue
-        if event.kind == EventKind.CREATED and event.dependency_raw != LATE_DEPENDENCY:
-            first_deps[event.job_id] = parse_dependency_spec(event.dependency_raw)
-        else:
-            first_deps[event.job_id] = DependencySpec.empty()
-    return first_deps
 
 
 def build_dependency_graph(
@@ -191,18 +181,6 @@ def apply_cases(events: Iterable[JobEvent], assignment: CaseAssignment) -> CaseL
         case_id = assignment.cases.get(event.job_id)
         if case_id is None:
             raise UnassignedJob(event.job_id)
-        case_events.append(
-            CaseEvent(
-                case_id=case_id,
-                activity=event.activity,
-                lifecycle=event.state,
-                event_kind=event.kind,
-                timestamp=event.timestamp,
-                job_id=event.job_id,
-                account=event.account,
-                group=event.group,
-                dependency_raw=event.dependency_raw,
-            )
-        )
+        case_events.append(replace(event, case_id=case_id))
     case_events.sort(key=lambda e: (e.case_id, e.timestamp, e.job_id))
     return CaseLog(case_events)

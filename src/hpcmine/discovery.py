@@ -16,8 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
 
-from .eventlog import CaseLog
-from .observer import EventKind
+from .eventlog import CaseLog, EventKind
 from .snapshots import COMPLETED, PENDING, RUNNING, JobState
 
 logger = logging.getLogger(__name__)
@@ -112,7 +111,7 @@ def project_case_traces(log: CaseLog, milestone: JobState = RUNNING) -> list[Tra
         for job_id, events in per_case[case_id].items():
             events.sort(key=lambda e: e.timestamp)
             anchor = next(
-                (e for e in events if _STATE_RANK[e.lifecycle.kind] >= threshold), None
+                (e for e in events if _STATE_RANK[e.state.kind] >= threshold), None
             )
             if anchor is None:
                 dropped += 1
@@ -121,8 +120,7 @@ def project_case_traces(log: CaseLog, milestone: JobState = RUNNING) -> list[Tra
                 (
                     e.timestamp
                     for e in events
-                    if e.event_kind == EventKind.SYNTHETIC_COMPLETED
-                    or e.lifecycle == COMPLETED
+                    if e.kind == EventKind.SYNTHETIC_COMPLETED or e.state == COMPLETED
                 ),
                 None,
             )
@@ -203,6 +201,11 @@ def humanize_duration(seconds: float) -> str:
     return f"{secs}s"
 
 
+def _dot_quote(text: str) -> str:
+    """A DOT double-quoted string: backslashes and quotes are escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(
     dfg: Dfg,
     parallel: ParallelRelation | None = None,
@@ -220,7 +223,8 @@ def export_dot(
         lines.append("  rankdir=LR;")
         lines.append('  node [shape=box, fontname="Helvetica"];')
         for name in sorted(dfg.activities):
-            lines.append(f'  "{name}" [label="{name} ({dfg.activities[name]})"];')
+            label = _dot_quote(f"{name} ({dfg.activities[name]})")
+            lines.append(f"  {_dot_quote(name)} [label={label}];")
         edges = {
             edge: stats
             for edge, stats in dfg.edges.items()
@@ -237,6 +241,6 @@ def export_dot(
             attrs = [f'label="{label}"', f'penwidth={penwidth:.2f}']
             if (min(a, b), max(a, b)) in parallel_pairs:
                 attrs.append("style=dashed")
-            lines.append(f'  "{a}" -> "{b}" [{", ".join(attrs)}];')
+            lines.append(f"  {_dot_quote(a)} -> {_dot_quote(b)} [{', '.join(attrs)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

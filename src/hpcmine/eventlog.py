@@ -1,17 +1,73 @@
-"""Case-annotated event log persistence and summary statistics."""
+"""The job event record, its CSV codec, and case log statistics.
+
+One record, ``JobEvent``, flows through the whole pipeline: the observer
+emits it with an empty ``case_id`` and correlation fills the case in. The
+raw events file and the case log are two column layouts of one CSV codec.
+"""
 
 from __future__ import annotations
 
 import csv
+import enum
 from dataclasses import dataclass
 from datetime import datetime
+from operator import attrgetter
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .observer import LATE_DEPENDENCY, EventKind
 from .snapshots import DependencySpec, JobState, parse_dependency_spec
 from .timeutil import format_iso, parse_iso
 
+# Marker for jobs first observed past PENDING, whose dependency view is gone.
+LATE_DEPENDENCY = "(late)"
+
+
+class EventKind(enum.Enum):
+    CREATED = "created"
+    STATE_CHANGED = "state_changed"
+    SYNTHETIC_COMPLETED = "synthetic_completed"
+
+
+@dataclass(frozen=True)
+class JobEvent:
+    job_id: str
+    account: str
+    group: str
+    activity: str
+    state: JobState
+    dependency_raw: str
+    kind: EventKind
+    timestamp: datetime
+    case_id: str = ""
+
+
+# CSV column -> (JobEvent field, encode, decode).
+_COLUMNS = {
+    "case_id": ("case_id", str, str),
+    "job_id": ("job_id", str, str),
+    "account": ("account", str, str),
+    "group": ("group", str, str),
+    "activity": ("activity", str, str),
+    "state": ("state", attrgetter("code"), JobState.from_code),
+    "lifecycle": ("state", attrgetter("code"), JobState.from_code),
+    "event_kind": ("kind", attrgetter("value"), EventKind),
+    "timestamp": ("timestamp", format_iso, parse_iso),
+    "dependency_raw": ("dependency_raw", str, str),
+}
+
+# The raw events file written by the observer.
+EVENTS_CSV_HEADER = [
+    "job_id",
+    "account",
+    "group",
+    "activity",
+    "state",
+    "event_kind",
+    "timestamp",
+    "dependency_raw",
+]
+
+# The case log written by correlation.
 CSV_HEADER = [
     "case_id",
     "activity",
@@ -42,25 +98,15 @@ class BadTimestamp(EventLogError):
         self.value = value
 
 
-@dataclass(frozen=True)
-class CaseEvent:
-    case_id: str
-    activity: str
-    lifecycle: JobState
-    event_kind: EventKind
-    timestamp: datetime
-    job_id: str
-    account: str
-    group: str
-    dependency_raw: str
-
-
 @dataclass
 class CaseLog:
-    events: list[CaseEvent]
+    events: list[JobEvent]
 
     def __len__(self) -> int:
         return len(self.events)
+
+    def __iter__(self) -> Iterator[JobEvent]:
+        return iter(self.events)
 
     def accounts(self) -> set[str]:
         return {e.account for e in self.events}
@@ -69,67 +115,94 @@ class CaseLog:
         return {e.job_id for e in self.events}
 
 
-def write_csv(log: CaseLog, destination) -> int:
-    """Write the log; returns the number of data rows written."""
-    own = isinstance(destination, (str, Path))
-    fh = open(destination, "w", newline="") if own else destination
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for event in log.events:
-            writer.writerow(
-                [
-                    event.case_id,
-                    event.activity,
-                    event.lifecycle.code,
-                    event.event_kind.value,
-                    format_iso(event.timestamp),
-                    event.job_id,
-                    event.account,
-                    event.group,
-                    event.dependency_raw,
-                ]
-            )
-        return len(log.events)
-    finally:
-        if own:
-            fh.close()
+class CsvEventSink:
+    """Streams events to CSV as they are produced, one row per ``append``."""
+
+    def __init__(self, destination, header: list[str] = EVENTS_CSV_HEADER) -> None:
+        self._own = isinstance(destination, (str, Path))
+        self._fh = open(destination, "w", newline="") if self._own else destination
+        self._writer = csv.writer(self._fh, lineterminator="\n")
+        self._writer.writerow(header)
+        self._fields = attrgetter(*(_COLUMNS[name][0] for name in header))
+        self._encoders = [_COLUMNS[name][1] for name in header]
+        self.rows = 0
+
+    def append(self, event: JobEvent) -> None:
+        values = self._fields(event)
+        self._writer.writerow([encode(v) for encode, v in zip(self._encoders, values)])
+        self.rows += 1
+
+    def close(self) -> None:
+        if self._own:
+            self._fh.close()
+
+    def __enter__(self) -> "CsvEventSink":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
-def read_csv(source) -> CaseLog:
+def write_csv(log: Iterable[JobEvent], destination) -> int:
+    """Write the case log; returns the number of data rows written."""
+    with CsvEventSink(destination, CSV_HEADER) as sink:
+        for event in log:
+            sink.append(event)
+    return sink.rows
+
+
+def read_csv(source, header: list[str] = CSV_HEADER) -> CaseLog:
+    """Read a file written by ``write_csv`` with the same header."""
+    decoders = [(_COLUMNS[name][0], _COLUMNS[name][2]) for name in header]
     own = isinstance(source, (str, Path))
     fh = open(source, newline="") if own else source
     try:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise SchemaMismatch(header)
+        found = next(reader, None)
+        if found != header:
+            raise SchemaMismatch(found)
         events = []
         for row_number, row in enumerate(reader, start=2):
-            if len(row) != len(CSV_HEADER):
+            if len(row) != len(header):
                 raise SchemaMismatch(row)
-            case_id, activity, lifecycle, kind, ts, job_id, account, group, dep = row
-            try:
-                timestamp = parse_iso(ts)
-            except ValueError:
-                raise BadTimestamp(row_number, ts) from None
-            events.append(
-                CaseEvent(
-                    case_id=case_id,
-                    activity=activity,
-                    lifecycle=JobState.from_code(lifecycle),
-                    event_kind=EventKind(kind),
-                    timestamp=timestamp,
-                    job_id=job_id,
-                    account=account,
-                    group=group,
-                    dependency_raw=dep,
-                )
-            )
+            fields = {}
+            for (name, decode), text in zip(decoders, row):
+                try:
+                    fields[name] = decode(text)
+                except ValueError:
+                    if name != "timestamp":
+                        raise
+                    raise BadTimestamp(row_number, text) from None
+            events.append(JobEvent(**fields))
         return CaseLog(events)
     finally:
         if own:
             fh.close()
+
+
+def read_events_csv(source) -> list[JobEvent]:
+    """Read a raw events file written by the observer."""
+    return read_csv(source, EVENTS_CSV_HEADER).events
+
+
+def extract_first_dependencies(events: Iterable[JobEvent]) -> dict[str, DependencySpec]:
+    """Recover each job's first-sight dependency view from its creation event.
+
+    Works on the observer's event stream and on a case log alike: both keep
+    each job's events in time order, so a job's first event is its creation.
+    """
+    first_deps: dict[str, DependencySpec] = {}
+    for event in events:
+        if event.job_id in first_deps:
+            continue
+        if event.kind == EventKind.CREATED and event.dependency_raw != LATE_DEPENDENCY:
+            first_deps[event.job_id] = parse_dependency_spec(event.dependency_raw)
+        else:
+            first_deps[event.job_id] = DependencySpec.empty()
+    return first_deps
+
+
+first_dependencies_from_log = extract_first_dependencies
 
 
 @dataclass(frozen=True)
@@ -140,22 +213,6 @@ class LogStats:
     pct_accounts_explicit: float
     pct_jobs_explicit: float
     window: tuple[datetime, datetime] | None
-
-
-def first_dependencies_from_log(log: CaseLog) -> dict[str, DependencySpec]:
-    """Recover first-sight dependency specs from the creation rows of a log."""
-    first_deps: dict[str, DependencySpec] = {}
-    for event in log.events:
-        if event.job_id in first_deps:
-            continue
-        if (
-            event.event_kind == EventKind.CREATED
-            and event.dependency_raw != LATE_DEPENDENCY
-        ):
-            first_deps[event.job_id] = parse_dependency_spec(event.dependency_raw)
-        else:
-            first_deps[event.job_id] = DependencySpec.empty()
-    return first_deps
 
 
 def compute_stats(log: CaseLog, first_deps: Mapping[str, DependencySpec]) -> LogStats:

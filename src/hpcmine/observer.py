@@ -9,8 +9,6 @@ event so downstream models get terminal timestamps.
 
 from __future__ import annotations
 
-import csv
-import enum
 import logging
 import shlex
 import subprocess
@@ -20,44 +18,24 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol
 
-from .snapshots import (
-    COMPLETED,
-    PENDING,
-    DependencySpec,
-    JobRow,
-    JobState,
-    normalize_command,
-    parse_dependency_spec,
-    parse_snapshot,
+from .eventlog import (  # CsvEventSink and read_events_csv are re-exported
+    LATE_DEPENDENCY,
+    CsvEventSink,
+    EventKind,
+    JobEvent,
+    read_events_csv,
 )
-from .timeutil import format_iso, parse_basic, parse_iso
+from .snapshots import COMPLETED, PENDING, JobRow, JobState, normalize_command, parse_snapshot
+from .timeutil import format_basic, parse_basic
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_SQUEUE_COMMAND = 'squeue -o "%a %i %E %o %t %g"'
 DEFAULT_INTERVAL_SECONDS = 30.0
 
-# Marker for jobs first observed past PENDING, whose dependency view is gone.
-LATE_DEPENDENCY = "(late)"
-
-EVENTS_CSV_HEADER = [
-    "job_id",
-    "account",
-    "group",
-    "activity",
-    "state",
-    "event_kind",
-    "timestamp",
-    "dependency_raw",
-]
-
 
 class ObserverError(Exception):
     pass
-
-
-class InconsistentSnapshot(ObserverError):
-    """Rows of one snapshot carry differing observation times."""
 
 
 class OutOfOrderSnapshot(ObserverError):
@@ -68,29 +46,9 @@ class SourceFailure(ObserverError):
     """The snapshot source failed; already-produced events were kept."""
 
 
-class EventKind(enum.Enum):
-    CREATED = "created"
-    STATE_CHANGED = "state_changed"
-    SYNTHETIC_COMPLETED = "synthetic_completed"
-
-
-@dataclass(frozen=True)
-class JobEvent:
-    job_id: str
-    account: str
-    group: str
-    activity: str
-    state: JobState
-    dependency_raw: str
-    kind: EventKind
-    timestamp: datetime
-
-
 @dataclass(frozen=True)
 class TrackedJob:
     state: JobState
-    first_dependency: DependencySpec
-    first_dependency_raw: str
     account: str
     group: str
     activity: str
@@ -108,39 +66,25 @@ class ObserverState:
     def empty(cls) -> "ObserverState":
         return cls({})
 
-    def first_dependencies(self) -> dict[str, DependencySpec]:
-        return {job_id: t.first_dependency for job_id, t in self.jobs.items()}
-
 
 def diff_snapshot(
     state: ObserverState, rows: list[JobRow]
 ) -> tuple[list[JobEvent], ObserverState]:
     """Register events for one snapshot against the retained state.
 
-    The first observation of a job fixes its dependency view: the column is
-    only trustworthy while the job is PENDING, so a job first seen in a
-    later state gets an empty spec flagged with the "(late)" marker.
+    A creation event carries the job's dependency column as first seen. The
+    column is only trustworthy while the job is PENDING, so a job first seen
+    in a later state carries the "(late)" marker instead.
     """
-    observed = {row.observed_at for row in rows}
-    if len(observed) > 1:
-        raise InconsistentSnapshot(f"snapshot rows carry {len(observed)} observation times")
-
     events: list[JobEvent] = []
     jobs = dict(state.jobs)
     for row in rows:
-        activity = normalize_command(row.command_path)
         tracked = jobs.get(row.job_id)
         if tracked is None:
-            if row.state == PENDING:
-                first_dep = parse_dependency_spec(row.dependency_raw)
-                dep_raw = row.dependency_raw
-            else:
-                first_dep = DependencySpec.empty()
-                dep_raw = LATE_DEPENDENCY
+            activity = normalize_command(row.command_path)
+            dep_raw = row.dependency_raw if row.state == PENDING else LATE_DEPENDENCY
             jobs[row.job_id] = TrackedJob(
                 state=row.state,
-                first_dependency=first_dep,
-                first_dependency_raw=dep_raw,
                 account=row.account,
                 group=row.group,
                 activity=activity,
@@ -231,78 +175,11 @@ class ListSink:
         self.events.append(event)
 
 
-class CsvEventSink:
-    """Streams raw events to CSV as they are produced."""
-
-    def __init__(self, destination) -> None:
-        self._own = isinstance(destination, (str, Path))
-        self._fh = open(destination, "w", newline="") if self._own else destination
-        self._writer = csv.writer(self._fh, lineterminator="\n")
-        self._writer.writerow(EVENTS_CSV_HEADER)
-        self.rows = 0
-
-    def append(self, event: JobEvent) -> None:
-        self._writer.writerow(
-            [
-                event.job_id,
-                event.account,
-                event.group,
-                event.activity,
-                event.state.code,
-                event.kind.value,
-                format_iso(event.timestamp),
-                event.dependency_raw,
-            ]
-        )
-        self.rows += 1
-
-    def close(self) -> None:
-        if self._own:
-            self._fh.close()
-
-    def __enter__(self) -> "CsvEventSink":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def read_events_csv(source) -> list[JobEvent]:
-    own = isinstance(source, (str, Path))
-    fh = open(source, newline="") if own else source
-    try:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != EVENTS_CSV_HEADER:
-            raise SourceFailure(f"unexpected events CSV header: {header}")
-        events = []
-        for row in reader:
-            job_id, account, group, activity, state, kind, ts, dep = row
-            events.append(
-                JobEvent(
-                    job_id=job_id,
-                    account=account,
-                    group=group,
-                    activity=activity,
-                    state=JobState.from_code(state),
-                    dependency_raw=dep,
-                    kind=EventKind(kind),
-                    timestamp=parse_iso(ts),
-                )
-            )
-        return events
-    finally:
-        if own:
-            fh.close()
-
-
 SNAPSHOT_FILE_PREFIX = "snapshot_"
 SNAPSHOT_FILE_SUFFIX = ".txt"
 
 
 def snapshot_filename(observed_at: datetime) -> str:
-    from .timeutil import format_basic
-
     return f"{SNAPSHOT_FILE_PREFIX}{format_basic(observed_at)}{SNAPSHOT_FILE_SUFFIX}"
 
 

@@ -28,7 +28,8 @@ from datetime import datetime, timedelta, timezone
 from importlib import resources
 from pathlib import Path
 
-from .observer import EventKind, snapshot_filename
+from .eventlog import EventKind
+from .observer import snapshot_filename
 from .snapshots import COMPLETED, COMPLETING, PENDING, RUNNING, JobState
 from .timeutil import format_iso
 
@@ -179,6 +180,10 @@ class _JobRun:
         self.cg_tick: int | None = None
         self.running_ticks = 0
 
+    def completed_by(self, tick: int) -> bool:
+        # A job counts as complete from the tick after its completing tick.
+        return self.cg_tick is not None and self.cg_tick < tick
+
 
 def simulate(spec: ScenarioSpec) -> SimulationResult:
     """Run a scenario; returns the snapshot stream and the ground truth."""
@@ -193,10 +198,6 @@ def simulate(spec: ScenarioSpec) -> SimulationResult:
     def time_of(tick: int) -> datetime:
         return SIM_EPOCH + timedelta(seconds=tick * interval)
 
-    def completed_by(run: _JobRun, tick: int) -> bool:
-        # A job counts as complete from the tick after its completing tick.
-        return run.cg_tick is not None and run.cg_tick < tick
-
     snapshots: list[tuple[datetime, str]] = []
     oracle_events: list[OracleEvent] = []
     submit_order: dict[str, int] = {}
@@ -208,7 +209,7 @@ def simulate(spec: ScenarioSpec) -> SimulationResult:
 
         # 1. Jobs past their completing tick leave the queue.
         for run in runs:
-            if run.status == "completing" and run.cg_tick is not None and run.cg_tick < tick:
+            if run.status == "completing" and run.completed_by(tick):
                 run.status = "gone"
                 vanish_events.append(
                     (
@@ -271,7 +272,7 @@ def simulate(spec: ScenarioSpec) -> SimulationResult:
             if run.status != "pending" or run.submit_tick is None or tick <= run.submit_tick:
                 continue
             if run.job.mode == SubmitMode.BATCH and not all(
-                completed_by(by_id[d], tick) for d in run.job.dependencies
+                by_id[d].completed_by(tick) for d in run.job.dependencies
             ):
                 continue
             if spec.max_running is not None and running_count >= spec.max_running:
@@ -307,7 +308,7 @@ def simulate(spec: ScenarioSpec) -> SimulationResult:
         oracle_events.extend(event for _, event in sorted(row_events, key=lambda x: x[0]))
         oracle_events.extend(event for _, event in sorted(vanish_events, key=lambda x: x[0]))
 
-        snapshots.append((time_of(tick), _render_snapshot(runs, tick)))
+        snapshots.append((time_of(tick), _render_snapshot(runs, by_id, tick)))
 
         if all(run.status == "gone" for run in runs):
             break
@@ -323,7 +324,7 @@ def simulate(spec: ScenarioSpec) -> SimulationResult:
     return SimulationResult(snapshots=snapshots, oracle=oracle)
 
 
-def _render_snapshot(runs: list[_JobRun], tick: int) -> str:
+def _render_snapshot(runs: list[_JobRun], by_id: dict[str, _JobRun], tick: int) -> str:
     lines = [SNAPSHOT_HEADER]
     for run in runs:
         if run.status == "pending":
@@ -336,11 +337,7 @@ def _render_snapshot(runs: list[_JobRun], tick: int) -> str:
             continue
         dependency = "(null)"
         if run.status == "pending" and run.job.mode == SubmitMode.BATCH:
-            remaining = [
-                d
-                for d in run.job.dependencies
-                if not (run_cg_before(runs, d, tick))
-            ]
+            remaining = [d for d in run.job.dependencies if not by_id[d].completed_by(tick)]
             if remaining:
                 dependency = "afterok:" + ":".join(remaining)
         job = run.job
@@ -348,13 +345,6 @@ def _render_snapshot(runs: list[_JobRun], tick: int) -> str:
             f"{job.account} {job.job_id} {dependency} {job.command_path} {code} {job.group}"
         )
     return "\n".join(lines) + "\n"
-
-
-def run_cg_before(runs: list[_JobRun], job_id: str, tick: int) -> bool:
-    for run in runs:
-        if run.job.job_id == job_id:
-            return run.cg_tick is not None and run.cg_tick < tick
-    return False
 
 
 def write_snapshots(snapshots: list[tuple[datetime, str]], directory) -> list[Path]:

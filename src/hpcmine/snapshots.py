@@ -61,6 +61,10 @@ _KNOWN_CONDITIONS = {
 
 _NO_DEPENDENCY_VALUES = {"", "(null)", "null"}
 
+# A target as squeue shows it: a job id, then an optional "+<minutes>" delay
+# and an optional "(<state>)" suffix such as "(unfulfilled)".
+_TARGET = re.compile(r"(.*?)(?:\+\d+)?(?:\([^()]*\))?", re.DOTALL)
+
 
 @dataclass(frozen=True)
 class DependencyClause:
@@ -115,7 +119,8 @@ def parse_dependency_spec(raw: str) -> DependencySpec:
     """Parse a DEPENDENCY column value.
 
     Total: any input yields a spec. Unrecognized condition tags degrade to
-    UNKNOWN clauses so observation never aborts on scheduler quirks.
+    UNKNOWN clauses so observation never aborts on scheduler quirks. Targets
+    are bare job ids: "after:7+10" and "afterok:7(unfulfilled)" both target 7.
     """
     raw = raw.strip()
     if raw.lower() in _NO_DEPENDENCY_VALUES:
@@ -127,7 +132,11 @@ def parse_dependency_spec(raw: str) -> DependencySpec:
             continue
         pieces = part.split(":")
         tag = pieces[0].strip().lower()
-        targets = tuple(p.strip() for p in pieces[1:] if p.strip())
+        targets = tuple(
+            target
+            for piece in pieces[1:]
+            if (target := _TARGET.fullmatch(piece.strip()).group(1))
+        )
         condition = _KNOWN_CONDITIONS.get(tag, DependencyCondition.UNKNOWN)
         clauses.append(DependencyClause(condition, tag, targets))
     return DependencySpec(tuple(clauses))

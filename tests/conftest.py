@@ -2,8 +2,7 @@ import random
 from datetime import timedelta
 
 from hpcmine import observer
-from hpcmine.eventlog import CaseEvent, CaseLog
-from hpcmine.observer import EventKind
+from hpcmine.eventlog import CaseLog, EventKind, JobEvent
 from hpcmine.simulator import SIM_EPOCH, ScenarioSpec, SimJob, SubmitMode
 from hpcmine.snapshots import COMPLETED, COMPLETING, PENDING, RUNNING
 
@@ -64,11 +63,11 @@ def random_case_log(rng, n_cases=4, jobs_per_case=4):
                 (COMPLETED, EventKind.SYNTHETIC_COMPLETED, 120),
             ]:
                 events.append(
-                    CaseEvent(
+                    JobEvent(
                         case_id=case_id,
                         activity=activity,
-                        lifecycle=state,
-                        event_kind=kind,
+                        state=state,
+                        kind=kind,
                         timestamp=start + timedelta(seconds=offset),
                         job_id=job_id,
                         account=f"acc{c % 2}",

@@ -73,8 +73,8 @@ class TestBuildDependencyGraph:
 
     def test_two_disjoint_chains(self):
         result = simulator.simulate(simulator.load_bundled_scenario("two_chains"))
-        events, summary = replay_events(result)
-        graph = build_dependency_graph(events, summary.state.first_dependencies())
+        events, _ = replay_events(result)
+        graph = build_dependency_graph(events, extract_first_dependencies(events))
         assignment = assign_cases_explicit(graph)
         components = {}
         for job, case in assignment.cases.items():
@@ -191,8 +191,8 @@ class TestApplyCases:
 
     def test_simulator_chain_case_counts(self):
         result = simulator.simulate(simulator.load_bundled_scenario("two_chains"))
-        events, summary = replay_events(result)
-        graph = build_dependency_graph(events, summary.state.first_dependencies())
+        events, _ = replay_events(result)
+        graph = build_dependency_graph(events, extract_first_dependencies(events))
         log = apply_cases(events, assign_cases_explicit(graph))
         per_case = {}
         for e in log.events:
@@ -206,11 +206,10 @@ class TestExtractFirstDependencies:
         events = [event("1", dep="(late)")]
         assert extract_first_dependencies(events)["1"].is_empty
 
-    def test_matches_observer_state(self):
+    def test_same_on_events_and_case_log(self):
         result = simulator.simulate(simulator.load_bundled_scenario("fig1_explicit"))
-        events, summary = replay_events(result)
+        events, _ = replay_events(result)
         derived = extract_first_dependencies(events)
-        tracked = summary.state.first_dependencies()
-        assert {j: s.targets() for j, s in derived.items()} == {
-            j: s.targets() for j, s in tracked.items()
-        }
+        log = apply_cases(events, assign_cases_implicit(events))
+        assert extract_first_dependencies(log) == derived
+        assert derived["4"].targets() == ["2", "3"]

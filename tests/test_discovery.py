@@ -1,4 +1,5 @@
 import random
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -24,19 +25,18 @@ from hpcmine.discovery import (
     merge_dfgs,
     project_case_traces,
 )
-from hpcmine.eventlog import CaseEvent, CaseLog
-from hpcmine.observer import EventKind
+from hpcmine.eventlog import CaseLog, EventKind, JobEvent
 from hpcmine.snapshots import COMPLETED, COMPLETING, PENDING, RUNNING
 
 T0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
 
 def case_event(case, job, activity, state, kind, seconds):
-    return CaseEvent(
+    return JobEvent(
         case_id=case,
         activity=activity,
-        lifecycle=state,
-        event_kind=kind,
+        state=state,
+        kind=kind,
         timestamp=T0 + timedelta(seconds=seconds),
         job_id=job,
         account="acc",
@@ -238,6 +238,14 @@ class TestExportDot:
         dfg = discover_dfg([trace(("A", 0), ("B", 30)), trace(("B", 100), ("A", 130))])
         dot = export_dot(dfg, detect_parallel(dfg))
         assert "style=dashed" in dot
+
+    def test_hostile_names_are_escaped(self):
+        dfg = discover_dfg([trace(('a"b', 0), ("c\\", 30))])
+        dot = export_dot(dfg)
+        assert '  "a\\"b" [label="a\\"b (1)"];' in dot
+        assert '  "a\\"b" -> "c\\\\" [' in dot
+        outside_strings = re.sub(r'"(?:[^"\\]|\\.)*"', "", dot)
+        assert '"' not in outside_strings and "\\" not in outside_strings
 
     def test_node_labels_carry_frequency(self):
         dfg = discover_dfg([trace(("A", 0), ("B", 30)), trace(("A", 60), ("B", 90))])

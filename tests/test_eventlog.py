@@ -15,8 +15,9 @@ from hpcmine.correlation import (
 from hpcmine.eventlog import (
     CSV_HEADER,
     BadTimestamp,
-    CaseEvent,
     CaseLog,
+    EventKind,
+    JobEvent,
     SchemaMismatch,
     compute_stats,
     first_dependencies_from_log,
@@ -24,7 +25,6 @@ from hpcmine.eventlog import (
     render_stats,
     write_csv,
 )
-from hpcmine.observer import EventKind
 from hpcmine.snapshots import PENDING, JobState
 
 
@@ -42,11 +42,11 @@ class TestCsvRoundTrip:
         assert buffer.getvalue() == ",".join(CSV_HEADER) + "\n"
 
     def test_single_event(self):
-        event = CaseEvent(
+        event = JobEvent(
             case_id="JID21",
             activity="merge.sh",
-            lifecycle=PENDING,
-            event_kind=EventKind.CREATED,
+            state=PENDING,
+            kind=EventKind.CREATED,
             timestamp=datetime(2022, 12, 7, 11, 51, 45, tzinfo=timezone.utc),
             job_id="2",
             account="acc1",
@@ -68,11 +68,11 @@ class TestCsvRoundTrip:
         assert fields[4].startswith("2024-01-01T") and fields[4].endswith("Z")
 
     def test_quoted_fields_round_trip(self):
-        event = CaseEvent(
+        event = JobEvent(
             case_id="a,b",
             activity='odd "quote".sh',
-            lifecycle=JobState.from_code("XX"),
-            event_kind=EventKind.STATE_CHANGED,
+            state=JobState.from_code("XX"),
+            kind=EventKind.STATE_CHANGED,
             timestamp=datetime(2024, 1, 1, tzinfo=timezone.utc),
             job_id="1_2",
             account="acc,1",
@@ -115,10 +115,10 @@ class TestComputeStats:
 
     def test_fig1_hand_count(self):
         result = simulator.simulate(simulator.load_bundled_scenario("fig1_explicit"))
-        events, summary = replay_events(result)
+        events, _ = replay_events(result)
         graph = build_dependency_graph(events, extract_first_dependencies(events))
         log = apply_cases(events, assign_cases_explicit(graph))
-        stats = compute_stats(log, summary.state.first_dependencies())
+        stats = compute_stats(log, extract_first_dependencies(events))
         assert stats.num_events == 16
         assert stats.num_unique_jobs == 4
         assert stats.num_accounts == 1

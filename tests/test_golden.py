@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import hpcmine
+from hpcmine import eventlog
 from hpcmine.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -99,6 +100,20 @@ def test_simulate(scenario):
 def test_route(scenario, strategy, route, tmp_path):
     name, replay, _ = scenario
     assert_golden(GOLDEN / name / strategy, route(replay, strategy, tmp_path / "out"))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_pipeline_reads_nothing_back(scenario, strategy, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pipeline read back a file it wrote")
+
+    monkeypatch.setattr(eventlog, "read_csv", refuse)
+    name, replay, _ = scenario
+    out = tmp_path / "out"
+    assert main(["pipeline", "--replay", str(replay), "--strategy", strategy, "-o", str(out)]) == 0
+    files = outputs(out, capsys.readouterr().out.encode(), b"")
+    del files["stderr.txt"]  # logging reaches stderr only in a fresh interpreter
+    assert_golden(GOLDEN / name / strategy, files)
 
 
 def regenerate() -> None:

@@ -5,11 +5,11 @@ import pytest
 
 from conftest import replay_events
 from hpcmine import observer, simulator
+from hpcmine.correlation import extract_first_dependencies
 from hpcmine.observer import (
     CommandSource,
     CsvEventSink,
     EventKind,
-    InconsistentSnapshot,
     ListSink,
     ObserverState,
     OutOfOrderSnapshot,
@@ -58,11 +58,6 @@ class TestDiffSnapshot:
             ("1", EventKind.STATE_CHANGED, RUNNING, t1)
         ]
 
-    def test_mixed_observation_times_rejected(self):
-        rows = [row("1", PENDING), row("2", PENDING, at=T0 + timedelta(seconds=1))]
-        with pytest.raises(InconsistentSnapshot):
-            diff_snapshot(ObserverState.empty(), rows)
-
     def test_at_most_one_event_per_job_per_snapshot(self):
         rows = [row(str(i), PENDING) for i in range(5)]
         events, state = diff_snapshot(ObserverState.empty(), rows)
@@ -74,16 +69,16 @@ class TestDiffSnapshot:
         assert len({e.job_id for e in events}) == 5
 
     def test_first_dependency_captured_once(self):
-        _, state = diff_snapshot(ObserverState.empty(), [row("1", PENDING, dep="afterok:7")])
-        assert state.jobs["1"].first_dependency.targets() == ["7"]
+        events, state = diff_snapshot(ObserverState.empty(), [row("1", PENDING, dep="afterok:7")])
+        assert extract_first_dependencies(events)["1"].targets() == ["7"]
         t1 = T0 + timedelta(seconds=30)
-        _, state = diff_snapshot(state, [row("1", PENDING, at=t1, dep="(null)")])
-        assert state.jobs["1"].first_dependency.targets() == ["7"]
+        later, state = diff_snapshot(state, [row("1", PENDING, at=t1, dep="(null)")])
+        assert extract_first_dependencies(events + later)["1"].targets() == ["7"]
 
     def test_late_first_sight_flags_dependency(self):
         events, state = diff_snapshot(ObserverState.empty(), [row("1", RUNNING)])
         assert events[0].dependency_raw == observer.LATE_DEPENDENCY
-        assert state.jobs["1"].first_dependency.is_empty
+        assert extract_first_dependencies(events)["1"].is_empty
 
 
 class TestFinalizeVanished:
@@ -169,8 +164,8 @@ class TestRunObservation:
             Snapshot(t1, "a 4 afterok:99 /x.sh PD g"),
         ]
         sink = ListSink()
-        summary = run_observation(snaps, sink)
-        assert summary.state.jobs["4"].first_dependency.targets() == ["2", "3"]
+        run_observation(snaps, sink)
+        assert extract_first_dependencies(sink.events)["4"].targets() == ["2", "3"]
 
 
 class TestSources:

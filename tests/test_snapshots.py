@@ -128,6 +128,19 @@ class TestParseDependencySpec:
         assert spec.clauses[0].tag == "singleton"
         assert spec.clauses[0].targets == ()
 
+    @pytest.mark.parametrize(
+        "raw,targets",
+        [
+            ("afterok:123(unfulfilled)", ["123"]),
+            ("afterany:4:5(failed)", ["4", "5"]),
+            ("after:7+10", ["7"]),
+            ("after:7+10(unfulfilled)", ["7"]),
+            ("singleton", []),
+        ],
+    )
+    def test_squeue_target_suffixes_stripped(self, raw, targets):
+        assert parse_dependency_spec(raw).targets() == targets
+
     def test_unknown_tag_still_extracts_targets(self):
         spec = parse_dependency_spec("aftercorr:7:8")
         assert spec.clauses[0].condition == DependencyCondition.UNKNOWN

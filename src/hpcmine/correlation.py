@@ -49,9 +49,15 @@ class DependencyGraph:
     edges: set[tuple[str, str]] = field(default_factory=set)
     external: set[str] = field(default_factory=set)
     dropped_edges: list[tuple[str, str]] = field(default_factory=list)
+    # Adjacency of ``edges``, kept in step by ``add_edge`` for the cycle check.
+    successors: dict[str, list[str]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def add_edge(self, source: str, target: str) -> bool:
         """Add an edge unless it would close a cycle (then drop and report)."""
+        if (source, target) in self.edges:
+            return True
         if self._reaches(target, source):
             logger.warning(
                 "dependency edge %s -> %s would close a cycle; dropped", source, target
@@ -61,14 +67,13 @@ class DependencyGraph:
         self.vertices.add(source)
         self.vertices.add(target)
         self.edges.add((source, target))
+        self.successors.setdefault(source, []).append(target)
         return True
 
     def _reaches(self, start: str, goal: str) -> bool:
         if start == goal:
             return True
-        successors: dict[str, list[str]] = {}
-        for a, b in self.edges:
-            successors.setdefault(a, []).append(b)
+        successors = self.successors
         stack = [start]
         seen = {start}
         while stack:

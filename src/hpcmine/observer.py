@@ -13,7 +13,7 @@ import logging
 import shlex
 import subprocess
 import time as _time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol
@@ -46,25 +46,33 @@ class SourceFailure(ObserverError):
     """The snapshot source failed; already-produced events were kept."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TrackedJob:
+    """What the observer keeps about one job; updated in place."""
+
     state: JobState
     account: str
     group: str
     activity: str
-    first_seen_at: datetime
-    last_seen_at: datetime
+    first_seen: int  # position of the job in first-seen order
 
 
 @dataclass
 class ObserverState:
-    """Retained per-job view; insertion order is first-seen order."""
+    """Retained per-job view, updated in place by each polling round.
 
-    jobs: dict[str, TrackedJob]
+    ``jobs`` holds every job ever seen, in first-seen order. ``active`` holds
+    the same records for the jobs not yet COMPLETED, so a round's cost grows
+    with the queue and not with the history. A job leaves ``active`` when it
+    completes and returns when a stale row shows it in another state.
+    """
+
+    jobs: dict[str, TrackedJob] = field(default_factory=dict)
+    active: dict[str, TrackedJob] = field(default_factory=dict)
 
     @classmethod
     def empty(cls) -> "ObserverState":
-        return cls({})
+        return cls()
 
 
 def diff_snapshot(
@@ -72,25 +80,25 @@ def diff_snapshot(
 ) -> tuple[list[JobEvent], ObserverState]:
     """Register events for one snapshot against the retained state.
 
+    Updates ``state`` in place and returns it with the events. An unchanged
+    row costs one lookup and one state comparison, so a call is O(rows).
+
     A creation event carries the job's dependency column as first seen. The
     column is only trustworthy while the job is PENDING, so a job first seen
     in a later state carries the "(late)" marker instead.
     """
     events: list[JobEvent] = []
-    jobs = dict(state.jobs)
+    jobs = state.jobs
+    active = state.active
     for row in rows:
         tracked = jobs.get(row.job_id)
         if tracked is None:
             activity = normalize_command(row.command_path)
             dep_raw = row.dependency_raw if row.state == PENDING else LATE_DEPENDENCY
-            jobs[row.job_id] = TrackedJob(
-                state=row.state,
-                account=row.account,
-                group=row.group,
-                activity=activity,
-                first_seen_at=row.observed_at,
-                last_seen_at=row.observed_at,
-            )
+            tracked = TrackedJob(row.state, row.account, row.group, activity, len(jobs))
+            jobs[row.job_id] = tracked
+            if row.state != COMPLETED:
+                active[row.job_id] = tracked
             events.append(
                 JobEvent(
                     job_id=row.job_id,
@@ -103,40 +111,49 @@ def diff_snapshot(
                     timestamp=row.observed_at,
                 )
             )
-        else:
-            if tracked.state != row.state:
-                events.append(
-                    JobEvent(
-                        job_id=row.job_id,
-                        account=row.account,
-                        group=row.group,
-                        activity=tracked.activity,
-                        state=row.state,
-                        dependency_raw=row.dependency_raw,
-                        kind=EventKind.STATE_CHANGED,
-                        timestamp=row.observed_at,
-                    )
+        # Known states are shared JobState instances, so identity settles most
+        # unchanged rows without the dataclass comparison.
+        elif tracked.state is not row.state and tracked.state != row.state:
+            events.append(
+                JobEvent(
+                    job_id=row.job_id,
+                    account=row.account,
+                    group=row.group,
+                    activity=tracked.activity,
+                    state=row.state,
+                    dependency_raw=row.dependency_raw,
+                    kind=EventKind.STATE_CHANGED,
+                    timestamp=row.observed_at,
                 )
-            jobs[row.job_id] = replace(
-                tracked, state=row.state, last_seen_at=row.observed_at
             )
-    return events, ObserverState(jobs)
+            if row.state == COMPLETED:
+                del active[row.job_id]
+            elif tracked.state == COMPLETED:
+                active[row.job_id] = tracked
+            tracked.state = row.state
+    return events, state
 
 
 def finalize_vanished(
     state: ObserverState, rows: list[JobRow], observed_at: datetime
 ) -> tuple[list[JobEvent], ObserverState]:
-    """Emit synthetic completions for tracked jobs absent from this snapshot.
+    """Emit synthetic completions for active jobs absent from this snapshot.
 
-    Finished jobs stay in the state (marked completed) so they are not
-    re-created if a stale row reappears.
+    Updates ``state`` in place and returns it with the events; a call is
+    O(rows + active). Finished jobs stay in ``state.jobs`` (marked
+    completed) so they are not re-created if a stale row reappears. The
+    completions come out in first-seen order.
     """
+    active = state.active
     present = {row.job_id for row in rows}
+    vanished = [
+        (job_id, tracked) for job_id, tracked in active.items() if job_id not in present
+    ]
+    if len(vanished) > 1:
+        # A job put back by a stale row sits after later-seen jobs in ``active``.
+        vanished.sort(key=lambda item: item[1].first_seen)
     events: list[JobEvent] = []
-    jobs = dict(state.jobs)
-    for job_id, tracked in state.jobs.items():
-        if job_id in present or tracked.state == COMPLETED:
-            continue
+    for job_id, tracked in vanished:
         events.append(
             JobEvent(
                 job_id=job_id,
@@ -149,8 +166,9 @@ def finalize_vanished(
                 timestamp=observed_at,
             )
         )
-        jobs[job_id] = replace(tracked, state=COMPLETED, last_seen_at=observed_at)
-    return events, ObserverState(jobs)
+        tracked.state = COMPLETED
+        del active[job_id]
+    return events, state
 
 
 @dataclass(frozen=True)
@@ -271,7 +289,8 @@ def run_observation(
     """Drive the observation loop over a snapshot source.
 
     Snapshots must arrive in nondecreasing observation-time order. Events
-    already appended to the sink survive a source failure.
+    already appended to the sink survive a source failure. A ``state`` passed
+    in is continued and updated in place.
     """
     state = state if state is not None else ObserverState.empty()
     snapshots = 0

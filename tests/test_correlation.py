@@ -71,6 +71,23 @@ class TestBuildDependencyGraph:
         assert len(graph.edges) == 1
         assert len(graph.dropped_edges) == 1
 
+    def test_three_edge_cycle_drops_only_closing_edge(self):
+        graph = DependencyGraph()
+        assert graph.add_edge("1", "2")
+        assert graph.add_edge("2", "3")
+        assert not graph.add_edge("3", "1")
+        assert graph.edges == {("1", "2"), ("2", "3")}
+        assert graph.dropped_edges == [("3", "1")]
+        assert graph.successors == {"1": ["2"], "2": ["3"]}
+
+    def test_repeated_edge_kept_once(self):
+        graph = DependencyGraph()
+        assert graph.add_edge("1", "2")
+        assert graph.add_edge("1", "2")
+        assert graph.edges == {("1", "2")}
+        assert graph.successors == {"1": ["2"]}
+        assert graph.dropped_edges == []
+
     def test_two_disjoint_chains(self):
         result = simulator.simulate(simulator.load_bundled_scenario("two_chains"))
         events, _ = replay_events(result)

@@ -1,7 +1,10 @@
 import io
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import replay_events
 from hpcmine import observer, simulator
@@ -10,6 +13,7 @@ from hpcmine.observer import (
     CommandSource,
     CsvEventSink,
     EventKind,
+    JobEvent,
     ListSink,
     ObserverState,
     OutOfOrderSnapshot,
@@ -20,7 +24,16 @@ from hpcmine.observer import (
     read_events_csv,
     run_observation,
 )
-from hpcmine.snapshots import COMPLETED, COMPLETING, PENDING, RUNNING, JobRow, parse_snapshot
+from hpcmine.snapshots import (
+    COMPLETED,
+    COMPLETING,
+    PENDING,
+    RUNNING,
+    JobRow,
+    JobState,
+    normalize_command,
+    parse_snapshot,
+)
 
 T0 = datetime(2023, 5, 1, 12, 0, 0, tzinfo=timezone.utc)
 
@@ -112,6 +125,170 @@ class TestFinalizeVanished:
             if e.kind == EventKind.SYNTHETIC_COMPLETED
         ]
         assert [e.job_id for e in completions] == expected
+
+    def test_stale_row_of_completed_job_reopens_it(self):
+        t = [T0 + timedelta(seconds=30 * i) for i in range(4)]
+        state = ObserverState.empty()
+
+        def poll(rows, at):
+            nonlocal state
+            events, state = diff_snapshot(state, rows)
+            vanished, state = finalize_vanished(state, rows, at)
+            return [(e.job_id, e.kind, e.state) for e in events + vanished]
+
+        poll([row(i, PENDING, at=t[0]) for i in "123"], t[0])
+        assert poll([row(i, PENDING, at=t[1]) for i in "23"], t[1]) == [
+            ("1", EventKind.SYNTHETIC_COMPLETED, COMPLETED)
+        ]
+        assert "1" not in state.active
+        # A stale row brings job 1 back after jobs 2 and 3 in ``active``.
+        stale = [
+            row("2", PENDING, at=t[2]),
+            row("1", RUNNING, at=t[2]),
+            row("3", PENDING, at=t[2]),
+        ]
+        assert poll(stale, t[2]) == [("1", EventKind.STATE_CHANGED, RUNNING)]
+        assert list(state.active) == ["2", "3", "1"]
+        assert poll([], t[3]) == [
+            (i, EventKind.SYNTHETIC_COMPLETED, COMPLETED) for i in "123"
+        ]
+        assert state.active == {}
+        assert list(state.jobs) == ["1", "2", "3"]
+
+    def test_completed_row_leaves_active(self):
+        rows = [row("1", RUNNING), row("2", RUNNING)]
+        _, state = diff_snapshot(ObserverState.empty(), rows)
+        t1 = T0 + timedelta(seconds=30)
+        rows = [row("1", COMPLETED, at=t1), row("2", RUNNING, at=t1)]
+        events, state = diff_snapshot(state, rows)
+        assert [(e.job_id, e.state) for e in events] == [("1", COMPLETED)]
+        assert list(state.active) == ["2"]
+        vanished, _ = finalize_vanished(state, [], t1 + timedelta(seconds=30))
+        assert [e.job_id for e in vanished] == ["2"]
+
+    def test_state_updated_in_place(self):
+        state = ObserverState.empty()
+        _, returned = diff_snapshot(state, [row("1", PENDING)])
+        assert returned is state
+        _, returned = finalize_vanished(state, [], T0 + timedelta(seconds=30))
+        assert returned is state
+        assert state.jobs["1"].state == COMPLETED
+
+
+# The copy-and-replace diff and finalisation the in-place observer replaced.
+# They are the reference the equivalence property below compares against.
+
+
+@dataclass(frozen=True)
+class _ReferenceJob:
+    state: JobState
+    account: str
+    group: str
+    activity: str
+    first_seen_at: datetime
+    last_seen_at: datetime
+
+
+def _reference_diff(jobs, rows):
+    events = []
+    jobs = dict(jobs)
+    for r in rows:
+        tracked = jobs.get(r.job_id)
+        if tracked is None:
+            activity = normalize_command(r.command_path)
+            dep_raw = r.dependency_raw if r.state == PENDING else observer.LATE_DEPENDENCY
+            jobs[r.job_id] = _ReferenceJob(
+                r.state, r.account, r.group, activity, r.observed_at, r.observed_at
+            )
+            events.append(
+                JobEvent(
+                    r.job_id, r.account, r.group, activity, r.state, dep_raw,
+                    EventKind.CREATED, r.observed_at,
+                )
+            )
+        else:
+            if tracked.state != r.state:
+                events.append(
+                    JobEvent(
+                        r.job_id, r.account, r.group, tracked.activity, r.state,
+                        r.dependency_raw, EventKind.STATE_CHANGED, r.observed_at,
+                    )
+                )
+            jobs[r.job_id] = replace(tracked, state=r.state, last_seen_at=r.observed_at)
+    return events, jobs
+
+
+def _reference_finalize(jobs, rows, observed_at):
+    present = {r.job_id for r in rows}
+    events = []
+    new_jobs = dict(jobs)
+    for job_id, tracked in jobs.items():
+        if job_id in present or tracked.state == COMPLETED:
+            continue
+        events.append(
+            JobEvent(
+                job_id, tracked.account, tracked.group, tracked.activity, COMPLETED,
+                "(null)", EventKind.SYNTHETIC_COMPLETED, observed_at,
+            )
+        )
+        new_jobs[job_id] = replace(tracked, state=COMPLETED, last_seen_at=observed_at)
+    return events, new_jobs
+
+
+# A snapshot is a list of (job id, state code, account, dependency) rows.
+# Few ids and many snapshots make jobs vanish, reappear and finish by a CD row.
+_snapshot_rows = st.lists(
+    st.tuples(
+        st.sampled_from("123456"),
+        st.sampled_from(["PD", "R", "CG", "CD", "S", "F"]),
+        st.sampled_from(["a", "b"]),
+        st.sampled_from(["(null)", "afterok:1"]),
+    ),
+    max_size=8,
+)
+
+# Job 1 finishes by a CD row; 2 and 3 vanish together; 2 and 4 reappear;
+# a stale row of the finished job 1 reopens it behind later-seen jobs.
+_CRAFTED_STREAM = [
+    [(job_id, code, "a", "(null)") for job_id, code in snapshot]
+    for snapshot in [
+        [("1", "R"), ("2", "PD"), ("3", "PD")],
+        [("1", "CD"), ("2", "PD"), ("4", "R")],
+        [("4", "R")],
+        [("2", "R")],
+        [("4", "CG"), ("1", "R"), ("5", "PD")],
+        [],
+    ]
+]
+
+
+class TestInPlaceMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_snapshot_rows, max_size=12), st.booleans())
+    @example(_CRAFTED_STREAM, True)
+    def test_same_events_in_same_order(self, stream, synthetic_complete):
+        state = ObserverState.empty()
+        reference = {}
+        for i, snapshot in enumerate(stream):
+            at = T0 + timedelta(seconds=30 * i)
+            rows = [
+                row(job_id, JobState.from_code(code), at=at, dep=dep, account=account)
+                for job_id, code, account, dep in snapshot
+            ]
+            events, state = diff_snapshot(state, rows)
+            expected, reference = _reference_diff(reference, rows)
+            if synthetic_complete:
+                vanished, state = finalize_vanished(state, rows, at)
+                events += vanished
+                vanished, reference = _reference_finalize(reference, rows, at)
+                expected += vanished
+            assert events == expected
+            assert list(state.jobs) == list(reference)
+            assert all(state.jobs[j].state == reference[j].state for j in reference)
+            assert state.active.keys() == {
+                j for j, tracked in state.jobs.items() if tracked.state != COMPLETED
+            }
+            assert all(state.active[j] is state.jobs[j] for j in state.active)
 
 
 class TestRunObservation:

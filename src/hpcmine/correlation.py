@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .eventlog import (  # extract_first_dependencies is re-exported
@@ -186,6 +186,19 @@ def apply_cases(events: Iterable[JobEvent], assignment: CaseAssignment) -> CaseL
         case_id = assignment.cases.get(event.job_id)
         if case_id is None:
             raise UnassignedJob(event.job_id)
-        case_events.append(replace(event, case_id=case_id))
+        # Positional: about half the cost of dataclasses.replace per event.
+        case_events.append(
+            JobEvent(
+                event.job_id,
+                event.account,
+                event.group,
+                event.activity,
+                event.state,
+                event.dependency_raw,
+                event.kind,
+                event.timestamp,
+                case_id,
+            )
+        )
     case_events.sort(key=lambda e: (e.case_id, e.timestamp, e.job_id))
     return CaseLog(case_events)

@@ -25,7 +25,15 @@ from .eventlog import (  # CsvEventSink and read_events_csv are re-exported
     JobEvent,
     read_events_csv,
 )
-from .snapshots import COMPLETED, PENDING, JobRow, JobState, normalize_command, parse_snapshot
+from .snapshots import (
+    COMPLETED,
+    PENDING,
+    JobRow,
+    JobState,
+    MalformedRow,
+    normalize_command,
+    parse_snapshot,
+)
 from .timeutil import format_basic, parse_basic
 
 logger = logging.getLogger(__name__)
@@ -277,6 +285,7 @@ class ObservationSummary:
     snapshots: int
     events: int
     state: ObserverState
+    malformed: int  # data lines skipped for having too few columns
 
 
 def run_observation(
@@ -290,11 +299,14 @@ def run_observation(
 
     Snapshots must arrive in nondecreasing observation-time order. Events
     already appended to the sink survive a source failure. A ``state`` passed
-    in is continued and updated in place.
+    in is continued and updated in place. Malformed snapshot lines are
+    skipped, logged and counted in the summary.
     """
     state = state if state is not None else ObserverState.empty()
     snapshots = 0
     events = 0
+    malformed = 0
+    errors: list[MalformedRow] = []  # one snapshot's, cleared after counting
     last_at: datetime | None = None
     iterator = iter(source)
     while True:
@@ -310,7 +322,9 @@ def run_observation(
                 f"snapshot at {snapshot.observed_at} after {last_at}"
             )
         last_at = snapshot.observed_at
-        rows = parse_snapshot(snapshot.text, snapshot.observed_at)
+        rows = parse_snapshot(snapshot.text, snapshot.observed_at, errors)
+        malformed += len(errors)
+        errors.clear()
         new_events, state = diff_snapshot(state, rows)
         if synthetic_complete:
             vanished, state = finalize_vanished(state, rows, snapshot.observed_at)
@@ -319,4 +333,6 @@ def run_observation(
             sink.append(event)
         events += len(new_events)
         snapshots += 1
-    return ObservationSummary(snapshots=snapshots, events=events, state=state)
+    return ObservationSummary(
+        snapshots=snapshots, events=events, state=state, malformed=malformed
+    )

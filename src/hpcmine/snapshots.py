@@ -13,6 +13,7 @@ import logging
 import re
 from dataclasses import dataclass
 from datetime import datetime
+from typing import NamedTuple
 
 logger = logging.getLogger(__name__)
 
@@ -28,7 +29,9 @@ class JobState:
 
     @classmethod
     def from_code(cls, code: str) -> "JobState":
-        return _STATES_BY_CODE.get(code, cls("other", code))
+        """The shared instance for a known code; a new "other" state otherwise."""
+        state = _STATES_BY_CODE.get(code)
+        return cls("other", code) if state is None else state
 
     @property
     def is_other(self) -> bool:
@@ -94,9 +97,11 @@ class DependencySpec:
         return out
 
 
-@dataclass(frozen=True)
-class JobRow:
-    """One parsed line of a queue snapshot."""
+class JobRow(NamedTuple):
+    """One parsed line of a queue snapshot.
+
+    A row compares equal to a plain tuple of its fields.
+    """
 
     account: str
     job_id: str
@@ -173,21 +178,24 @@ def parse_snapshot(
             continue
         if tokens[0] == "ACCOUNT":
             continue
-        if len(tokens) < 6:
+        n = len(tokens)
+        if n < 6:
             malformed = MalformedRow(line_number, line)
             logger.warning("skipping malformed snapshot row %d: %r", line_number, line)
             if errors is not None:
                 errors.append(malformed)
             continue
+        # Most commands have no arguments: one token, nothing to join.
+        command = tokens[3] if n == 6 else " ".join(tokens[3:-2])
         rows.append(
             JobRow(
-                account=tokens[0],
-                job_id=tokens[1],
-                dependency_raw=tokens[2],
-                command_path=" ".join(tokens[3:-2]),
-                state=JobState.from_code(tokens[-2]),
-                group=tokens[-1],
-                observed_at=observed_at,
+                tokens[0],
+                tokens[1],
+                tokens[2],
+                command,
+                JobState.from_code(tokens[-2]),
+                tokens[-1],
+                observed_at,
             )
         )
     return rows

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 from datetime import datetime, timezone
+from functools import lru_cache
 
 ISO_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 BASIC_FORMAT = "%Y%m%dT%H%M%SZ"
 
 
+# Every event of a snapshot shares its timestamp, and a sorted case log
+# repeats each one in runs, so a small cache answers most calls.
+@lru_cache(maxsize=64)
 def format_iso(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).strftime(ISO_FORMAT)
 

@@ -1,11 +1,13 @@
 import random
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from conftest import replay_events
+from conftest import random_case_log, replay_events
 from hpcmine import simulator
 from hpcmine.correlation import (
+    CaseAssignment,
     DependencyGraph,
     Strategy,
     UnassignedJob,
@@ -216,6 +218,21 @@ class TestApplyCases:
             per_case[e.case_id] = per_case.get(e.case_id, 0) + 1
         # 4 jobs each emitting created, running, completing, completed.
         assert sorted(per_case.values()) == [16, 16]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_each_event_equals_replace_with_case_id(self, seed):
+        # apply_cases copies events field by field; a field added to JobEvent
+        # later must not be dropped by that copy.
+        rng = random.Random(seed)
+        events = [replace(e, case_id="") for e in random_case_log(rng, n_cases=6)]
+        rng.shuffle(events)
+        cases = {e.job_id: f"c{rng.randint(0, 3)}" for e in events}
+        log = apply_cases(events, CaseAssignment(Strategy.EXPLICIT, cases))
+        expected = sorted(
+            (replace(e, case_id=cases[e.job_id]) for e in events),
+            key=lambda e: (e.case_id, e.timestamp, e.job_id),
+        )
+        assert log.events == expected
 
 
 class TestExtractFirstDependencies:

@@ -303,6 +303,7 @@ class TestRunObservation:
         sink = ListSink()
         summary = run_observation(self.snapshot_pair(), sink)
         assert summary.snapshots == 2
+        assert summary.malformed == 0
         assert len(sink.events) == 3
         assert all(e.kind == EventKind.CREATED for e in sink.events)
 
@@ -332,6 +333,18 @@ class TestRunObservation:
         result = simulator.simulate(simulator.load_bundled_scenario("fig1_explicit"))
         events, _ = replay_events(result, synthetic_complete=False)
         assert not any(e.kind == EventKind.SYNTHETIC_COMPLETED for e in events)
+
+    def test_malformed_line_in_replay_counted_once(self, tmp_path, caplog):
+        result = simulator.simulate(simulator.load_bundled_scenario("fig1_explicit"))
+        paths = simulator.write_snapshots(result.snapshots, tmp_path)
+        paths[1].write_text(paths[1].read_text() + "\nacc1 99 (null) PD\n")
+        clean, _ = replay_events(result)
+        sink = ListSink()
+        with caplog.at_level("WARNING", logger="hpcmine.snapshots"):
+            summary = run_observation(ReplayDirectorySource(tmp_path), sink)
+        assert summary.malformed == 1
+        assert len(caplog.records) == 1
+        assert sink.events == clean
 
     def test_first_dependency_survives_mutated_replay(self):
         # Later snapshots lie about the dependency; the first view wins.

@@ -1,14 +1,20 @@
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hpcmine import simulator
 from hpcmine.snapshots import (
+    COMPLETED,
+    COMPLETING,
     PENDING,
+    RUNNING,
+    SUSPENDED,
     DependencyCondition,
     DependencySpec,
+    JobRow,
     JobState,
     MalformedRow,
     normalize_command,
@@ -17,6 +23,8 @@ from hpcmine.snapshots import (
 )
 
 T0 = datetime(2022, 12, 7, 11, 51, 45, tzinfo=timezone.utc)
+
+KNOWN_STATES = (PENDING, RUNNING, COMPLETING, COMPLETED, SUSPENDED)
 
 
 class TestJobState:
@@ -96,6 +104,123 @@ class TestParseSnapshot:
                 job.account, job.job_id, job.command_path, job.group
             )
             assert row.state == PENDING
+
+
+# The frozen-dataclass row and parser as they were before ``JobRow`` became a
+# named tuple, kept as the reference the current parser must match.
+@dataclass(frozen=True)
+class _ReferenceRow:
+    account: str
+    job_id: str
+    dependency_raw: str
+    command_path: str
+    state: JobState
+    group: str
+    observed_at: datetime
+
+
+def _reference_state(code):
+    return {s.code: s for s in KNOWN_STATES}.get(code, JobState("other", code))
+
+
+def _reference_parse(text, observed_at, errors):
+    rows = []
+    for line_number, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if tokens[0] == "ACCOUNT":
+            continue
+        if len(tokens) < 6:
+            errors.append(MalformedRow(line_number, line))
+            continue
+        rows.append(
+            _ReferenceRow(
+                account=tokens[0],
+                job_id=tokens[1],
+                dependency_raw=tokens[2],
+                command_path=" ".join(tokens[3:-2]),
+                state=_reference_state(tokens[-2]),
+                group=tokens[-1],
+                observed_at=observed_at,
+            )
+        )
+    return rows
+
+
+def _join(tokens, separators, pad):
+    body = "".join(token + sep for token, sep in zip(tokens, separators))
+    return pad + body.rstrip(" \t") + pad
+
+
+_separator = st.text(alphabet=" \t", min_size=1, max_size=3)
+_word = st.text(alphabet="abcXYZ019_/.-:(),+", min_size=1, max_size=8)
+_code = st.sampled_from([s.code for s in KNOWN_STATES] + ["F", "CA", "OOM", "pd"])
+# ACCOUNT JOBID DEPENDENCY, a command of one to four tokens, ST GROUP.
+_data_tokens = st.builds(
+    lambda head, command, code, group: head + command + [code, group],
+    st.lists(_word, min_size=3, max_size=3),
+    st.lists(_word, min_size=1, max_size=4),
+    _code,
+    _word,
+)
+_data_line = st.builds(
+    _join,
+    _data_tokens,
+    st.lists(_separator, min_size=9, max_size=9),
+    st.sampled_from(["", " ", "\t"]),
+)
+_short_line = st.lists(st.one_of(_word, _code), min_size=1, max_size=5).map(" ".join)
+_line = st.one_of(
+    _data_line,
+    _short_line,
+    st.just("ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP"),
+    st.just("ACCOUNT"),
+    st.sampled_from(["", "   ", "\t"]),
+    st.text(max_size=30),
+)
+
+
+class TestParserMatchesReference:
+    @given(st.lists(_line, max_size=12).map("\n".join))
+    @example("ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP\n\na 1 (null) /x.sh PD g")
+    @example("a 1 afterok:2 /opt/run.sh --n  5\tR g\nshort line\na 2 x /y.sh F g")
+    def test_same_fields_and_errors(self, text):
+        errors, expected_errors = [], []
+        rows = parse_snapshot(text, T0, errors)
+        expected = _reference_parse(text, T0, expected_errors)
+        assert [tuple(r) for r in rows] == [
+            tuple(getattr(r, f.name) for f in fields(r)) for r in expected
+        ]
+        assert errors == expected_errors
+        for row, reference in zip(rows, expected):
+            if not reference.state.is_other:
+                assert row.state is reference.state
+
+    def test_same_field_names_in_same_order(self):
+        assert JobRow._fields == tuple(f.name for f in fields(_ReferenceRow))
+
+    def test_known_codes_parse_to_shared_instances(self):
+        text = "\n".join(
+            f"a {i} (null) /x.sh {s.code} g" for i, s in enumerate(KNOWN_STATES)
+        )
+        rows = parse_snapshot(text, T0)
+        assert all(row.state is known for row, known in zip(rows, KNOWN_STATES))
+        assert rows[0].state is PENDING
+
+    def test_row_is_an_immutable_tuple_of_its_fields(self):
+        row = JobRow(
+            account="a",
+            job_id="1",
+            dependency_raw="(null)",
+            command_path="/x.sh",
+            state=PENDING,
+            group="g",
+            observed_at=T0,
+        )
+        assert row == ("a", "1", "(null)", "/x.sh", PENDING, "g", T0)
+        with pytest.raises(AttributeError):
+            row.state = RUNNING
 
 
 class TestParseDependencySpec:

@@ -18,6 +18,7 @@ from .eventlog import (  # extract_first_dependencies is re-exported
     CaseLog,
     JobEvent,
     extract_first_dependencies,
+    with_case,
 )
 from .snapshots import DependencySpec
 
@@ -186,19 +187,6 @@ def apply_cases(events: Iterable[JobEvent], assignment: CaseAssignment) -> CaseL
         case_id = assignment.cases.get(event.job_id)
         if case_id is None:
             raise UnassignedJob(event.job_id)
-        # Positional: about half the cost of dataclasses.replace per event.
-        case_events.append(
-            JobEvent(
-                event.job_id,
-                event.account,
-                event.group,
-                event.activity,
-                event.state,
-                event.dependency_raw,
-                event.kind,
-                event.timestamp,
-                case_id,
-            )
-        )
+        case_events.append(with_case(event, case_id))
     case_events.sort(key=lambda e: (e.case_id, e.timestamp, e.job_id))
     return CaseLog(case_events)

@@ -41,6 +41,25 @@ class JobEvent:
     case_id: str = ""
 
 
+def with_case(event: JobEvent, case_id: str) -> JobEvent:
+    """A copy of ``event`` with ``case_id`` set.
+
+    Positional: about half the cost of ``dataclasses.replace`` per event.
+    Keep in step with the fields of ``JobEvent``.
+    """
+    return JobEvent(
+        event.job_id,
+        event.account,
+        event.group,
+        event.activity,
+        event.state,
+        event.dependency_raw,
+        event.kind,
+        event.timestamp,
+        case_id,
+    )
+
+
 # CSV column -> (JobEvent field, encode, decode).
 _COLUMNS = {
     "case_id": ("case_id", str, str),

@@ -178,21 +178,18 @@ def parse_snapshot(
             continue
         if tokens[0] == "ACCOUNT":
             continue
-        n = len(tokens)
-        if n < 6:
+        if len(tokens) < 6:
             malformed = MalformedRow(line_number, line)
             logger.warning("skipping malformed snapshot row %d: %r", line_number, line)
             if errors is not None:
                 errors.append(malformed)
             continue
-        # Most commands have no arguments: one token, nothing to join.
-        command = tokens[3] if n == 6 else " ".join(tokens[3:-2])
         rows.append(
             JobRow(
                 tokens[0],
                 tokens[1],
                 tokens[2],
-                command,
+                " ".join(tokens[3:-2]),
                 JobState.from_code(tokens[-2]),
                 tokens[-1],
                 observed_at,

@@ -221,8 +221,8 @@ class TestApplyCases:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_each_event_equals_replace_with_case_id(self, seed):
-        # apply_cases copies events field by field; a field added to JobEvent
-        # later must not be dropped by that copy.
+        # apply_cases copies events field by field (eventlog.with_case); a
+        # field added to JobEvent later must not be dropped by that copy.
         rng = random.Random(seed)
         events = [replace(e, case_id="") for e in random_case_log(rng, n_cases=6)]
         rng.shuffle(events)

@@ -1,5 +1,6 @@
 import io
 import random
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 
 import pytest
@@ -23,6 +24,7 @@ from hpcmine.eventlog import (
     first_dependencies_from_log,
     read_csv,
     render_stats,
+    with_case,
     write_csv,
 )
 from hpcmine.snapshots import PENDING, JobState
@@ -33,6 +35,26 @@ def roundtrip(log):
     rows = write_csv(log, buffer)
     buffer.seek(0)
     return rows, read_csv(buffer)
+
+
+class TestWithCase:
+    # A non-default value for every JobEvent field. A field added to the
+    # record fails this test by name until it is added here and to with_case.
+    SAMPLE = {
+        "job_id": "17",
+        "account": "acct",
+        "group": "grp",
+        "activity": "step.sh",
+        "state": JobState("other", "F"),
+        "dependency_raw": "afterok:16",
+        "kind": EventKind.SYNTHETIC_COMPLETED,
+        "timestamp": datetime(2023, 5, 1, 12, 30, tzinfo=timezone.utc),
+        "case_id": "old",
+    }
+
+    def test_copies_every_field(self):
+        event = JobEvent(**{f.name: self.SAMPLE[f.name] for f in fields(JobEvent)})
+        assert with_case(event, "new") == replace(event, case_id="new")
 
 
 class TestCsvRoundTrip:

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -172,7 +172,19 @@ def write_csv(log: Iterable[JobEvent], destination) -> int:
 
 def read_csv(source, header: list[str] = CSV_HEADER) -> CaseLog:
     """Read a file written by ``write_csv`` with the same header."""
-    decoders = [(_COLUMNS[name][0], _COLUMNS[name][2]) for name in header]
+    # Each decoded column keeps a memo of the texts seen in this call: every
+    # event of a snapshot shares one timestamp, and states and kinds are few.
+    decoded = [
+        (i, _COLUMNS[name][0], _COLUMNS[name][2], {})
+        for i, name in enumerate(header)
+        if _COLUMNS[name][2] is not str
+    ]
+    # Columns in JobEvent field order; a field the header lacks keeps its
+    # default, so it must come after every field the header has.
+    column_of = {_COLUMNS[name][0]: i for i, name in enumerate(header)}
+    in_field_order = itemgetter(
+        *(column_of[f.name] for f in fields(JobEvent) if f.name in column_of)
+    )
     own = isinstance(source, (str, Path))
     fh = open(source, newline="") if own else source
     try:
@@ -184,15 +196,18 @@ def read_csv(source, header: list[str] = CSV_HEADER) -> CaseLog:
         for row_number, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise SchemaMismatch(row)
-            fields = {}
-            for (name, decode), text in zip(decoders, row):
-                try:
-                    fields[name] = decode(text)
-                except ValueError:
-                    if name != "timestamp":
-                        raise
-                    raise BadTimestamp(row_number, text) from None
-            events.append(JobEvent(**fields))
+            for i, name, decode, memo in decoded:
+                text = row[i]
+                value = memo.get(text)
+                if value is None:
+                    try:
+                        value = memo[text] = decode(text)
+                    except ValueError:
+                        if name != "timestamp":
+                            raise
+                        raise BadTimestamp(row_number, text) from None
+                row[i] = value
+            events.append(JobEvent(*in_field_order(row)))
         return CaseLog(events)
     finally:
         if own:

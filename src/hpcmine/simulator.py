@@ -12,10 +12,17 @@ the not-yet-completed ones) into the DEPENDENCY column. Manual jobs are
 submitted one snapshot after their logical predecessors complete and
 never render a dependency, mimicking a user driving a chain by hand.
 
-When several jobs become startable on the same tick, the seed shuffles
-them and only the first starts; the rest retry next tick. This staggers
-parallel branches deterministically, so different seeds realize different
-branch orders.
+At most one job starts per tick. When several are startable, the seed
+shuffles them, listed in scenario order, and only the first starts; the
+rest retry next tick. This staggers parallel branches deterministically,
+so different seeds realize different branch orders.
+
+The simulation is event-driven: jobs wait in tick-keyed buckets for their
+submission, start eligibility and entry into completing, and each job's
+snapshot row is cached until it changes. A tick's work is in the jobs that
+change state on it, plus one random draw per startable job (the seeded
+shuffle) and one cached row per queued job; an eventless tick reuses the
+previous snapshot. No per-tick loop visits every job of the scenario.
 """
 
 from __future__ import annotations
@@ -23,9 +30,11 @@ from __future__ import annotations
 import enum
 import math
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from importlib import resources
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .eventlog import EventKind
@@ -101,15 +110,22 @@ class ScenarioSpec:
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
-        deps = {job.job_id: set(job.dependencies) for job in self.jobs}
-        resolved: set[str] = set()
-        while deps:
-            ready = [j for j, d in deps.items() if d <= resolved]
-            if not ready:
-                raise InvalidScenario(f"dependency cycle among {sorted(deps)}")
-            for j in ready:
-                resolved.add(j)
-                del deps[j]
+        # Kahn's algorithm; what is left unresolved is on or behind a cycle.
+        unmet = {job.job_id: len(set(job.dependencies)) for job in self.jobs}
+        dependents: dict[str, list[str]] = {}
+        for job in self.jobs:
+            for dep in set(job.dependencies):
+                dependents.setdefault(dep, []).append(job.job_id)
+        ready = [job_id for job_id, count in unmet.items() if count == 0]
+        while ready:
+            job_id = ready.pop()
+            del unmet[job_id]
+            for dependent in dependents.get(job_id, ()):
+                unmet[dependent] -= 1
+                if unmet[dependent] == 0:
+                    ready.append(dependent)
+        if unmet:
+            raise InvalidScenario(f"dependency cycle among {sorted(unmet)}")
 
     def true_cases(self) -> dict[str, str]:
         """Partition jobs by weak connectivity of the logical dependency graph."""
@@ -164,25 +180,25 @@ class _JobRun:
     __slots__ = (
         "job",
         "index",
-        "status",
-        "submit_tick",
-        "start_tick",
-        "cg_tick",
+        "gone",
         "running_ticks",
+        "unmet",
+        "dependents",
+        "submit_order",
+        "line",
     )
 
-    def __init__(self, job: SimJob, index: int) -> None:
+    def __init__(self, job: SimJob, index: int, interval: int) -> None:
         self.job = job
         self.index = index
-        self.status = "unsubmitted"
-        self.submit_tick: int | None = None
-        self.start_tick: int | None = None
-        self.cg_tick: int | None = None
-        self.running_ticks = 0
-
-    def completed_by(self, tick: int) -> bool:
-        # A job counts as complete from the tick after its completing tick.
-        return self.cg_tick is not None and self.cg_tick < tick
+        self.gone = False  # has left the queue
+        self.running_ticks = math.ceil(job.duration / interval)
+        # Distinct dependencies not yet met: a manual job's predecessor meets
+        # it by entering CG, a batch job's by leaving the queue.
+        self.unmet = len(set(job.dependencies))
+        self.dependents: list[_JobRun] = []
+        self.submit_order = -1
+        self.line = ""  # this job's snapshot row, rebuilt when it changes
 
 
 def simulate(spec: ScenarioSpec) -> SimulationResult:
@@ -190,127 +206,106 @@ def simulate(spec: ScenarioSpec) -> SimulationResult:
     spec.validate()
     rng = random.Random(spec.seed)
     interval = spec.snapshot_interval
-    runs = [_JobRun(job, i) for i, job in enumerate(spec.jobs)]
+    max_running = spec.max_running
+    runs = [_JobRun(job, i, interval) for i, job in enumerate(spec.jobs)]
     by_id = {run.job.job_id: run for run in runs}
     for run in runs:
-        run.running_ticks = math.ceil(run.job.duration / interval)
+        for dep in dict.fromkeys(run.job.dependencies):
+            by_id[dep].dependents.append(run)
 
-    def time_of(tick: int) -> datetime:
-        return SIM_EPOCH + timedelta(seconds=tick * interval)
+    # Tick-keyed buckets of the jobs that change state on that tick.
+    submit_at: dict[int, list[_JobRun]] = {
+        0: [run for run in runs if run.job.mode == SubmitMode.BATCH or run.unmet == 0]
+    }
+    cg_at: dict[int, list[_JobRun]] = {}
+    vanish_at: dict[int, list[_JobRun]] = {}
+    eligible_at: dict[int, list[int]] = {}
+    queue: list[int] = []  # indices of the jobs in the queue, ascending
+    eligible: list[int] = []  # indices of the pending jobs free to start, ascending
+    running = gone_count = submitted = 0
+
+    def enter_cg(run: _JobRun, tick: int, row_events: list) -> None:
+        run.line = _render_line(run, COMPLETING, by_id)
+        row_events.append((run.index, run.job.job_id, EventKind.STATE_CHANGED, COMPLETING))
+        vanish_at.setdefault(tick + 1, []).append(run)
+        for waiter in run.dependents:
+            if waiter.job.mode == SubmitMode.MANUAL:
+                waiter.unmet -= 1
+                if waiter.unmet == 0:
+                    submit_at.setdefault(tick + 1, []).append(waiter)
 
     snapshots: list[tuple[datetime, str]] = []
     oracle_events: list[OracleEvent] = []
-    submit_order: dict[str, int] = {}
-
+    text = SNAPSHOT_HEADER + "\n"
     tick = 0
     while tick < _MAX_TICKS:
-        row_events: list[tuple[int, OracleEvent]] = []
-        vanish_events: list[tuple[int, OracleEvent]] = []
+        at = SIM_EPOCH + timedelta(seconds=tick * interval)
+        row_events: list[tuple[int, str, EventKind, JobState]] = []
 
-        # 1. Jobs past their completing tick leave the queue.
-        for run in runs:
-            if run.status == "completing" and run.completed_by(tick):
-                run.status = "gone"
-                vanish_events.append(
-                    (
-                        submit_order[run.job.job_id],
-                        OracleEvent(
-                            run.job.job_id,
-                            EventKind.SYNTHETIC_COMPLETED,
-                            COMPLETED,
-                            time_of(tick),
-                        ),
-                    )
-                )
+        # 1. Jobs past their completing tick leave the queue, in submission
+        #    order; batch jobs waiting on them drop them from DEPENDENCY.
+        leaving = sorted(vanish_at.pop(tick, ()), key=attrgetter("submit_order"))
+        for run in leaving:
+            run.gone = True
+            del queue[bisect_left(queue, run.index)]
+            for waiter in run.dependents:
+                if waiter.job.mode == SubmitMode.BATCH:
+                    waiter.unmet -= 1
+                    waiter.line = _render_line(waiter, PENDING, by_id)
+                    if waiter.unmet == 0:
+                        insort(eligible, waiter.index)
+        gone_count += len(leaving)
 
         # 2. Running jobs that used up their duration enter completing.
-        for run in runs:
-            if (
-                run.status == "running"
-                and run.start_tick is not None
-                and tick - run.start_tick >= run.running_ticks
-            ):
-                run.status = "completing"
-                run.cg_tick = tick
-                row_events.append(
-                    (
-                        run.index,
-                        OracleEvent(
-                            run.job.job_id, EventKind.STATE_CHANGED, COMPLETING, time_of(tick)
-                        ),
-                    )
-                )
+        for run in cg_at.pop(tick, ()):
+            running -= 1
+            enter_cg(run, tick, row_events)
 
         # 3. Submission: batch at tick 0; manual one snapshot after all
-        #    logical predecessors completed.
-        for run in runs:
-            if run.status != "unsubmitted":
-                continue
-            if run.job.mode == SubmitMode.BATCH:
-                ready = tick == 0
-            else:
-                preds = [by_id[d] for d in run.job.dependencies]
-                ready = all(p.cg_tick is not None for p in preds) and tick >= (
-                    max((p.cg_tick for p in preds), default=-1) + 1
-                )
-            if ready:
-                run.status = "pending"
-                run.submit_tick = tick
-                submit_order[run.job.job_id] = len(submit_order)
-                row_events.append(
-                    (
-                        run.index,
-                        OracleEvent(run.job.job_id, EventKind.CREATED, PENDING, time_of(tick)),
-                    )
-                )
+        #    logical predecessors entered completing.
+        for run in sorted(submit_at.pop(tick, ()), key=attrgetter("index")):
+            run.submit_order = submitted
+            submitted += 1
+            run.line = _render_line(run, PENDING, by_id)
+            insort(queue, run.index)
+            row_events.append((run.index, run.job.job_id, EventKind.CREATED, PENDING))
+            if run.unmet == 0:
+                eligible_at.setdefault(tick + 1, []).append(run.index)
 
         # 4. Start at most one eligible pending job (seeded shuffle breaks
         #    ties, staggering parallel branches).
-        running_count = sum(1 for run in runs if run.status == "running")
-        eligible = []
-        for run in runs:
-            if run.status != "pending" or run.submit_tick is None or tick <= run.submit_tick:
-                continue
-            if run.job.mode == SubmitMode.BATCH and not all(
-                by_id[d].completed_by(tick) for d in run.job.dependencies
-            ):
-                continue
-            if spec.max_running is not None and running_count >= spec.max_running:
-                continue
-            eligible.append(run)
-        if eligible:
-            chosen = eligible[0] if len(eligible) == 1 else rng.sample(eligible, len(eligible))[0]
-            chosen.start_tick = tick
+        for index in eligible_at.pop(tick, ()):
+            insort(eligible, index)
+        if eligible and (max_running is None or running < max_running):
+            index = eligible[0] if len(eligible) == 1 else rng.sample(eligible, len(eligible))[0]
+            del eligible[bisect_left(eligible, index)]
+            chosen = runs[index]
             if chosen.running_ticks == 0:
-                chosen.status = "completing"
-                chosen.cg_tick = tick
-                row_events.append(
-                    (
-                        chosen.index,
-                        OracleEvent(
-                            chosen.job.job_id, EventKind.STATE_CHANGED, COMPLETING, time_of(tick)
-                        ),
-                    )
-                )
+                enter_cg(chosen, tick, row_events)
             else:
-                chosen.status = "running"
-                row_events.append(
-                    (
-                        chosen.index,
-                        OracleEvent(
-                            chosen.job.job_id, EventKind.STATE_CHANGED, RUNNING, time_of(tick)
-                        ),
-                    )
-                )
+                running += 1
+                chosen.line = _render_line(chosen, RUNNING, by_id)
+                cg_at.setdefault(tick + chosen.running_ticks, []).append(chosen)
+                row_events.append((index, chosen.job.job_id, EventKind.STATE_CHANGED, RUNNING))
 
         # Oracle ordering mirrors the observer: per snapshot, row-order diff
         # events first, then synthetic completions in first-seen order.
-        oracle_events.extend(event for _, event in sorted(row_events, key=lambda x: x[0]))
-        oracle_events.extend(event for _, event in sorted(vanish_events, key=lambda x: x[0]))
+        row_events.sort(key=itemgetter(0))
+        oracle_events.extend(
+            OracleEvent(job_id, kind, state, at) for _, job_id, kind, state in row_events
+        )
+        oracle_events.extend(
+            OracleEvent(run.job.job_id, EventKind.SYNTHETIC_COMPLETED, COMPLETED, at)
+            for run in leaving
+        )
 
-        snapshots.append((time_of(tick), _render_snapshot(runs, by_id, tick)))
+        # Every change emits an oracle event, so an eventless tick repeats
+        # the previous snapshot.
+        if row_events or leaving:
+            text = "\n".join([SNAPSHOT_HEADER, *(runs[i].line for i in queue)]) + "\n"
+        snapshots.append((at, text))
 
-        if all(run.status == "gone" for run in runs):
+        if gone_count == len(runs):
             break
         tick += 1
     else:
@@ -324,27 +319,14 @@ def simulate(spec: ScenarioSpec) -> SimulationResult:
     return SimulationResult(snapshots=snapshots, oracle=oracle)
 
 
-def _render_snapshot(runs: list[_JobRun], by_id: dict[str, _JobRun], tick: int) -> str:
-    lines = [SNAPSHOT_HEADER]
-    for run in runs:
-        if run.status == "pending":
-            code = PENDING.code
-        elif run.status == "running":
-            code = RUNNING.code
-        elif run.status == "completing":
-            code = COMPLETING.code
-        else:
-            continue
-        dependency = "(null)"
-        if run.status == "pending" and run.job.mode == SubmitMode.BATCH:
-            remaining = [d for d in run.job.dependencies if not by_id[d].completed_by(tick)]
-            if remaining:
-                dependency = "afterok:" + ":".join(remaining)
-        job = run.job
-        lines.append(
-            f"{job.account} {job.job_id} {dependency} {job.command_path} {code} {job.group}"
-        )
-    return "\n".join(lines) + "\n"
+def _render_line(run: _JobRun, state: JobState, by_id: dict[str, _JobRun]) -> str:
+    job = run.job
+    dependency = "(null)"
+    if state is PENDING and job.mode == SubmitMode.BATCH:
+        remaining = [d for d in job.dependencies if not by_id[d].gone]
+        if remaining:
+            dependency = "afterok:" + ":".join(remaining)
+    return f"{job.account} {job.job_id} {dependency} {job.command_path} {state.code} {job.group}"
 
 
 def write_snapshots(snapshots: list[tuple[datetime, str]], directory) -> list[Path]:

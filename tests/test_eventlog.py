@@ -1,3 +1,4 @@
+import csv
 import io
 import random
 from dataclasses import fields, replace
@@ -14,12 +15,15 @@ from hpcmine.correlation import (
     extract_first_dependencies,
 )
 from hpcmine.eventlog import (
+    _COLUMNS,
     CSV_HEADER,
+    EVENTS_CSV_HEADER,
     BadTimestamp,
     CaseLog,
     EventKind,
     JobEvent,
     SchemaMismatch,
+    CsvEventSink,
     compute_stats,
     first_dependencies_from_log,
     read_csv,
@@ -124,6 +128,96 @@ class TestCsvRoundTrip:
         with pytest.raises(BadTimestamp) as exc_info:
             read_csv(buffer)
         assert exc_info.value.row_number == 2
+
+
+def _reference_read_csv(source, header=CSV_HEADER):
+    # The per-row decode the memoised reader replaced: a field dict and a
+    # full decode of every cell.
+    decoders = [(_COLUMNS[name][0], _COLUMNS[name][2]) for name in header]
+    reader = csv.reader(source)
+    found = next(reader, None)
+    if found != header:
+        raise SchemaMismatch(found)
+    events = []
+    for row_number, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise SchemaMismatch(row)
+        values = {}
+        for (name, decode), text in zip(decoders, row):
+            try:
+                values[name] = decode(text)
+            except ValueError:
+                if name != "timestamp":
+                    raise
+                raise BadTimestamp(row_number, text) from None
+        events.append(JobEvent(**values))
+    return CaseLog(events)
+
+
+def _read_outcome(read, text, header):
+    try:
+        return read(io.StringIO(text), header).events
+    except BadTimestamp as exc:
+        return ("BadTimestamp", exc.row_number, exc.value)
+    except SchemaMismatch as exc:
+        return ("SchemaMismatch", exc.header)
+
+
+class TestReadCsvMatchesPerRowDecode:
+    def test_case_log_round_trips(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            buffer = io.StringIO()
+            write_csv(random_case_log(rng, n_cases=6), buffer)
+            text = buffer.getvalue()
+            assert _read_outcome(read_csv, text, CSV_HEADER) == _read_outcome(
+                _reference_read_csv, text, CSV_HEADER
+            )
+
+    def test_events_file_round_trip(self):
+        events = [with_case(e, "") for e in random_case_log(random.Random(8)).events]
+        buffer = io.StringIO()
+        with CsvEventSink(buffer) as sink:
+            for event in events:
+                sink.append(event)
+        text = buffer.getvalue()
+        assert _read_outcome(read_csv, text, EVENTS_CSV_HEADER) == events
+        assert _read_outcome(_reference_read_csv, text, EVENTS_CSV_HEADER) == events
+
+    def test_unknown_state_code_decodes_alike(self):
+        # The state code "created" is also an event kind's text: each column
+        # decodes it on its own.
+        text = (
+            ",".join(CSV_HEADER) + "\n"
+            + "c,a,created,created,2024-01-01T00:00:00Z,1,acc,g,(null)\n"
+            + "c,a,created,state_changed,2024-01-01T00:00:00Z,1,acc,g,(null)\n"
+        )
+        events = _read_outcome(read_csv, text, CSV_HEADER)
+        assert events == _read_outcome(_reference_read_csv, text, CSV_HEADER)
+        assert events[0].state == JobState("other", "created")
+        assert events[0].kind == EventKind.CREATED
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # Bad timestamp in row 3, after a good row with another stamp.
+            ["c,a,PD,created,2024-01-01T00:00:00Z,1,acc,g,(null)",
+             "c,a,R,state_changed,yesterday,1,acc,g,(null)"],
+            # Bad timestamp in row 3, after a good row with the same cells.
+            ["c,a,PD,created,2024-01-01T00:00:00Z,1,acc,g,(null)",
+             "c,a,PD,created,2024-01-01T00:00:00,1,acc,g,(null)"],
+            # A short row 3.
+            ["c,a,PD,created,2024-01-01T00:00:00Z,1,acc,g,(null)",
+             "c,a,PD,created"],
+        ],
+    )
+    def test_errors_name_the_same_row(self, rows):
+        text = ",".join(CSV_HEADER) + "\n" + "\n".join(rows) + "\n"
+        outcome = _read_outcome(read_csv, text, CSV_HEADER)
+        assert outcome == _read_outcome(_reference_read_csv, text, CSV_HEADER)
+        assert outcome[0] in {"BadTimestamp", "SchemaMismatch"}
+        if outcome[0] == "BadTimestamp":
+            assert outcome[1] == 3
 
 
 class TestComputeStats:

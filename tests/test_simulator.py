@@ -1,15 +1,25 @@
+import math
+import random
 from dataclasses import replace
+from datetime import datetime, timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_scenario, replay_events
 from hpcmine import simulator
 from hpcmine.observer import EventKind
 from hpcmine.simulator import (
+    SIM_EPOCH,
+    SNAPSHOT_HEADER,
     InvalidScenario,
+    Oracle,
+    OracleEvent,
     ParseError,
     ScenarioSpec,
     SimJob,
+    SimulationResult,
     SubmitMode,
     ValidationError,
     load_bundled_scenario,
@@ -17,7 +27,7 @@ from hpcmine.simulator import (
     serialize_scenario,
     simulate,
 )
-from hpcmine.snapshots import parse_snapshot
+from hpcmine.snapshots import COMPLETED, COMPLETING, PENDING, RUNNING, parse_snapshot
 
 
 class TestLoadScenario:
@@ -62,6 +72,35 @@ class TestLoadScenario:
         )
         with pytest.raises(InvalidScenario):
             ScenarioSpec(jobs=jobs).validate()
+
+    def test_cycle_message_names_every_unresolved_job(self):
+        jobs = (
+            SimJob("1", "a", "g", "/x", 30, dependencies=("3",)),
+            SimJob("2", "a", "g", "/x", 30, dependencies=("1", "1")),
+            SimJob("3", "a", "g", "/x", 30, dependencies=("2", "4")),
+            SimJob("4", "a", "g", "/x", 30),
+            SimJob("5", "a", "g", "/x", 30, dependencies=("3",)),
+            SimJob("6", "a", "g", "/x", 30, dependencies=("6",)),
+        )
+        with pytest.raises(InvalidScenario) as exc_info:
+            ScenarioSpec(jobs=jobs).validate()
+        assert str(exc_info.value) == "dependency cycle among ['1', '2', '3', '5', '6']"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.lists(st.lists(st.integers(1, n), max_size=3), min_size=n, max_size=n)
+        )
+    )
+    def test_acyclic_check_matches_rescan(self, targets):
+        jobs = tuple(
+            SimJob(str(i), "a", "g", "/x", 30, dependencies=tuple(str(d) for d in deps))
+            for i, deps in enumerate(targets, start=1)
+        )
+        spec = ScenarioSpec(jobs=jobs)
+        assert _cycle_error(ScenarioSpec._check_acyclic, spec) == _cycle_error(
+            _reference_check_acyclic, spec
+        )
 
 
 class TestSimulate:
@@ -166,3 +205,289 @@ class TestOracle:
             per_job.setdefault(job_id, []).append(state.kind)
         for states in per_job.values():
             assert states == ["pending", "running", "completing", "completed"]
+
+
+# The tick-scan simulator the event-driven loop replaced: every tick walks
+# all jobs in each step. It is the reference the equivalence tests below
+# compare against. Only the names differ, and it reads ``_MAX_TICKS`` from
+# the module so that patching the limit applies to both.
+
+
+class _ReferenceRun:
+    __slots__ = (
+        "job",
+        "index",
+        "status",
+        "submit_tick",
+        "start_tick",
+        "cg_tick",
+        "running_ticks",
+    )
+
+    def __init__(self, job: SimJob, index: int) -> None:
+        self.job = job
+        self.index = index
+        self.status = "unsubmitted"
+        self.submit_tick: int | None = None
+        self.start_tick: int | None = None
+        self.cg_tick: int | None = None
+        self.running_ticks = 0
+
+    def completed_by(self, tick: int) -> bool:
+        # A job counts as complete from the tick after its completing tick.
+        return self.cg_tick is not None and self.cg_tick < tick
+
+
+def _reference_simulate(spec: ScenarioSpec) -> SimulationResult:
+    """Run a scenario; returns the snapshot stream and the ground truth."""
+    spec.validate()
+    rng = random.Random(spec.seed)
+    interval = spec.snapshot_interval
+    runs = [_ReferenceRun(job, i) for i, job in enumerate(spec.jobs)]
+    by_id = {run.job.job_id: run for run in runs}
+    for run in runs:
+        run.running_ticks = math.ceil(run.job.duration / interval)
+
+    def time_of(tick: int) -> datetime:
+        return SIM_EPOCH + timedelta(seconds=tick * interval)
+
+    snapshots: list[tuple[datetime, str]] = []
+    oracle_events: list[OracleEvent] = []
+    submit_order: dict[str, int] = {}
+
+    tick = 0
+    while tick < simulator._MAX_TICKS:
+        row_events: list[tuple[int, OracleEvent]] = []
+        vanish_events: list[tuple[int, OracleEvent]] = []
+
+        # 1. Jobs past their completing tick leave the queue.
+        for run in runs:
+            if run.status == "completing" and run.completed_by(tick):
+                run.status = "gone"
+                vanish_events.append(
+                    (
+                        submit_order[run.job.job_id],
+                        OracleEvent(
+                            run.job.job_id,
+                            EventKind.SYNTHETIC_COMPLETED,
+                            COMPLETED,
+                            time_of(tick),
+                        ),
+                    )
+                )
+
+        # 2. Running jobs that used up their duration enter completing.
+        for run in runs:
+            if (
+                run.status == "running"
+                and run.start_tick is not None
+                and tick - run.start_tick >= run.running_ticks
+            ):
+                run.status = "completing"
+                run.cg_tick = tick
+                row_events.append(
+                    (
+                        run.index,
+                        OracleEvent(
+                            run.job.job_id, EventKind.STATE_CHANGED, COMPLETING, time_of(tick)
+                        ),
+                    )
+                )
+
+        # 3. Submission: batch at tick 0; manual one snapshot after all
+        #    logical predecessors completed.
+        for run in runs:
+            if run.status != "unsubmitted":
+                continue
+            if run.job.mode == SubmitMode.BATCH:
+                ready = tick == 0
+            else:
+                preds = [by_id[d] for d in run.job.dependencies]
+                ready = all(p.cg_tick is not None for p in preds) and tick >= (
+                    max((p.cg_tick for p in preds), default=-1) + 1
+                )
+            if ready:
+                run.status = "pending"
+                run.submit_tick = tick
+                submit_order[run.job.job_id] = len(submit_order)
+                row_events.append(
+                    (
+                        run.index,
+                        OracleEvent(run.job.job_id, EventKind.CREATED, PENDING, time_of(tick)),
+                    )
+                )
+
+        # 4. Start at most one eligible pending job (seeded shuffle breaks
+        #    ties, staggering parallel branches).
+        running_count = sum(1 for run in runs if run.status == "running")
+        eligible = []
+        for run in runs:
+            if run.status != "pending" or run.submit_tick is None or tick <= run.submit_tick:
+                continue
+            if run.job.mode == SubmitMode.BATCH and not all(
+                by_id[d].completed_by(tick) for d in run.job.dependencies
+            ):
+                continue
+            if spec.max_running is not None and running_count >= spec.max_running:
+                continue
+            eligible.append(run)
+        if eligible:
+            chosen = eligible[0] if len(eligible) == 1 else rng.sample(eligible, len(eligible))[0]
+            chosen.start_tick = tick
+            if chosen.running_ticks == 0:
+                chosen.status = "completing"
+                chosen.cg_tick = tick
+                row_events.append(
+                    (
+                        chosen.index,
+                        OracleEvent(
+                            chosen.job.job_id, EventKind.STATE_CHANGED, COMPLETING, time_of(tick)
+                        ),
+                    )
+                )
+            else:
+                chosen.status = "running"
+                row_events.append(
+                    (
+                        chosen.index,
+                        OracleEvent(
+                            chosen.job.job_id, EventKind.STATE_CHANGED, RUNNING, time_of(tick)
+                        ),
+                    )
+                )
+
+        # Oracle ordering mirrors the observer: per snapshot, row-order diff
+        # events first, then synthetic completions in first-seen order.
+        oracle_events.extend(event for _, event in sorted(row_events, key=lambda x: x[0]))
+        oracle_events.extend(event for _, event in sorted(vanish_events, key=lambda x: x[0]))
+
+        snapshots.append((time_of(tick), _reference_render_snapshot(runs, by_id, tick)))
+
+        if all(run.status == "gone" for run in runs):
+            break
+        tick += 1
+    else:
+        raise InvalidScenario("simulation did not terminate")
+
+    oracle = Oracle(
+        events=oracle_events,
+        true_cases=spec.true_cases(),
+        stage_durations={job.job_id: job.duration for job in spec.jobs},
+    )
+    return SimulationResult(snapshots=snapshots, oracle=oracle)
+
+
+def _reference_render_snapshot(runs, by_id, tick: int) -> str:
+    lines = [SNAPSHOT_HEADER]
+    for run in runs:
+        if run.status == "pending":
+            code = PENDING.code
+        elif run.status == "running":
+            code = RUNNING.code
+        elif run.status == "completing":
+            code = COMPLETING.code
+        else:
+            continue
+        dependency = "(null)"
+        if run.status == "pending" and run.job.mode == SubmitMode.BATCH:
+            remaining = [d for d in run.job.dependencies if not by_id[d].completed_by(tick)]
+            if remaining:
+                dependency = "afterok:" + ":".join(remaining)
+        job = run.job
+        lines.append(
+            f"{job.account} {job.job_id} {dependency} {job.command_path} {code} {job.group}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _reference_check_acyclic(spec: ScenarioSpec) -> None:
+    # The rescan cycle check that Kahn's algorithm replaced.
+    deps = {job.job_id: set(job.dependencies) for job in spec.jobs}
+    resolved: set[str] = set()
+    while deps:
+        ready = [j for j, d in deps.items() if d <= resolved]
+        if not ready:
+            raise InvalidScenario(f"dependency cycle among {sorted(deps)}")
+        for j in ready:
+            resolved.add(j)
+            del deps[j]
+
+
+def _cycle_error(check, spec):
+    try:
+        check(spec)
+    except InvalidScenario as exc:
+        return str(exc)
+    return None
+
+
+def _outcome(run, spec):
+    """A simulation's snapshots, oracle events and true cases, or its error."""
+    try:
+        result = run(spec)
+    except InvalidScenario as exc:
+        return ("raised", str(exc))
+    return (result.snapshots, result.oracle.events, result.oracle.true_cases)
+
+
+@st.composite
+def _specs(draw):
+    """Acyclic specs whose dependency order is independent of job order.
+
+    Each job gets a rank from a random permutation and may depend only on
+    jobs of lower rank, so batch and manual jobs depend on jobs listed both
+    before and after them. Dependency lists may repeat a target.
+    """
+    n = draw(st.integers(0, 10))
+    rank = draw(st.permutations(range(n)))
+    ids = draw(st.permutations([str(i) for i in range(1, n + 1)]))
+    jobs = []
+    for i in range(n):
+        earlier = [ids[j] for j in range(n) if rank[j] < rank[i]]
+        deps = draw(st.lists(st.sampled_from(earlier), max_size=4)) if earlier else []
+        jobs.append(
+            SimJob(
+                job_id=ids[i],
+                account=draw(st.sampled_from(["acc1", "acc2"])),
+                group="g1",
+                command_path=f"/home/u/job_{i % 3}.sh",
+                duration=draw(st.sampled_from([0, 1, 29, 30, 31, 60, 150])),
+                dependencies=tuple(deps),
+                mode=draw(st.sampled_from(SubmitMode)),
+            )
+        )
+    return ScenarioSpec(
+        jobs=tuple(jobs),
+        seed=draw(st.integers(0, 2**32)),
+        snapshot_interval=draw(st.sampled_from([10, 30])),
+        max_running=draw(st.sampled_from([None, 0, 1, 2, 3])),
+    )
+
+
+class TestEventDrivenEquivalence:
+    @settings(max_examples=400, deadline=None)
+    @given(_specs())
+    def test_matches_tick_scan(self, spec):
+        with pytest.MonkeyPatch.context() as patch:
+            if spec.max_running == 0:
+                # Nothing ever starts: both must give up at the same limit.
+                patch.setattr(simulator, "_MAX_TICKS", 40)
+            assert _outcome(simulate, spec) == _outcome(_reference_simulate, spec)
+
+    @pytest.mark.parametrize("name", simulator.bundled_scenario_names())
+    def test_bundled_scenarios_over_seeds(self, name):
+        spec = load_bundled_scenario(name)
+        for seed in range(30):
+            seeded = replace(spec, seed=seed)
+            assert _outcome(simulate, seeded) == _outcome(_reference_simulate, seeded), seed
+
+    def test_empty_spec(self):
+        spec = ScenarioSpec(jobs=())
+        assert _outcome(simulate, spec) == _outcome(_reference_simulate, spec)
+        assert simulate(spec).snapshots == [(SIM_EPOCH, SNAPSHOT_HEADER + "\n")]
+
+    def test_does_not_terminate(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_MAX_TICKS", 50)
+        spec = ScenarioSpec(jobs=(SimJob("1", "a", "g", "/x.sh", 30),), max_running=0)
+        with pytest.raises(InvalidScenario, match="^simulation did not terminate$"):
+            simulate(spec)

@@ -36,7 +36,6 @@ from .observer import (
 from .correlation import (
     CaseAssignment,
     DependencyGraph,
-    Strategy,
     apply_cases,
     assign_cases_explicit,
     assign_cases_implicit,

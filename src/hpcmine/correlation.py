@@ -8,7 +8,6 @@ dependencies only the submitting user knows about).
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import logging
 from dataclasses import dataclass, field
@@ -37,14 +36,27 @@ class UnassignedJob(CorrelationError):
         self.job_id = job_id
 
 
-class Strategy(enum.Enum):
-    EXPLICIT = "explicit"
-    IMPLICIT = "implicit"
+def find_root(parent: dict[str, str], item: str) -> str:
+    """Root of ``item``'s set in the union-find ``parent``, halving the path.
+
+    An item that was never joined is its own root. Join two sets with
+    ``parent[find_root(parent, a)] = find_root(parent, b)``.
+    """
+    up = parent.get(item, item)
+    while up != item:
+        grandparent = parent.get(up, up)
+        parent[item] = grandparent
+        item, up = grandparent, parent.get(grandparent, grandparent)
+    return item
 
 
 @dataclass
 class DependencyGraph:
-    """Directed graph over job ids; edge (a, b) means b depends on a."""
+    """Directed graph over job ids; edge (a, b) means b depends on a.
+
+    Add edges with ``add_edge``, which keeps ``successors`` and ``parent``
+    in step with ``edges``.
+    """
 
     vertices: set[str] = field(default_factory=set)
     edges: set[tuple[str, str]] = field(default_factory=set)
@@ -54,12 +66,18 @@ class DependencyGraph:
     successors: dict[str, list[str]] = field(
         default_factory=dict, repr=False, compare=False
     )
+    # Union-find over the weak components of ``edges`` (see ``find_root``).
+    parent: dict[str, str] = field(default_factory=dict, repr=False, compare=False)
 
     def add_edge(self, source: str, target: str) -> bool:
         """Add an edge unless it would close a cycle (then drop and report)."""
         if (source, target) in self.edges:
             return True
-        if self._reaches(target, source):
+        source_root = find_root(self.parent, source)
+        target_root = find_root(self.parent, target)
+        # An edge between two weak components cannot close a directed cycle,
+        # so only an edge inside one component needs the reachability search.
+        if source_root == target_root and self._reaches(target, source):
             logger.warning(
                 "dependency edge %s -> %s would close a cycle; dropped", source, target
             )
@@ -69,6 +87,7 @@ class DependencyGraph:
         self.vertices.add(target)
         self.edges.add((source, target))
         self.successors.setdefault(source, []).append(target)
+        self.parent[source_root] = target_root
         return True
 
     def _reaches(self, start: str, goal: str) -> bool:
@@ -90,7 +109,6 @@ class DependencyGraph:
 
 @dataclass(frozen=True)
 class CaseAssignment:
-    strategy: Strategy
     cases: Mapping[str, str]
 
 
@@ -138,26 +156,14 @@ def assign_cases_explicit(graph: DependencyGraph, hash_ids: bool = False) -> Cas
     order (a 4-job chain with ids 1-4 yields "JID4321"); non-numeric ids
     sort lexicographically after the numeric ones.
     """
-    neighbors: dict[str, list[str]] = {v: [] for v in graph.vertices}
-    for a, b in graph.edges:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    cases: dict[str, str] = {}
-    seen: set[str] = set()
-    used: dict[str, int] = {}
+    # Components in the string order of their least member; the collision
+    # suffixes below depend on that order.
+    components: dict[str, list[str]] = {}
     for vertex in sorted(graph.vertices):
-        if vertex in seen:
-            continue
-        component = []
-        stack = [vertex]
-        seen.add(vertex)
-        while stack:
-            node = stack.pop()
-            component.append(node)
-            for nxt in neighbors[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
+        components.setdefault(find_root(graph.parent, vertex), []).append(vertex)
+    cases: dict[str, str] = {}
+    used: dict[str, int] = {}
+    for component in components.values():
         case_id = _component_case_id(component, hash_ids)
         # Concatenated ids can collide across components ({1,4} and {41}
         # both read "JID41"); suffix repeats so distinct components never
@@ -168,7 +174,7 @@ def assign_cases_explicit(graph: DependencyGraph, hash_ids: bool = False) -> Cas
             case_id = f"{case_id}-{count}"
         for member in component:
             cases[member] = case_id
-    return CaseAssignment(Strategy.EXPLICIT, cases)
+    return CaseAssignment(cases)
 
 
 def assign_cases_implicit(events: Iterable[JobEvent]) -> CaseAssignment:
@@ -177,7 +183,7 @@ def assign_cases_implicit(events: Iterable[JobEvent]) -> CaseAssignment:
     for event in events:
         group = event.group or DEFAULT_GROUP
         cases[event.job_id] = f"{event.account}-{group}"
-    return CaseAssignment(Strategy.IMPLICIT, cases)
+    return CaseAssignment(cases)
 
 
 def apply_cases(events: Iterable[JobEvent], assignment: CaseAssignment) -> CaseLog:

@@ -168,19 +168,6 @@ def discover_dfg(
     return dfg
 
 
-def merge_dfgs(a: Dfg, b: Dfg) -> Dfg:
-    """Pointwise merge: frequency sums and duration-list concatenation."""
-    merged = Dfg(
-        activities=a.activities + b.activities,
-        start_activities=a.start_activities + b.start_activities,
-        end_activities=a.end_activities + b.end_activities,
-    )
-    for source in (a, b):
-        for edge, stats in source.edges.items():
-            merged.edges.setdefault(edge, EdgeStats()).durations.extend(stats.durations)
-    return merged
-
-
 def detect_parallel(dfg: Dfg) -> ParallelRelation:
     """Unordered activity pairs observed in both directions."""
     pairs = set()

@@ -37,6 +37,7 @@ from importlib import resources
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
+from .correlation import find_root
 from .eventlog import EventKind
 from .observer import snapshot_filename
 from .snapshots import COMPLETED, COMPLETING, PENDING, RUNNING, JobState
@@ -107,6 +108,8 @@ class ScenarioSpec:
                     raise ValidationError(job.job_id, f"unknown dependency target {dep}")
         if self.snapshot_interval <= 0:
             raise InvalidScenario("snapshot interval must be positive")
+        if self.max_running is not None and self.max_running < 1:
+            raise InvalidScenario("max_running must be at least 1")
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
@@ -129,22 +132,11 @@ class ScenarioSpec:
 
     def true_cases(self) -> dict[str, str]:
         """Partition jobs by weak connectivity of the logical dependency graph."""
-        parent = {job.job_id: job.job_id for job in self.jobs}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        parent: dict[str, str] = {}
         for job in self.jobs:
             for dep in job.dependencies:
-                parent[find(job.job_id)] = find(dep)
-        labels: dict[str, str] = {}
-        for job in self.jobs:
-            root = find(job.job_id)
-            labels[job.job_id] = f"case-{root}"
-        return labels
+                parent[find_root(parent, job.job_id)] = find_root(parent, dep)
+        return {job.job_id: f"case-{find_root(parent, job.job_id)}" for job in self.jobs}
 
 
 @dataclass(frozen=True)
@@ -360,7 +352,7 @@ def write_oracle(oracle: Oracle, directory) -> None:
 #
 #   seed=<n>
 #   interval=<secs>
-#   max_running=<n>          (optional)
+#   max_running=<n>          (optional; at least 1)
 #   job <id> account=<a> group=<g> cmd=<path> dur=<secs> deps=<id,id|-> mode=<batch|manual>
 #
 # Blank lines and lines starting with '#' are ignored.

@@ -1,15 +1,18 @@
+import logging
 import random
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_case_log, replay_events
 from hpcmine import simulator
 from hpcmine.correlation import (
+    _component_case_id,
     CaseAssignment,
     DependencyGraph,
-    Strategy,
     UnassignedJob,
     apply_cases,
     assign_cases_explicit,
@@ -19,6 +22,7 @@ from hpcmine.correlation import (
 )
 from hpcmine.observer import EventKind, JobEvent
 from hpcmine.snapshots import PENDING
+from test_simulator import _specs
 
 T0 = datetime(2023, 5, 1, tzinfo=timezone.utc)
 
@@ -164,12 +168,187 @@ class TestAssignCasesExplicit:
                         find(a) == find(b)
                     )
 
+    def test_tied_numeric_ids_order_as_strings(self):
+        # "001", "01" and "1" read as one number; members then keep string order.
+        for edges in ([("1", "01"), ("01", "001")], [("001", "01"), ("1", "01")]):
+            graph = DependencyGraph()
+            for a, b in edges:
+                graph.add_edge(a, b)
+            assert set(assign_cases_explicit(graph).cases.values()) == {"JID001011"}
+
+
+class TestReverseOrderChain:
+    def test_builds_without_reachability_search(self, monkeypatch):
+        # Dependents listed before their targets, as when squeue sorts a
+        # whole chain its own way within one poll: every edge joins two
+        # components, so none can close a cycle.
+        calls = []
+        reaches = DependencyGraph._reaches
+
+        def counted(self, start, goal):
+            calls.append((start, goal))
+            return reaches(self, start, goal)
+
+        monkeypatch.setattr(DependencyGraph, "_reaches", counted)
+        n = 4000
+        events = [event(str(i), dep=f"afterok:{i - 1}") for i in range(n, 1, -1)]
+        events.append(event("1"))
+        graph = build_dependency_graph(events, extract_first_dependencies(events))
+        assert len(graph.edges) == n - 1
+        assert len(calls) == 0
+        assert len(set(assign_cases_explicit(graph).cases.values())) == 1
+
+
+# The cycle check, the component walk and the oracle partition that one
+# union-find (correlation.find_root) replaced, copied verbatim apart from
+# their names; the walk returns its case map itself. The tests below compare
+# the current code against them.
+
+_reference_logger = logging.getLogger(__name__)
+
+
+class _ReferenceGraph:
+    def __init__(self, vertices):
+        self.vertices = set(vertices)
+        self.edges = set()
+        self.dropped_edges = []
+        self.successors = {}
+
+    def add_edge(self, source: str, target: str) -> bool:
+        """Add an edge unless it would close a cycle (then drop and report)."""
+        if (source, target) in self.edges:
+            return True
+        if self._reaches(target, source):
+            _reference_logger.warning(
+                "dependency edge %s -> %s would close a cycle; dropped", source, target
+            )
+            self.dropped_edges.append((source, target))
+            return False
+        self.vertices.add(source)
+        self.vertices.add(target)
+        self.edges.add((source, target))
+        self.successors.setdefault(source, []).append(target)
+        return True
+
+    def _reaches(self, start: str, goal: str) -> bool:
+        if start == goal:
+            return True
+        successors = self.successors
+        stack = [start]
+        seen = {start}
+        while stack:
+            node = stack.pop()
+            for nxt in successors.get(node, ()):
+                if nxt == goal:
+                    return True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return False
+
+
+def _reference_assign_cases_explicit(graph, hash_ids=False):
+    neighbors: dict[str, list[str]] = {v: [] for v in graph.vertices}
+    for a, b in graph.edges:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    cases: dict[str, str] = {}
+    seen: set[str] = set()
+    used: dict[str, int] = {}
+    for vertex in sorted(graph.vertices):
+        if vertex in seen:
+            continue
+        component = []
+        stack = [vertex]
+        seen.add(vertex)
+        while stack:
+            node = stack.pop()
+            component.append(node)
+            for nxt in neighbors[node]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        case_id = _component_case_id(component, hash_ids)
+        # Concatenated ids can collide across components ({1,4} and {41}
+        # both read "JID41"); suffix repeats so distinct components never
+        # share a case id.
+        count = used.get(case_id, 0) + 1
+        used[case_id] = count
+        if count > 1:
+            case_id = f"{case_id}-{count}"
+        for member in component:
+            cases[member] = case_id
+    return cases
+
+
+def _reference_true_cases(spec):
+    """Partition jobs by weak connectivity of the logical dependency graph."""
+    parent = {job.job_id: job.job_id for job in spec.jobs}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for job in spec.jobs:
+        for dep in job.dependencies:
+            parent[find(job.job_id)] = find(dep)
+    labels: dict[str, str] = {}
+    for job in spec.jobs:
+        root = find(job.job_id)
+        labels[job.job_id] = f"case-{root}"
+    return labels
+
+
+# Numeric ids whose concatenations collide ({1, 4} and {41} both read
+# "JID41"), beside non-numeric ones. No two numeric ids read as the same
+# number: the old walk ordered such ties by set iteration order.
+_IDS = ["1", "4", "41", "14", "11", "114", "141", "411", "a", "b", "1a", "7_*"]
+
+
+@st.composite
+def _edge_sequences(draw):
+    """Edge lists built from short walks over distinct ids, some closed into
+    a self-loop, a 2-cycle or a 3-cycle, then shuffled; edges may repeat."""
+    edges = []
+    for _ in range(draw(st.integers(0, 6))):
+        walk = draw(st.lists(st.sampled_from(_IDS), min_size=1, max_size=3, unique=True))
+        if draw(st.integers(0, 2)) == 0:
+            walk.append(walk[0])
+        edges.extend(zip(walk, walk[1:]))
+    return draw(st.permutations(edges))
+
+
+class TestUnionFindMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sets(st.sampled_from(_IDS)), _edge_sequences())
+    @example({"41"}, [("1", "4")])
+    @example({"114"}, [("4", "11"), ("41", "1"), ("14", "1"), ("1", "41")])
+    def test_graph_and_explicit_cases(self, isolated, edges):
+        graph = DependencyGraph(vertices=set(isolated))
+        reference = _ReferenceGraph(isolated)
+        for source, target in edges:
+            assert graph.add_edge(source, target) == reference.add_edge(source, target)
+        assert graph.vertices == reference.vertices
+        assert graph.edges == reference.edges
+        assert graph.dropped_edges == reference.dropped_edges
+        assert graph.successors == reference.successors
+        for hash_ids in (False, True):
+            assert assign_cases_explicit(graph, hash_ids).cases == (
+                _reference_assign_cases_explicit(reference, hash_ids)
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(_specs())
+    def test_true_cases(self, spec):
+        assert spec.true_cases() == _reference_true_cases(spec)
+
 
 class TestAssignCasesImplicit:
     def test_account_group_key(self):
         assignment = assign_cases_implicit([event("1", account="thes1331", group="p0")])
         assert assignment.cases == {"1": "thes1331-p0"}
-        assert assignment.strategy == Strategy.IMPLICIT
 
     def test_distinct_groups_distinct_cases(self):
         events = [event("1", group="g1"), event("2", group="g2")]
@@ -227,7 +406,7 @@ class TestApplyCases:
         events = [replace(e, case_id="") for e in random_case_log(rng, n_cases=6)]
         rng.shuffle(events)
         cases = {e.job_id: f"c{rng.randint(0, 3)}" for e in events}
-        log = apply_cases(events, CaseAssignment(Strategy.EXPLICIT, cases))
+        log = apply_cases(events, CaseAssignment(cases))
         expected = sorted(
             (replace(e, case_id=cases[e.job_id]) for e in events),
             key=lambda e: (e.case_id, e.timestamp, e.job_id),

@@ -22,7 +22,6 @@ from hpcmine.discovery import (
     discover_dfg,
     export_dot,
     humanize_duration,
-    merge_dfgs,
     project_case_traces,
 )
 from hpcmine.eventlog import CaseLog, EventKind, JobEvent
@@ -137,22 +136,6 @@ class TestDiscoverDfg:
         log = random_case_log(random.Random(13))
         dfg = discover_dfg(project_case_traces(log))
         assert all(d >= 0 for s in dfg.edges.values() for d in s.durations)
-
-    def test_merge_equals_discovery_on_concatenation(self):
-        rng = random.Random(17)
-        log_a, log_b = random_case_log(rng), random_case_log(rng, n_cases=2)
-        traces_a = project_case_traces(log_a)
-        traces_b = [
-            Trace("x" + t.case_id, t.steps) for t in project_case_traces(log_b)
-        ]
-        merged = merge_dfgs(discover_dfg(traces_a), discover_dfg(traces_b))
-        combined = discover_dfg(traces_a + traces_b)
-        assert merged.activities == combined.activities
-        assert merged.start_activities == combined.start_activities
-        assert merged.end_activities == combined.end_activities
-        assert {e: sorted(s.durations) for e, s in merged.edges.items()} == {
-            e: sorted(s.durations) for e, s in combined.edges.items()
-        }
 
     def test_completion_start_durations(self):
         steps = (

@@ -52,6 +52,11 @@ class TestLoadScenario:
             load_scenario("seed=0\nwhat is this\n")
         assert exc_info.value.line_number == 2
 
+    def test_max_running_below_one_rejected(self):
+        text = "max_running=0\njob 1 account=a group=g cmd=/x.sh dur=30 deps=- mode=batch\n"
+        with pytest.raises(InvalidScenario, match="^max_running must be at least 1$"):
+            load_scenario(text)
+
     def test_bad_mode(self):
         with pytest.raises(ParseError):
             load_scenario("job 1 account=a group=g cmd=/x dur=1 mode=sideways\n")
@@ -468,11 +473,8 @@ class TestEventDrivenEquivalence:
     @settings(max_examples=400, deadline=None)
     @given(_specs())
     def test_matches_tick_scan(self, spec):
-        with pytest.MonkeyPatch.context() as patch:
-            if spec.max_running == 0:
-                # Nothing ever starts: both must give up at the same limit.
-                patch.setattr(simulator, "_MAX_TICKS", 40)
-            assert _outcome(simulate, spec) == _outcome(_reference_simulate, spec)
+        # max_running=0 fails validation in both, with the same message.
+        assert _outcome(simulate, spec) == _outcome(_reference_simulate, spec)
 
     @pytest.mark.parametrize("name", simulator.bundled_scenario_names())
     def test_bundled_scenarios_over_seeds(self, name):
@@ -487,7 +489,8 @@ class TestEventDrivenEquivalence:
         assert simulate(spec).snapshots == [(SIM_EPOCH, SNAPSHOT_HEADER + "\n")]
 
     def test_does_not_terminate(self, monkeypatch):
-        monkeypatch.setattr(simulator, "_MAX_TICKS", 50)
-        spec = ScenarioSpec(jobs=(SimJob("1", "a", "g", "/x.sh", 30),), max_running=0)
+        # The job needs a pending, ten running and a completing tick.
+        monkeypatch.setattr(simulator, "_MAX_TICKS", 5)
+        spec = ScenarioSpec(jobs=(SimJob("1", "a", "g", "/x.sh", 300),))
         with pytest.raises(InvalidScenario, match="^simulation did not terminate$"):
             simulate(spec)

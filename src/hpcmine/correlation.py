@@ -137,10 +137,11 @@ def build_dependency_graph(
 
 def _component_case_id(component: Iterable[str], hash_ids: bool) -> str:
     def sort_key(job_id: str):
-        try:
+        # Only plain ASCII digits count as numeric: int() would also read
+        # "100_1", "+7", " 7" and non-ASCII digits as numbers.
+        if job_id.isascii() and job_id.isdigit():
             return (0, -int(job_id), "")
-        except ValueError:
-            return (1, 0, job_id)
+        return (1, 0, job_id)
 
     ordered = sorted(component, key=sort_key)
     if hash_ids:
@@ -153,8 +154,8 @@ def assign_cases_explicit(graph: DependencyGraph, hash_ids: bool = False) -> Cas
     """One case per weakly-connected component of the dependency graph.
 
     The case id concatenates the component's job ids in descending numeric
-    order (a 4-job chain with ids 1-4 yields "JID4321"); non-numeric ids
-    sort lexicographically after the numeric ones.
+    order (a 4-job chain with ids 1-4 yields "JID4321"). Only all-ASCII-digit
+    ids are numeric; the others sort lexicographically after them.
     """
     # Components in the string order of their least member; the collision
     # suffixes below depend on that order.

@@ -235,7 +235,12 @@ class ReplayDirectorySource:
 class CommandSource:
     """Runs a squeue-style command periodically and yields its output.
 
-    The runner and clock are injectable so tests never need a cluster.
+    Polls start on a fixed grid, ``interval`` seconds apart on the
+    ``monotonic`` clock, so the command's latency does not add to the
+    period. A poll that overruns its slot is followed at once by the next,
+    and the grid restarts from there; missed polls are not made up.
+
+    The runner and clocks are injectable so tests never need a cluster.
     Iteration ends when max_snapshots is reached or the runner raises.
     """
 
@@ -247,12 +252,14 @@ class CommandSource:
         clock: Callable[[], datetime] | None = None,
         sleep: Callable[[float], None] = _time.sleep,
         max_snapshots: int | None = None,
+        monotonic: Callable[[], float] = _time.monotonic,
     ) -> None:
         self.argv = shlex.split(command)
         self.interval = interval
         self.runner = runner or self._run_subprocess
         self.clock = clock or (lambda: datetime.now(timezone.utc).replace(microsecond=0))
         self.sleep = sleep
+        self.monotonic = monotonic
         self.max_snapshots = max_snapshots
 
     @staticmethod
@@ -266,6 +273,7 @@ class CommandSource:
 
     def __iter__(self) -> Iterator[Snapshot]:
         produced = 0
+        deadline = self.monotonic()  # when the current poll was due
         while self.max_snapshots is None or produced < self.max_snapshots:
             observed_at = self.clock()
             try:
@@ -277,7 +285,14 @@ class CommandSource:
             yield Snapshot(observed_at, text)
             produced += 1
             if self.max_snapshots is None or produced < self.max_snapshots:
-                self.sleep(self.interval)
+                deadline += self.interval
+                now = self.monotonic()
+                if now > deadline:
+                    logger.warning(
+                        "poll overran its %gs interval by %.1fs", self.interval, now - deadline
+                    )
+                    deadline = now
+                self.sleep(deadline - now)
 
 
 @dataclass

@@ -4,6 +4,11 @@ A snapshot is plain text with six whitespace-separated logical columns per
 job: ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP. The COMMAND column may
 carry arguments (and thus embedded spaces), so the row is parsed
 positionally from both ends.
+
+Between two polls most lines of a queue come back unchanged, so
+``parse_snapshot`` keeps the previous call's good data lines with their
+parsed fields and splits only the lines it has not just seen. What it keeps
+is bounded by one snapshot.
 """
 
 from __future__ import annotations
@@ -160,6 +165,14 @@ def normalize_command(command_path: str) -> str:
     return name or UNKNOWN_COMMAND
 
 
+# A JobRow's fields other than ``observed_at``.
+_Fields = tuple[str, str, str, str, JobState, str]
+
+# Each good data line of the previous ``parse_snapshot`` call, mapped to its
+# row's fields. Replaced by every call.
+_previous_lines: dict[str, _Fields] = {}
+
+
 def parse_snapshot(
     text: str,
     observed_at: datetime,
@@ -170,29 +183,40 @@ def parse_snapshot(
     A header line (first token "ACCOUNT") is skipped. Data lines with fewer
     than 6 columns are reported via ``errors`` (and the module logger) and
     skipped; parsing continues.
+
+    A line that was a good data line of the previous call reuses that call's
+    fields; only new and changed lines are split. A row depends only on its
+    line and ``observed_at``, so interleaving calls for different streams
+    gives the same rows, only more slowly. Header, blank and malformed lines
+    are never kept, so a malformed line is reported every time it appears.
     """
+    global _previous_lines
+    previous = _previous_lines
+    current: dict[str, _Fields] = {}
+    stamp = (observed_at,)
+    new_row = tuple.__new__  # skips the Python-level JobRow.__new__
     rows: list[JobRow] = []
     for line_number, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if tokens[0] == "ACCOUNT":
-            continue
-        if len(tokens) < 6:
-            malformed = MalformedRow(line_number, line)
-            logger.warning("skipping malformed snapshot row %d: %r", line_number, line)
-            if errors is not None:
-                errors.append(malformed)
-            continue
-        rows.append(
-            JobRow(
+        fields = previous.get(line)
+        if fields is None:
+            tokens = line.split()
+            if not tokens or tokens[0] == "ACCOUNT":
+                continue
+            if len(tokens) < 6:
+                malformed = MalformedRow(line_number, line)
+                logger.warning("skipping malformed snapshot row %d: %r", line_number, line)
+                if errors is not None:
+                    errors.append(malformed)
+                continue
+            fields = (
                 tokens[0],
                 tokens[1],
                 tokens[2],
                 " ".join(tokens[3:-2]),
                 JobState.from_code(tokens[-2]),
                 tokens[-1],
-                observed_at,
             )
-        )
+        current[line] = fields
+        rows.append(new_row(JobRow, fields + stamp))
+    _previous_lines = current
     return rows

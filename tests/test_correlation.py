@@ -176,6 +176,17 @@ class TestAssignCasesExplicit:
                 graph.add_edge(a, b)
             assert set(assign_cases_explicit(graph).cases.values()) == {"JID001011"}
 
+    def test_only_ascii_digit_ids_are_numeric(self):
+        # int() reads "100_1" as 1001; array task ids keep string order
+        # after the plain numeric ids instead.
+        assert _component_case_id({"100_1", "100_2", "1000", "101"}, False) == (
+            "JID1000101100_1100_2"
+        )
+        # Signs, spaces and non-ASCII digits are not numeric either.
+        assert _component_case_id({"+7", " 8", "\u0663", "5"}, False) == (
+            "JID5 8+7\u0663"
+        )
+
 
 class TestReverseOrderChain:
     def test_builds_without_reachability_search(self, monkeypatch):

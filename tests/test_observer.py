@@ -346,6 +346,20 @@ class TestRunObservation:
         assert len(caplog.records) == 1
         assert sink.events == clean
 
+    def test_second_pass_over_a_replay_emits_the_same_events(self, tmp_path):
+        # The parser keeps the previous snapshot's lines across calls; a new
+        # pass must not inherit anything from the last pass but speed.
+        result = simulator.simulate(simulator.load_bundled_scenario("fig8_parallel"))
+        paths = simulator.write_snapshots(result.snapshots, tmp_path)
+        paths[1].write_text(paths[1].read_text() + "\nacc1 99 (null) PD\n")
+        passes = []
+        for _ in range(2):
+            sink = ListSink()
+            summary = run_observation(ReplayDirectorySource(tmp_path), sink)
+            passes.append((sink.events, summary.snapshots, summary.malformed))
+        assert passes[0] == passes[1]
+        assert passes[0][2] == 1
+
     def test_first_dependency_survives_mutated_replay(self):
         # Later snapshots lie about the dependency; the first view wins.
         t1 = T0 + timedelta(seconds=30)
@@ -387,6 +401,7 @@ class TestSources:
             clock=lambda: next(clock_times),
             sleep=slept.append,
             max_snapshots=2,
+            monotonic=lambda: 0.0,  # the command takes no time
         )
         sink = ListSink()
         summary = run_observation(source, sink)
@@ -394,6 +409,67 @@ class TestSources:
         kinds = [e.kind for e in sink.events]
         assert kinds == [EventKind.CREATED, EventKind.STATE_CHANGED]
         assert slept == [30]
+
+
+class _FakeTime:
+    """A monotonic clock that only the fake command and sleep advance."""
+
+    def __init__(self, durations):
+        self.now = 0.0
+        self.durations = iter(durations)
+        self.starts = []
+        self.slept = []
+
+    def monotonic(self):
+        return self.now
+
+    def run(self, argv):
+        self.starts.append(self.now)
+        self.now += next(self.durations)
+        return "a 1 (null) /x.sh PD g"
+
+    def sleep(self, seconds):
+        self.slept.append(seconds)
+        self.now += seconds
+
+
+class TestPollSchedule:
+    def poll(self, durations):
+        fake = _FakeTime(durations)
+        source = CommandSource(
+            interval=30,
+            runner=fake.run,
+            clock=lambda: T0,
+            sleep=fake.sleep,
+            max_snapshots=len(durations),
+            monotonic=fake.monotonic,
+        )
+        assert len(list(source)) == len(durations)
+        return fake
+
+    def test_command_latency_does_not_add_to_the_period(self):
+        fake = self.poll([3, 3, 3])
+        assert fake.slept == [27, 27]
+        assert fake.starts == [0, 30, 60]
+
+    def test_overrun_polls_at_once_and_restarts_the_grid(self, caplog):
+        with caplog.at_level("WARNING", logger="hpcmine.observer"):
+            fake = self.poll([40, 3, 3])
+        assert fake.slept == [0, 27]
+        assert fake.starts == [0, 40, 70]
+        assert len(caplog.records) == 1
+
+    def test_long_overruns_fire_no_catch_up_burst(self):
+        fake = self.poll([100, 100, 100])
+        assert fake.slept == [0, 0]
+        assert fake.starts == [0, 100, 200]
+
+    def test_poll_ending_on_its_deadline_is_not_an_overrun(self, caplog):
+        with caplog.at_level("WARNING", logger="hpcmine.observer"):
+            fake = self.poll([30, 3])
+        assert fake.slept == [0]
+        assert fake.starts == [0, 30]
+        assert not caplog.records
 
 
 class TestEventsCsv:

@@ -1,11 +1,11 @@
 from dataclasses import dataclass, fields
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hpcmine import simulator
+from hpcmine import simulator, snapshots
 from hpcmine.snapshots import (
     COMPLETED,
     COMPLETING,
@@ -181,21 +181,91 @@ _line = st.one_of(
 )
 
 
+def _assert_parses_as_reference(text, observed_at):
+    errors, expected_errors = [], []
+    rows = parse_snapshot(text, observed_at, errors)
+    expected = _reference_parse(text, observed_at, expected_errors)
+    assert [tuple(r) for r in rows] == [
+        tuple(getattr(r, f.name) for f in fields(r)) for r in expected
+    ]
+    assert errors == expected_errors
+    assert all(type(row) is JobRow for row in rows)
+    for row, reference in zip(rows, expected):
+        if not reference.state.is_other:
+            assert row.state is reference.state
+
+
+def _kept_lines(text):
+    """The good data lines of ``text``, mapped to their fields but the time."""
+    kept = {}
+    for line in text.splitlines():
+        for row in _reference_parse(line, T0, []):
+            kept[line] = tuple(getattr(row, f.name) for f in fields(row))[:-1]
+    return kept
+
+
+@st.composite
+def _line_pools(draw):
+    """Lines for a run of snapshots: jobs, the same jobs changed, and noise."""
+    jobs = draw(st.lists(_data_tokens, min_size=1, max_size=4))
+    pool = [" ".join(tokens) for tokens in jobs]
+    # Each job again in a state drawn anew (known, unknown or the same).
+    pool += [" ".join(tokens[:-2] + [draw(_code), tokens[-1]]) for tokens in jobs]
+    pool += ["ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP", "", "  ", "broken line"]
+    pool += draw(st.lists(_line, max_size=4))
+    return pool
+
+
+@st.composite
+def _snapshot_runs(draw, streams=1):
+    """``streams`` runs of snapshot texts, all drawn from one pool of lines."""
+    pool = draw(_line_pools())
+    text = st.lists(st.sampled_from(pool), max_size=12).map("\n".join)
+    return [draw(st.lists(text, min_size=1, max_size=6)) for _ in range(streams)]
+
+
 class TestParserMatchesReference:
     @given(st.lists(_line, max_size=12).map("\n".join))
     @example("ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP\n\na 1 (null) /x.sh PD g")
     @example("a 1 afterok:2 /opt/run.sh --n  5\tR g\nshort line\na 2 x /y.sh F g")
     def test_same_fields_and_errors(self, text):
-        errors, expected_errors = [], []
-        rows = parse_snapshot(text, T0, errors)
-        expected = _reference_parse(text, T0, expected_errors)
-        assert [tuple(r) for r in rows] == [
-            tuple(getattr(r, f.name) for f in fields(r)) for r in expected
-        ]
-        assert errors == expected_errors
-        for row, reference in zip(rows, expected):
-            if not reference.state.is_other:
-                assert row.state is reference.state
+        _assert_parses_as_reference(text, T0)
+
+    @given(_snapshot_runs())
+    def test_each_call_of_a_run_matches(self, runs):
+        for tick, text in enumerate(runs[0]):
+            _assert_parses_as_reference(text, T0 + timedelta(seconds=30 * tick))
+
+    @given(_snapshot_runs(streams=2))
+    def test_two_streams_parsed_alternately(self, runs):
+        first, second = runs
+        for tick in range(max(len(first), len(second))):
+            at = T0 + timedelta(seconds=30 * tick)
+            for run in (first, second):
+                if tick < len(run):
+                    _assert_parses_as_reference(run[tick], at)
+
+    @given(_snapshot_runs())
+    def test_keeps_only_the_last_calls_good_lines(self, runs):
+        for text in runs[0]:
+            parse_snapshot(text, T0)
+            assert snapshots._previous_lines == _kept_lines(text)
+
+    def test_malformed_line_reported_at_each_appearance(self):
+        job = "a 1 (null) /x.sh PD g"
+        errors = []
+        parse_snapshot(f"{job}\nbroken line", T0, errors)
+        assert errors == [MalformedRow(2, "broken line")]
+        errors = []
+        rows = parse_snapshot(f"broken line\n{job}\nbroken line", T0, errors)
+        assert errors == [MalformedRow(1, "broken line"), MalformedRow(3, "broken line")]
+        assert [row.job_id for row in rows] == ["1"]
+
+    def test_unchanged_line_gets_the_new_time(self):
+        t1 = T0 + timedelta(seconds=30)
+        parse_snapshot("a 1 (null) /x.sh PD g", T0)
+        (row,) = parse_snapshot("a 1 (null) /x.sh PD g", t1)
+        assert row == ("a", "1", "(null)", "/x.sh", PENDING, "g", t1)
 
     def test_same_field_names_in_same_order(self):
         assert JobRow._fields == tuple(f.name for f in fields(_ReferenceRow))

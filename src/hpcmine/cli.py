@@ -71,9 +71,9 @@ def _correlate(args, events: list[eventlog.JobEvent], output) -> eventlog.CaseLo
     if args.strategy == "explicit":
         first_deps = correlation.extract_first_dependencies(events)
         graph = correlation.build_dependency_graph(events, first_deps)
-        if not graph.edges and len(graph.vertices) > 1:
-            _warn("no explicit interdependencies found: every event belongs to a different case")
         assignment = correlation.assign_cases_explicit(graph, hash_ids=args.hash_case_ids)
+        if len(set(assignment.cases.values())) == len(assignment.cases) > 1:
+            _warn("no explicit interdependencies found: every event belongs to a different case")
     else:
         assignment = correlation.assign_cases_implicit(events)
         if len(set(assignment.cases.values())) == 1 and len(assignment.cases) > 1:

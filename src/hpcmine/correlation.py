@@ -4,6 +4,9 @@ Two strategies: explicit (weakly-connected components of the declared
 dependency graph; every chain of connected jobs becomes one case) and
 implicit (one case per ACCOUNT-GROUP combination, for jobs whose logical
 dependencies only the submitting user knows about).
+
+Explicit components come from one union-find over every declared edge;
+cycles are reported by one Kahn pass (``cyclic_jobs``).
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from .snapshots import DependencySpec
 logger = logging.getLogger(__name__)
 
 DEFAULT_GROUP = "default"
+
+MAX_CASE_ID_LENGTH = 64  # a longer explicit case id takes the hashed form
 
 
 class CorrelationError(Exception):
@@ -50,61 +55,47 @@ def find_root(parent: dict[str, str], item: str) -> str:
     return item
 
 
+def cyclic_jobs(edges: Iterable[tuple[str, str]]) -> set[str]:
+    """Jobs on or behind a cycle of ``edges`` ((a, b): b depends on a), by Kahn's algorithm."""
+    unmet: dict[str, int] = {}
+    dependents: dict[str, list[str]] = {}
+    for source, target in edges:
+        unmet.setdefault(source, 0)
+        unmet[target] = unmet.get(target, 0) + 1
+        dependents.setdefault(source, []).append(target)
+    ready = [job for job, count in unmet.items() if count == 0]
+    while ready:
+        job = ready.pop()
+        del unmet[job]
+        for dependent in dependents.get(job, ()):
+            unmet[dependent] -= 1
+            if unmet[dependent] == 0:
+                ready.append(dependent)
+    return set(unmet)
+
+
 @dataclass
 class DependencyGraph:
     """Directed graph over job ids; edge (a, b) means b depends on a.
 
-    Add edges with ``add_edge``, which keeps ``successors`` and ``parent``
-    in step with ``edges``.
+    ``add_edge`` keeps ``parent`` in step with ``edges``. Edges between jobs
+    on or behind a cycle end in ``dropped_edges``; they never change a component.
     """
 
     vertices: set[str] = field(default_factory=set)
     edges: set[tuple[str, str]] = field(default_factory=set)
     external: set[str] = field(default_factory=set)
     dropped_edges: list[tuple[str, str]] = field(default_factory=list)
-    # Adjacency of ``edges``, kept in step by ``add_edge`` for the cycle check.
-    successors: dict[str, list[str]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    # Union-find over the weak components of ``edges`` (see ``find_root``).
+    # Union-find over the weak components of every added edge (see ``find_root``).
     parent: dict[str, str] = field(default_factory=dict, repr=False, compare=False)
 
     def add_edge(self, source: str, target: str) -> bool:
-        """Add an edge unless it would close a cycle (then drop and report)."""
-        if (source, target) in self.edges:
-            return True
-        source_root = find_root(self.parent, source)
-        target_root = find_root(self.parent, target)
-        # An edge between two weak components cannot close a directed cycle,
-        # so only an edge inside one component needs the reachability search.
-        if source_root == target_root and self._reaches(target, source):
-            logger.warning(
-                "dependency edge %s -> %s would close a cycle; dropped", source, target
-            )
-            self.dropped_edges.append((source, target))
-            return False
+        """Record the edge and join its ends' components; always ``True``."""
         self.vertices.add(source)
         self.vertices.add(target)
         self.edges.add((source, target))
-        self.successors.setdefault(source, []).append(target)
-        self.parent[source_root] = target_root
+        self.parent[find_root(self.parent, source)] = find_root(self.parent, target)
         return True
-
-    def _reaches(self, start: str, goal: str) -> bool:
-        if start == goal:
-            return True
-        successors = self.successors
-        stack = [start]
-        seen = {start}
-        while stack:
-            node = stack.pop()
-            for nxt in successors.get(node, ()):
-                if nxt == goal:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
 
 
 @dataclass(frozen=True)
@@ -118,7 +109,8 @@ def build_dependency_graph(
     """Build the declared-dependency DAG over the observed jobs.
 
     Dependency targets never observed in the window become isolated
-    placeholder vertices flagged external; no edges are drawn to them.
+    placeholder vertices flagged external; no edges are drawn to them. Edges
+    between two jobs on or behind a cycle move, sorted, to ``dropped_edges``.
     """
     graph = DependencyGraph()
     observed = {event.job_id for event in events}
@@ -132,6 +124,13 @@ def build_dependency_graph(
             else:
                 graph.vertices.add(target)
                 graph.external.add(target)
+    cyclic = cyclic_jobs(graph.edges)
+    if cyclic:
+        graph.dropped_edges = sorted(
+            edge for edge in graph.edges if edge[0] in cyclic and edge[1] in cyclic
+        )
+        graph.edges.difference_update(graph.dropped_edges)
+        logger.warning("dependency cycle among %s; edges between them dropped", sorted(cyclic))
     return graph
 
 
@@ -144,10 +143,11 @@ def _component_case_id(component: Iterable[str], hash_ids: bool) -> str:
         return (1, 0, job_id)
 
     ordered = sorted(component, key=sort_key)
-    if hash_ids:
+    case_id = "JID" + "".join(ordered)
+    if hash_ids or len(case_id) > MAX_CASE_ID_LENGTH:
         digest = hashlib.sha256(",".join(ordered).encode()).hexdigest()[:16]
         return f"JID{digest}"
-    return "JID" + "".join(ordered)
+    return case_id
 
 
 def assign_cases_explicit(graph: DependencyGraph, hash_ids: bool = False) -> CaseAssignment:
@@ -155,7 +155,9 @@ def assign_cases_explicit(graph: DependencyGraph, hash_ids: bool = False) -> Cas
 
     The case id concatenates the component's job ids in descending numeric
     order (a 4-job chain with ids 1-4 yields "JID4321"). Only all-ASCII-digit
-    ids are numeric; the others sort lexicographically after them.
+    ids are numeric; the others sort lexicographically after them. An id
+    longer than ``MAX_CASE_ID_LENGTH``, or any id when ``hash_ids`` is set,
+    is ``JID`` and 16 hex digits of the SHA-256 of the ordered ids.
     """
     # Components in the string order of their least member; the collision
     # suffixes below depend on that order.

@@ -37,7 +37,7 @@ from importlib import resources
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
-from .correlation import find_root
+from .correlation import cyclic_jobs, find_root
 from .eventlog import EventKind
 from .observer import snapshot_filename
 from .snapshots import COMPLETED, COMPLETING, PENDING, RUNNING, JobState
@@ -113,22 +113,9 @@ class ScenarioSpec:
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
-        # Kahn's algorithm; what is left unresolved is on or behind a cycle.
-        unmet = {job.job_id: len(set(job.dependencies)) for job in self.jobs}
-        dependents: dict[str, list[str]] = {}
-        for job in self.jobs:
-            for dep in set(job.dependencies):
-                dependents.setdefault(dep, []).append(job.job_id)
-        ready = [job_id for job_id, count in unmet.items() if count == 0]
-        while ready:
-            job_id = ready.pop()
-            del unmet[job_id]
-            for dependent in dependents.get(job_id, ()):
-                unmet[dependent] -= 1
-                if unmet[dependent] == 0:
-                    ready.append(dependent)
-        if unmet:
-            raise InvalidScenario(f"dependency cycle among {sorted(unmet)}")
+        cyclic = cyclic_jobs((dep, job.job_id) for job in self.jobs for dep in job.dependencies)
+        if cyclic:
+            raise InvalidScenario(f"dependency cycle among {sorted(cyclic)}")
 
     def true_cases(self) -> dict[str, str]:
         """Partition jobs by weak connectivity of the logical dependency graph."""

@@ -3,6 +3,8 @@ import csv
 import pytest
 
 from hpcmine.cli import main
+from hpcmine.eventlog import CsvEventSink
+from test_correlation import event
 
 
 @pytest.fixture
@@ -96,6 +98,18 @@ class TestCorrelate:
         with open(cases) as fh:
             case_ids = {row["case_id"] for row in csv.DictReader(fh)}
         assert len(case_ids) == 4
+
+    def test_explicit_cycle_is_one_case_without_warning(self, tmp_path, capsys):
+        # Both edges of a 2-cycle are dropped, yet its jobs form one case.
+        events = tmp_path / "events.csv"
+        with CsvEventSink(events) as sink:
+            sink.append(event("1", dep="afterok:2"))
+            sink.append(event("2", dep="afterok:1"))
+        cases = tmp_path / "cases.csv"
+        assert main(["correlate", str(events), "--strategy", "explicit", "-o", str(cases)]) == 0
+        assert "every event belongs to a different case" not in capsys.readouterr().err
+        with open(cases) as fh:
+            assert {row["case_id"] for row in csv.DictReader(fh)} == {"JID21"}
 
 
 class TestDiscover:

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import random
 from dataclasses import replace
@@ -8,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_case_log, replay_events
-from hpcmine import simulator
+from hpcmine import correlation, simulator
 from hpcmine.correlation import (
     _component_case_id,
+    MAX_CASE_ID_LENGTH,
     CaseAssignment,
     DependencyGraph,
     UnassignedJob,
@@ -18,8 +20,10 @@ from hpcmine.correlation import (
     assign_cases_explicit,
     assign_cases_implicit,
     build_dependency_graph,
+    cyclic_jobs,
     extract_first_dependencies,
 )
+from hpcmine.eventlog import write_csv
 from hpcmine.observer import EventKind, JobEvent
 from hpcmine.snapshots import PENDING
 from test_simulator import _specs
@@ -71,28 +75,50 @@ class TestBuildDependencyGraph:
         assert graph.external == {"99"}
         assert graph.edges == set()
 
-    def test_cycle_edge_dropped(self):
+    def test_cycle_edge_dropped(self, caplog):
+        # Both edges of a 2-cycle are dropped, but they still join one case.
         events = [event("1", dep="afterok:2"), event("2", dep="afterok:1")]
-        graph = build_dependency_graph(events, extract_first_dependencies(events))
-        assert len(graph.edges) == 1
-        assert len(graph.dropped_edges) == 1
+        with caplog.at_level(logging.WARNING, logger="hpcmine.correlation"):
+            graph = build_dependency_graph(events, extract_first_dependencies(events))
+        assert graph.edges == set()
+        assert graph.dropped_edges == [("1", "2"), ("2", "1")]
+        assert [r.getMessage() for r in caplog.records] == [
+            "dependency cycle among ['1', '2']; edges between them dropped"
+        ]
+        assert set(assign_cases_explicit(graph).cases.values()) == {"JID21"}
 
-    def test_three_edge_cycle_drops_only_closing_edge(self):
-        graph = DependencyGraph()
-        assert graph.add_edge("1", "2")
-        assert graph.add_edge("2", "3")
-        assert not graph.add_edge("3", "1")
-        assert graph.edges == {("1", "2"), ("2", "3")}
-        assert graph.dropped_edges == [("3", "1")]
-        assert graph.successors == {"1": ["2"], "2": ["3"]}
+    def test_three_edge_cycle_drops_only_closing_edge(self, caplog):
+        # 0 -> 1 -> 2 -> 3 -> 1 and 3 -> 4: every edge between two jobs on or
+        # behind the cycle is dropped, whichever edge closed it; the edge
+        # into the cycle is kept.
+        events = [
+            event("0"),
+            event("1", dep="afterok:0:3"),
+            event("2", dep="afterok:1"),
+            event("3", dep="afterok:2"),
+            event("4", dep="afterok:3"),
+        ]
+        with caplog.at_level(logging.WARNING, logger="hpcmine.correlation"):
+            graph = build_dependency_graph(events, extract_first_dependencies(events))
+        assert graph.edges == {("0", "1")}
+        assert graph.dropped_edges == [("1", "2"), ("2", "3"), ("3", "1"), ("3", "4")]
+        assert [r.getMessage() for r in caplog.records] == [
+            "dependency cycle among ['1', '2', '3', '4']; edges between them dropped"
+        ]
+        assert set(assign_cases_explicit(graph).cases.values()) == {"JID43210"}
 
-    def test_repeated_edge_kept_once(self):
+    def test_repeated_edge_kept_once(self, caplog):
         graph = DependencyGraph()
         assert graph.add_edge("1", "2")
         assert graph.add_edge("1", "2")
         assert graph.edges == {("1", "2")}
-        assert graph.successors == {"1": ["2"]}
         assert graph.dropped_edges == []
+        events = [event("1"), event("2", dep="afterok:1:1")]
+        with caplog.at_level(logging.WARNING, logger="hpcmine.correlation"):
+            graph = build_dependency_graph(events, extract_first_dependencies(events))
+        assert graph.edges == {("1", "2")}
+        assert graph.dropped_edges == []
+        assert caplog.records == []
 
     def test_two_disjoint_chains(self):
         result = simulator.simulate(simulator.load_bundled_scenario("two_chains"))
@@ -187,30 +213,70 @@ class TestAssignCasesExplicit:
             "JID5 8+7\u0663"
         )
 
+    def test_id_over_cap_is_hashed(self):
+        ordered = ["2" * 31, "1" * 31]
+        assert len("JID" + "".join(ordered)) == MAX_CASE_ID_LENGTH + 1
+        digest = hashlib.sha256(",".join(ordered).encode()).hexdigest()[:16]
+        assert _component_case_id(set(ordered), False) == f"JID{digest}"
+        assert _component_case_id(set(ordered), True) == f"JID{digest}"
+
+    def test_id_at_cap_is_kept(self):
+        ordered = ["2" * 31, "1" * 30]
+        assert _component_case_id(set(ordered), False) == "JID" + "".join(ordered)
+        assert len(_component_case_id(set(ordered), False)) == MAX_CASE_ID_LENGTH
+
+    def test_long_chain_cases_csv_stays_small(self, tmp_path):
+        n = 4000
+        events = [event("1")]
+        events += [event(str(i), dep=f"afterok:{i - 1}", offset=i) for i in range(2, n + 1)]
+        graph = build_dependency_graph(events, extract_first_dependencies(events))
+        assignment = assign_cases_explicit(graph)
+        assert len(set(assignment.cases.values())) == 1
+        path = tmp_path / "cases.csv"
+        assert write_csv(apply_cases(events, assignment), path) == n
+        assert path.stat().st_size < 1_000_000
+
 
 class TestReverseOrderChain:
-    def test_builds_without_reachability_search(self, monkeypatch):
-        # Dependents listed before their targets, as when squeue sorts a
-        # whole chain its own way within one poll: every edge joins two
-        # components, so none can close a cycle.
+    # Dependents listed before their targets, as when squeue sorts a whole
+    # workflow its own way within one poll. Each build runs the shared cycle
+    # routine once, whatever the order.
+
+    @staticmethod
+    def _build_counted(monkeypatch, events):
         calls = []
-        reaches = DependencyGraph._reaches
 
-        def counted(self, start, goal):
-            calls.append((start, goal))
-            return reaches(self, start, goal)
+        def counted(edges):
+            calls.append(None)
+            return cyclic_jobs(edges)
 
-        monkeypatch.setattr(DependencyGraph, "_reaches", counted)
+        monkeypatch.setattr(correlation, "cyclic_jobs", counted)
+        graph = build_dependency_graph(events, extract_first_dependencies(events))
+        assert len(calls) == 1
+        return graph
+
+    def test_builds_without_reachability_search(self, monkeypatch):
         n = 4000
         events = [event(str(i), dep=f"afterok:{i - 1}") for i in range(n, 1, -1)]
         events.append(event("1"))
-        graph = build_dependency_graph(events, extract_first_dependencies(events))
+        graph = self._build_counted(monkeypatch, events)
         assert len(graph.edges) == n - 1
-        assert len(calls) == 0
+        assert len(set(assign_cases_explicit(graph).cases.values())) == 1
+
+    def test_fan_in_dag(self, monkeypatch):
+        # Each job depends on its two predecessors: every edge after the
+        # first few lies inside one weak component.
+        n = 4000
+        events = [event(str(i), dep=f"afterok:{i - 1}:{i - 2}") for i in range(n, 2, -1)]
+        events += [event("2", dep="afterok:1"), event("1")]
+        graph = self._build_counted(monkeypatch, events)
+        assert len(graph.edges) == 2 * n - 3
+        assert graph.dropped_edges == []
         assert len(set(assign_cases_explicit(graph).cases.values())) == 1
 
 
-# The cycle check, the component walk and the oracle partition that one
+# The per-edge cycle check that one Kahn pass (correlation.cyclic_jobs)
+# replaced, and the component walk and the oracle partition that one
 # union-find (correlation.find_root) replaced, copied verbatim apart from
 # their names; the walk returns its case map itself. The tests below compare
 # the current code against them.
@@ -331,20 +397,40 @@ def _edge_sequences(draw):
     return draw(st.permutations(edges))
 
 
+def _events_for(vertices, edges):
+    """One creation event per vertex, declaring each vertex's sources in the
+    order their edges come; edge (a, b) means b depends on a."""
+    sources: dict[str, list[str]] = {}
+    for source, target in edges:
+        sources.setdefault(target, []).append(source)
+    return [
+        event(v, dep="afterok:" + ":".join(sources[v]) if v in sources else "(null)")
+        for v in vertices
+    ]
+
+
 class TestUnionFindMatchesReference:
     @settings(max_examples=400, deadline=None)
     @given(st.sets(st.sampled_from(_IDS)), _edge_sequences())
     @example({"41"}, [("1", "4")])
     @example({"114"}, [("4", "11"), ("41", "1"), ("14", "1"), ("1", "41")])
     def test_graph_and_explicit_cases(self, isolated, edges):
-        graph = DependencyGraph(vertices=set(isolated))
-        reference = _ReferenceGraph(isolated)
+        # The old add_edge left out the ends of a dropped self-loop, so every
+        # endpoint is seeded as a vertex, as build_dependency_graph does.
+        vertices = sorted(set(isolated).union(*edges))
+        events = _events_for(vertices, edges)
+        graph = build_dependency_graph(events, extract_first_dependencies(events))
+        reference = _ReferenceGraph(vertices)
         for source, target in edges:
-            assert graph.add_edge(source, target) == reference.add_edge(source, target)
+            reference.add_edge(source, target)
         assert graph.vertices == reference.vertices
-        assert graph.edges == reference.edges
-        assert graph.dropped_edges == reference.dropped_edges
-        assert graph.successors == reference.successors
+        assert graph.edges | set(graph.dropped_edges) == (
+            reference.edges | set(reference.dropped_edges)
+        )
+        # An edge the old check dropped closed a cycle, so both its ends are
+        # on one; what is kept is acyclic.
+        assert set(reference.dropped_edges) <= set(graph.dropped_edges)
+        assert cyclic_jobs(graph.edges) == set()
         for hash_ids in (False, True):
             assert assign_cases_explicit(graph, hash_ids).cases == (
                 _reference_assign_cases_explicit(reference, hash_ids)
@@ -354,6 +440,30 @@ class TestUnionFindMatchesReference:
     @given(_specs())
     def test_true_cases(self, spec):
         assert spec.true_cases() == _reference_true_cases(spec)
+
+
+class TestOrderInvariance:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sets(st.sampled_from(_IDS)), _edge_sequences(), st.randoms(use_true_random=False))
+    @example(set(), [("1", "4"), ("4", "41"), ("41", "1"), ("41", "a")], random.Random(0))
+    def test_shuffled_inputs_give_same_graph_and_cases(self, isolated, edges, rng):
+        # Which edge closed a cycle depends on arrival order; which jobs sit
+        # on or behind one does not.
+        vertices = sorted(set(isolated).union(*edges))
+        events = _events_for(vertices, edges)
+        graph = build_dependency_graph(events, extract_first_dependencies(events))
+        shuffled_events = _events_for(
+            rng.sample(vertices, len(vertices)), rng.sample(edges, len(edges))
+        )
+        first_deps = list(extract_first_dependencies(shuffled_events).items())
+        rng.shuffle(first_deps)
+        shuffled = build_dependency_graph(shuffled_events, dict(first_deps))
+        assert shuffled.edges == graph.edges
+        assert shuffled.dropped_edges == graph.dropped_edges
+        for hash_ids in (False, True):
+            assert assign_cases_explicit(shuffled, hash_ids).cases == (
+                assign_cases_explicit(graph, hash_ids).cases
+            )
 
 
 class TestAssignCasesImplicit:

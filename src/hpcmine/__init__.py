@@ -7,7 +7,6 @@ directly-follows models.
 """
 
 from .snapshots import (
-    DependencyCondition,
     DependencyClause,
     DependencySpec,
     JobRow,

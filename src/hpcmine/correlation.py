@@ -6,7 +6,8 @@ implicit (one case per ACCOUNT-GROUP combination, for jobs whose logical
 dependencies only the submitting user knows about).
 
 Explicit components come from one union-find over every declared edge;
-cycles are reported by one Kahn pass (``cyclic_jobs``).
+cycles are found by Kahn's algorithm (``cyclic_jobs``), run once more on the
+reversed edges only when there is a cycle.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class DependencyGraph:
     """Directed graph over job ids; edge (a, b) means b depends on a.
 
     ``add_edge`` keeps ``parent`` in step with ``edges``. Edges between jobs
-    on or behind a cycle end in ``dropped_edges``; they never change a component.
+    on or between cycles end in ``dropped_edges``; they never change a component.
     """
 
     vertices: set[str] = field(default_factory=set)
@@ -110,7 +111,8 @@ def build_dependency_graph(
 
     Dependency targets never observed in the window become isolated
     placeholder vertices flagged external; no edges are drawn to them. Edges
-    between two jobs on or behind a cycle move, sorted, to ``dropped_edges``.
+    between two jobs that are each on a cycle or between two cycles move,
+    sorted, to ``dropped_edges``.
     """
     graph = DependencyGraph()
     observed = {event.job_id for event in events}
@@ -126,6 +128,8 @@ def build_dependency_graph(
                 graph.external.add(target)
     cyclic = cyclic_jobs(graph.edges)
     if cyclic:
+        # Reversed, Kahn's pass also peels the jobs only downstream of a cycle.
+        cyclic = cyclic_jobs((b, a) for a, b in graph.edges if a in cyclic and b in cyclic)
         graph.dropped_edges = sorted(
             edge for edge in graph.edges if edge[0] in cyclic and edge[1] in cyclic
         )

@@ -232,7 +232,7 @@ def extract_first_dependencies(events: Iterable[JobEvent]) -> dict[str, Dependen
         if event.kind == EventKind.CREATED and event.dependency_raw != LATE_DEPENDENCY:
             first_deps[event.job_id] = parse_dependency_spec(event.dependency_raw)
         else:
-            first_deps[event.job_id] = DependencySpec.empty()
+            first_deps[event.job_id] = DependencySpec()
     return first_deps
 
 
@@ -261,7 +261,7 @@ def compute_stats(log: CaseLog, first_deps: Mapping[str, DependencySpec]) -> Log
     accounts = log.accounts()
     job_account = {e.job_id: e.account for e in log.events}
     explicit_jobs = {
-        j for j in jobs if not first_deps.get(j, DependencySpec.empty()).is_empty
+        j for j in jobs if not first_deps.get(j, DependencySpec()).is_empty
     }
     explicit_accounts = {job_account[j] for j in explicit_jobs}
     timestamps = [e.timestamp for e in log.events]

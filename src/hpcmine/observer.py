@@ -4,7 +4,9 @@ Each polling round compares the current snapshot against the retained
 per-job state. A job id never seen before yields a creation event; a known
 job with a changed state yields a state-change event; an unchanged job
 yields nothing. Jobs that leave the queue receive a synthetic completion
-event so downstream models get terminal timestamps.
+event so downstream models get terminal timestamps. ``diff_snapshot`` and
+``finalize_vanished`` update the ``ObserverState`` in place and return only
+the events they register.
 """
 
 from __future__ import annotations
@@ -78,17 +80,11 @@ class ObserverState:
     jobs: dict[str, TrackedJob] = field(default_factory=dict)
     active: dict[str, TrackedJob] = field(default_factory=dict)
 
-    @classmethod
-    def empty(cls) -> "ObserverState":
-        return cls()
 
-
-def diff_snapshot(
-    state: ObserverState, rows: list[JobRow]
-) -> tuple[list[JobEvent], ObserverState]:
+def diff_snapshot(state: ObserverState, rows: list[JobRow]) -> list[JobEvent]:
     """Register events for one snapshot against the retained state.
 
-    Updates ``state`` in place and returns it with the events. An unchanged
+    Updates ``state`` in place and returns the events. An unchanged
     row costs one lookup and one state comparison, so a call is O(rows).
 
     A creation event carries the job's dependency column as first seen. The
@@ -139,15 +135,15 @@ def diff_snapshot(
             elif tracked.state == COMPLETED:
                 active[row.job_id] = tracked
             tracked.state = row.state
-    return events, state
+    return events
 
 
 def finalize_vanished(
     state: ObserverState, rows: list[JobRow], observed_at: datetime
-) -> tuple[list[JobEvent], ObserverState]:
+) -> list[JobEvent]:
     """Emit synthetic completions for active jobs absent from this snapshot.
 
-    Updates ``state`` in place and returns it with the events; a call is
+    Updates ``state`` in place and returns the events; a call is
     O(rows + active). Finished jobs stay in ``state.jobs`` (marked
     completed) so they are not re-created if a stale row reappears. The
     completions come out in first-seen order.
@@ -176,7 +172,7 @@ def finalize_vanished(
         )
         tracked.state = COMPLETED
         del active[job_id]
-    return events, state
+    return events
 
 
 @dataclass(frozen=True)
@@ -317,7 +313,7 @@ def run_observation(
     in is continued and updated in place. Malformed snapshot lines are
     skipped, logged and counted in the summary.
     """
-    state = state if state is not None else ObserverState.empty()
+    state = state if state is not None else ObserverState()
     snapshots = 0
     events = 0
     malformed = 0
@@ -340,10 +336,9 @@ def run_observation(
         rows = parse_snapshot(snapshot.text, snapshot.observed_at, errors)
         malformed += len(errors)
         errors.clear()
-        new_events, state = diff_snapshot(state, rows)
+        new_events = diff_snapshot(state, rows)
         if synthetic_complete:
-            vanished, state = finalize_vanished(state, rows, snapshot.observed_at)
-            new_events.extend(vanished)
+            new_events.extend(finalize_vanished(state, rows, snapshot.observed_at))
         for event in new_events:
             sink.append(event)
         events += len(new_events)

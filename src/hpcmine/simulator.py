@@ -27,6 +27,7 @@ previous snapshot. No per-tick loop visits every job of the scenario.
 
 from __future__ import annotations
 
+import csv
 import enum
 import math
 import random
@@ -99,8 +100,11 @@ class ScenarioSpec:
             raise InvalidScenario("duplicate job ids")
         known = set(ids)
         for job in self.jobs:
-            if not job.job_id:
-                raise ValidationError(job.job_id, "empty job id")
+            # Each is one squeue column, or the observer skips the row as malformed.
+            for name in ("job_id", "account", "group", "command_path"):
+                value = getattr(job, name)
+                if value.split() != [value]:
+                    raise ValidationError(job.job_id, f"{name} {value!r} is not one column")
             if job.duration < 0:
                 raise ValidationError(job.job_id, "negative duration")
             for dep in job.dependencies:
@@ -138,15 +142,6 @@ class OracleEvent:
 class Oracle:
     events: list[OracleEvent]
     true_cases: dict[str, str]
-    stage_durations: dict[str, int]
-
-    def transitions(self) -> list[tuple[str, JobState | None, JobState, datetime]]:
-        previous: dict[str, JobState] = {}
-        out = []
-        for event in self.events:
-            out.append((event.job_id, previous.get(event.job_id), event.state, event.at))
-            previous[event.job_id] = event.state
-        return out
 
 
 @dataclass
@@ -290,11 +285,7 @@ def simulate(spec: ScenarioSpec) -> SimulationResult:
     else:
         raise InvalidScenario("simulation did not terminate")
 
-    oracle = Oracle(
-        events=oracle_events,
-        true_cases=spec.true_cases(),
-        stage_durations={job.job_id: job.duration for job in spec.jobs},
-    )
+    oracle = Oracle(events=oracle_events, true_cases=spec.true_cases())
     return SimulationResult(snapshots=snapshots, oracle=oracle)
 
 
@@ -324,15 +315,15 @@ def write_oracle(oracle: Oracle, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     with open(directory / "oracle_events.csv", "w", newline="") as fh:
-        fh.write("job_id,event_kind,state,timestamp\n")
-        for event in oracle.events:
-            fh.write(
-                f"{event.job_id},{event.kind.value},{event.state.code},{format_iso(event.at)}\n"
-            )
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["job_id", "event_kind", "state", "timestamp"])
+        writer.writerows(
+            [e.job_id, e.kind.value, e.state.code, format_iso(e.at)] for e in oracle.events
+        )
     with open(directory / "true_cases.csv", "w", newline="") as fh:
-        fh.write("job_id,case_label\n")
-        for job_id, label in sorted(oracle.true_cases.items()):
-            fh.write(f"{job_id},{label}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["job_id", "case_label"])
+        writer.writerows(sorted(oracle.true_cases.items()))
 
 
 # --- scenario file format -------------------------------------------------
@@ -342,16 +333,12 @@ def write_oracle(oracle: Oracle, directory) -> None:
 #   max_running=<n>          (optional; at least 1)
 #   job <id> account=<a> group=<g> cmd=<path> dur=<secs> deps=<id,id|-> mode=<batch|manual>
 #
-# Blank lines and lines starting with '#' are ignored.
+# Blank lines and lines starting with '#' are ignored. account, group and cmd are not empty.
 
 
-def load_scenario(source) -> ScenarioSpec:
-    if isinstance(source, Path):
-        text = source.read_text()
-    elif isinstance(source, str):
-        text = Path(source).read_text() if "\n" not in source and Path(source).exists() else source
-    else:
-        text = source.read()
+def load_scenario(source: Path | str) -> ScenarioSpec:
+    """Parse a scenario file (a ``Path``) or scenario text (a ``str``)."""
+    text = source.read_text() if isinstance(source, Path) else source
     seed = 0
     interval = 30
     max_running: int | None = None

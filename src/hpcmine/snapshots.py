@@ -9,11 +9,14 @@ Between two polls most lines of a queue come back unchanged, so
 ``parse_snapshot`` keeps the previous call's good data lines with their
 parsed fields and splits only the lines it has not just seen. What it keeps
 is bounded by one snapshot.
+
+``parse_dependency_spec`` splits a DEPENDENCY value into clauses, each a
+condition tag and its target job ids. Only the targets are read downstream:
+they draw the edges of explicit correlation.
 """
 
 from __future__ import annotations
 
-import enum
 import logging
 import re
 from dataclasses import dataclass
@@ -38,10 +41,6 @@ class JobState:
         state = _STATES_BY_CODE.get(code)
         return cls("other", code) if state is None else state
 
-    @property
-    def is_other(self) -> bool:
-        return self.kind == "other"
-
     def __str__(self) -> str:
         return self.code
 
@@ -55,18 +54,6 @@ SUSPENDED = JobState("suspended", "S")
 _STATES_BY_CODE = {s.code: s for s in (PENDING, RUNNING, COMPLETING, COMPLETED, SUSPENDED)}
 
 
-class DependencyCondition(enum.Enum):
-    AFTER_OK = "afterok"
-    AFTER_ANY = "afterany"
-    AFTER_NOT_OK = "afternotok"
-    AFTER = "after"
-    UNKNOWN = "unknown"
-
-
-_KNOWN_CONDITIONS = {
-    c.value: c for c in DependencyCondition if c is not DependencyCondition.UNKNOWN
-}
-
 _NO_DEPENDENCY_VALUES = {"", "(null)", "null"}
 
 # A target as squeue shows it: a job id, then an optional "+<minutes>" delay
@@ -76,7 +63,6 @@ _TARGET = re.compile(r"(.*?)(?:\+\d+)?(?:\([^()]*\))?", re.DOTALL)
 
 @dataclass(frozen=True)
 class DependencyClause:
-    condition: DependencyCondition
     tag: str
     targets: tuple[str, ...]
 
@@ -86,10 +72,6 @@ class DependencySpec:
     """Parsed DEPENDENCY column value: zero or more condition clauses."""
 
     clauses: tuple[DependencyClause, ...] = ()
-
-    @classmethod
-    def empty(cls) -> "DependencySpec":
-        return cls(())
 
     @property
     def is_empty(self) -> bool:
@@ -128,13 +110,14 @@ class MalformedRow:
 def parse_dependency_spec(raw: str) -> DependencySpec:
     """Parse a DEPENDENCY column value.
 
-    Total: any input yields a spec. Unrecognized condition tags degrade to
-    UNKNOWN clauses so observation never aborts on scheduler quirks. Targets
-    are bare job ids: "after:7+10" and "afterok:7(unfulfilled)" both target 7.
+    Total: any input yields a spec. A clause keeps its condition tag
+    lower-cased and uninterpreted, so an unfamiliar tag never aborts
+    observation. Targets are bare job ids: "after:7+10" and
+    "afterok:7(unfulfilled)" both target 7.
     """
     raw = raw.strip()
     if raw.lower() in _NO_DEPENDENCY_VALUES:
-        return DependencySpec.empty()
+        return DependencySpec()
     clauses = []
     for part in re.split(r"[,?]", raw):
         part = part.strip()
@@ -147,8 +130,7 @@ def parse_dependency_spec(raw: str) -> DependencySpec:
             for piece in pieces[1:]
             if (target := _TARGET.fullmatch(piece.strip()).group(1))
         )
-        condition = _KNOWN_CONDITIONS.get(tag, DependencyCondition.UNKNOWN)
-        clauses.append(DependencyClause(condition, tag, targets))
+        clauses.append(DependencyClause(tag, targets))
     return DependencySpec(tuple(clauses))
 
 

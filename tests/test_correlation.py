@@ -88,9 +88,9 @@ class TestBuildDependencyGraph:
         assert set(assign_cases_explicit(graph).cases.values()) == {"JID21"}
 
     def test_three_edge_cycle_drops_only_closing_edge(self, caplog):
-        # 0 -> 1 -> 2 -> 3 -> 1 and 3 -> 4: every edge between two jobs on or
-        # behind the cycle is dropped, whichever edge closed it; the edge
-        # into the cycle is kept.
+        # 0 -> 1 -> 2 -> 3 -> 1 and 3 -> 4: every edge of the cycle is
+        # dropped, whichever edge closed it; the edges into and out of the
+        # cycle are kept.
         events = [
             event("0"),
             event("1", dep="afterok:0:3"),
@@ -100,12 +100,34 @@ class TestBuildDependencyGraph:
         ]
         with caplog.at_level(logging.WARNING, logger="hpcmine.correlation"):
             graph = build_dependency_graph(events, extract_first_dependencies(events))
-        assert graph.edges == {("0", "1")}
-        assert graph.dropped_edges == [("1", "2"), ("2", "3"), ("3", "1"), ("3", "4")]
+        assert graph.edges == {("0", "1"), ("3", "4")}
+        assert graph.dropped_edges == [("1", "2"), ("2", "3"), ("3", "1")]
         assert [r.getMessage() for r in caplog.records] == [
-            "dependency cycle among ['1', '2', '3', '4']; edges between them dropped"
+            "dependency cycle among ['1', '2', '3']; edges between them dropped"
         ]
         assert set(assign_cases_explicit(graph).cases.values()) == {"JID43210"}
+
+    def test_job_between_cycles_reported_downstream_job_not(self, caplog):
+        # 1 <-> 2 -> 3 -> 4 <-> 5 -> 6: job 3 sits between the two cycles and
+        # is reported; job 6 is only downstream of them and keeps its edge.
+        events = [
+            event("1", dep="afterok:2"),
+            event("2", dep="afterok:1"),
+            event("3", dep="afterok:2"),
+            event("4", dep="afterok:3:5"),
+            event("5", dep="afterok:4"),
+            event("6", dep="afterok:5"),
+        ]
+        with caplog.at_level(logging.WARNING, logger="hpcmine.correlation"):
+            graph = build_dependency_graph(events, extract_first_dependencies(events))
+        assert graph.edges == {("5", "6")}
+        assert graph.dropped_edges == [
+            ("1", "2"), ("2", "1"), ("2", "3"), ("3", "4"), ("4", "5"), ("5", "4"),
+        ]
+        assert [r.getMessage() for r in caplog.records] == [
+            "dependency cycle among ['1', '2', '3', '4', '5']; edges between them dropped"
+        ]
+        assert set(assign_cases_explicit(graph).cases.values()) == {"JID654321"}
 
     def test_repeated_edge_kept_once(self, caplog):
         graph = DependencyGraph()

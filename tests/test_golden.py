@@ -44,6 +44,11 @@ def hpcmine_cli(*args) -> subprocess.CompletedProcess:
 
 def simulated(scenario: str, out: Path) -> dict[str, bytes]:
     assert main(["simulate", scenario, "-o", str(out)]) == 0
+    return simulation_files(out)
+
+
+def simulation_files(out: Path) -> dict[str, bytes]:
+    """The snapshot stream and oracle a simulate run wrote into ``out``."""
     snapshots = b"".join(
         f"# {path.name}\n".encode() + path.read_bytes()
         for path in sorted((out / "snapshots").iterdir())

@@ -52,66 +52,73 @@ def row(job_id, state, at=T0, dep="(null)", account="a", group="g", cmd="/x/run.
 
 class TestDiffSnapshot:
     def test_new_job_registers_creation(self):
-        events, state = diff_snapshot(ObserverState.empty(), [row("1", PENDING)])
+        state = ObserverState()
+        events = diff_snapshot(state, [row("1", PENDING)])
         assert [(e.job_id, e.kind, e.state) for e in events] == [
             ("1", EventKind.CREATED, PENDING)
         ]
         assert state.jobs["1"].state == PENDING
 
     def test_unchanged_state_does_nothing(self):
-        _, state = diff_snapshot(ObserverState.empty(), [row("1", PENDING)])
-        events, _ = diff_snapshot(state, [row("1", PENDING, at=T0 + timedelta(seconds=30))])
+        state = ObserverState()
+        diff_snapshot(state, [row("1", PENDING)])
+        events = diff_snapshot(state, [row("1", PENDING, at=T0 + timedelta(seconds=30))])
         assert events == []
 
     def test_state_change_registers_event(self):
-        _, state = diff_snapshot(ObserverState.empty(), [row("1", PENDING)])
+        state = ObserverState()
+        diff_snapshot(state, [row("1", PENDING)])
         t1 = T0 + timedelta(seconds=30)
-        events, state = diff_snapshot(state, [row("1", RUNNING, at=t1)])
+        events = diff_snapshot(state, [row("1", RUNNING, at=t1)])
         assert [(e.job_id, e.kind, e.state, e.timestamp) for e in events] == [
             ("1", EventKind.STATE_CHANGED, RUNNING, t1)
         ]
 
     def test_at_most_one_event_per_job_per_snapshot(self):
         rows = [row(str(i), PENDING) for i in range(5)]
-        events, state = diff_snapshot(ObserverState.empty(), rows)
+        state = ObserverState()
+        events = diff_snapshot(state, rows)
         assert len(events) == 5
         t1 = T0 + timedelta(seconds=30)
         rows = [row(str(i), RUNNING, at=t1) for i in range(5)]
-        events, _ = diff_snapshot(state, rows)
+        events = diff_snapshot(state, rows)
         assert len(events) == 5
         assert len({e.job_id for e in events}) == 5
 
     def test_first_dependency_captured_once(self):
-        events, state = diff_snapshot(ObserverState.empty(), [row("1", PENDING, dep="afterok:7")])
+        state = ObserverState()
+        events = diff_snapshot(state, [row("1", PENDING, dep="afterok:7")])
         assert extract_first_dependencies(events)["1"].targets() == ["7"]
         t1 = T0 + timedelta(seconds=30)
-        later, state = diff_snapshot(state, [row("1", PENDING, at=t1, dep="(null)")])
+        later = diff_snapshot(state, [row("1", PENDING, at=t1, dep="(null)")])
         assert extract_first_dependencies(events + later)["1"].targets() == ["7"]
 
     def test_late_first_sight_flags_dependency(self):
-        events, state = diff_snapshot(ObserverState.empty(), [row("1", RUNNING)])
+        events = diff_snapshot(ObserverState(), [row("1", RUNNING)])
         assert events[0].dependency_raw == observer.LATE_DEPENDENCY
         assert extract_first_dependencies(events)["1"].is_empty
 
 
 class TestFinalizeVanished:
     def test_vanished_job_gets_synthetic_completion(self):
-        _, state = diff_snapshot(ObserverState.empty(), [row("1", COMPLETING)])
+        state = ObserverState()
+        diff_snapshot(state, [row("1", COMPLETING)])
         t1 = T0 + timedelta(seconds=30)
-        events, state = finalize_vanished(state, [], t1)
+        events = finalize_vanished(state, [], t1)
         assert [(e.job_id, e.kind, e.state, e.timestamp) for e in events] == [
             ("1", EventKind.SYNTHETIC_COMPLETED, COMPLETED, t1)
         ]
         assert state.jobs["1"].state == COMPLETED
 
     def test_nothing_tracked(self):
-        events, _ = finalize_vanished(ObserverState.empty(), [], T0)
+        events = finalize_vanished(ObserverState(), [], T0)
         assert events == []
 
     def test_completed_job_not_finalized_twice(self):
-        _, state = diff_snapshot(ObserverState.empty(), [row("1", COMPLETING)])
-        _, state = finalize_vanished(state, [], T0 + timedelta(seconds=30))
-        events, _ = finalize_vanished(state, [], T0 + timedelta(seconds=60))
+        state = ObserverState()
+        diff_snapshot(state, [row("1", COMPLETING)])
+        finalize_vanished(state, [], T0 + timedelta(seconds=30))
+        events = finalize_vanished(state, [], T0 + timedelta(seconds=60))
         assert events == []
 
     def test_fig1_yields_one_completion_per_job(self):
@@ -128,12 +135,11 @@ class TestFinalizeVanished:
 
     def test_stale_row_of_completed_job_reopens_it(self):
         t = [T0 + timedelta(seconds=30 * i) for i in range(4)]
-        state = ObserverState.empty()
+        state = ObserverState()
 
         def poll(rows, at):
-            nonlocal state
-            events, state = diff_snapshot(state, rows)
-            vanished, state = finalize_vanished(state, rows, at)
+            events = diff_snapshot(state, rows)
+            vanished = finalize_vanished(state, rows, at)
             return [(e.job_id, e.kind, e.state) for e in events + vanished]
 
         poll([row(i, PENDING, at=t[0]) for i in "123"], t[0])
@@ -157,21 +163,21 @@ class TestFinalizeVanished:
 
     def test_completed_row_leaves_active(self):
         rows = [row("1", RUNNING), row("2", RUNNING)]
-        _, state = diff_snapshot(ObserverState.empty(), rows)
+        state = ObserverState()
+        diff_snapshot(state, rows)
         t1 = T0 + timedelta(seconds=30)
         rows = [row("1", COMPLETED, at=t1), row("2", RUNNING, at=t1)]
-        events, state = diff_snapshot(state, rows)
+        events = diff_snapshot(state, rows)
         assert [(e.job_id, e.state) for e in events] == [("1", COMPLETED)]
         assert list(state.active) == ["2"]
-        vanished, _ = finalize_vanished(state, [], t1 + timedelta(seconds=30))
+        vanished = finalize_vanished(state, [], t1 + timedelta(seconds=30))
         assert [e.job_id for e in vanished] == ["2"]
 
     def test_state_updated_in_place(self):
-        state = ObserverState.empty()
-        _, returned = diff_snapshot(state, [row("1", PENDING)])
-        assert returned is state
-        _, returned = finalize_vanished(state, [], T0 + timedelta(seconds=30))
-        assert returned is state
+        state = ObserverState()
+        diff_snapshot(state, [row("1", PENDING)])
+        assert state.jobs["1"].state == PENDING
+        finalize_vanished(state, [], T0 + timedelta(seconds=30))
         assert state.jobs["1"].state == COMPLETED
 
 
@@ -267,7 +273,7 @@ class TestInPlaceMatchesReference:
     @given(st.lists(_snapshot_rows, max_size=12), st.booleans())
     @example(_CRAFTED_STREAM, True)
     def test_same_events_in_same_order(self, stream, synthetic_complete):
-        state = ObserverState.empty()
+        state = ObserverState()
         reference = {}
         for i, snapshot in enumerate(stream):
             at = T0 + timedelta(seconds=30 * i)
@@ -275,11 +281,10 @@ class TestInPlaceMatchesReference:
                 row(job_id, JobState.from_code(code), at=at, dep=dep, account=account)
                 for job_id, code, account, dep in snapshot
             ]
-            events, state = diff_snapshot(state, rows)
+            events = diff_snapshot(state, rows)
             expected, reference = _reference_diff(reference, rows)
             if synthetic_complete:
-                vanished, state = finalize_vanished(state, rows, at)
-                events += vanished
+                events += finalize_vanished(state, rows, at)
                 vanished, reference = _reference_finalize(reference, rows, at)
                 expected += vanished
             assert events == expected

@@ -1,0 +1,83 @@
+"""The benchmark's scripts still run against the library.
+
+``perfbench/traced.py`` mirrors ``hpcmine pipeline`` and ``hpcmine simulate``
+through the library's public functions, and ``perfbench/poll.py`` replays a
+snapshot directory through ``observer.run_observation``. Each bundled
+scenario goes through both, and what they write must equal the committed
+goldens under ``tests/golden/`` byte for byte, so a change to the library
+that breaks the benchmark fails here.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hpcmine
+from test_golden import (
+    ARTIFACTS,
+    GOLDEN,
+    SCENARIOS,
+    STRATEGIES,
+    assert_golden,
+    simulated,
+    simulation_files,
+)
+
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+SCENARIO_FILES = Path(hpcmine.__file__).parent / "scenarios"
+
+
+def perfbench_script(script: str, *args) -> subprocess.CompletedProcess:
+    """Run a perfbench script in a fresh interpreter; it must exit 0."""
+    paths = [str(Path(hpcmine.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / script), *map(str, args)],
+        capture_output=True,
+        env=env,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    return done
+
+
+@pytest.fixture(scope="module", params=SCENARIOS)
+def replay(request, tmp_path_factory):
+    out = tmp_path_factory.mktemp(request.param)
+    simulated(request.param, out)
+    return request.param, out / "snapshots"
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_traced_pipeline(replay, strategy, tmp_path):
+    name, snapshots = replay
+    out = tmp_path / "out"
+    done = perfbench_script(
+        "traced.py", "pipeline", snapshots, strategy, out, tmp_path / "spans.json"
+    )
+    files = {artifact: (out / artifact).read_bytes() for artifact in ARTIFACTS}
+    assert_golden(GOLDEN / name / strategy, {**files, "stdout.txt": done.stdout})
+    assert json.loads((tmp_path / "spans.json").read_text())["spans"]
+
+
+def test_traced_simulate(replay, tmp_path):
+    name, _ = replay
+    scenario = SCENARIO_FILES / f"{name}.scenario"
+    out = tmp_path / "out"
+    perfbench_script("traced.py", "simulate", scenario, out, tmp_path / "spans.json")
+    assert_golden(GOLDEN / name, simulation_files(out))
+
+
+def test_poll_replay(tmp_path):
+    name = "fig1_explicit"
+    simulated(name, tmp_path / "sim")
+    snapshots = tmp_path / "sim" / "snapshots"
+    events, stamps = tmp_path / "events.csv", tmp_path / "poll.json"
+    perfbench_script("poll.py", snapshots, events, stamps)
+    assert events.read_bytes() == (GOLDEN / name / "explicit" / "events.csv").read_bytes()
+    timings = json.loads(stamps.read_text())
+    count = len(list(snapshots.iterdir()))
+    assert len(timings["absorb"]) == len(timings["probes"]) == count

@@ -1,3 +1,4 @@
+import csv
 import math
 import random
 from dataclasses import replace
@@ -60,6 +61,30 @@ class TestLoadScenario:
     def test_bad_mode(self):
         with pytest.raises(ParseError):
             load_scenario("job 1 account=a group=g cmd=/x dur=1 mode=sideways\n")
+
+    @pytest.mark.parametrize("field", ["account", "group", "cmd"])
+    def test_empty_column_field_rejected(self, field):
+        fields = {"account": "a", "group": "g", "cmd": "/x"} | {field: ""}
+        text = "job 1 " + " ".join(f"{k}={v}" for k, v in fields.items()) + " dur=30\n"
+        with pytest.raises(ValidationError):
+            load_scenario(text)
+
+    @pytest.mark.parametrize("field", ["job_id", "account", "group", "command_path"])
+    @pytest.mark.parametrize("value", ["", "x y", "x\t"])
+    def test_column_field_must_be_one_word(self, field, value):
+        job = replace(SimJob("1", "a", "g", "/x", 30), **{field: value})
+        with pytest.raises(ValidationError):
+            ScenarioSpec(jobs=(job,)).validate()
+
+    def test_oracle_csvs_quote_commas(self, tmp_path):
+        result = simulate(load_scenario("job a,b account=a group=g cmd=/x dur=30\n"))
+        simulator.write_oracle(result.oracle, tmp_path)
+        with open(tmp_path / "oracle_events.csv", newline="") as fh:
+            events = list(csv.reader(fh))[1:]
+        assert len(events) == len(result.oracle.events) == 4
+        assert all(len(row) == 4 and row[0] == "a,b" for row in events)
+        with open(tmp_path / "true_cases.csv", newline="") as fh:
+            assert list(csv.reader(fh))[1:] == [["a,b", "case-a,b"]]
 
     def test_round_trip(self):
         spec = load_bundled_scenario("two_chains")
@@ -206,8 +231,8 @@ class TestOracle:
     def test_transitions_follow_lifecycle(self):
         result = simulate(load_bundled_scenario("fig1_explicit"))
         per_job = {}
-        for job_id, prev, state, _ in result.oracle.transitions():
-            per_job.setdefault(job_id, []).append(state.kind)
+        for event in result.oracle.events:
+            per_job.setdefault(event.job_id, []).append(event.state.kind)
         for states in per_job.values():
             assert states == ["pending", "running", "completing", "completed"]
 
@@ -374,11 +399,7 @@ def _reference_simulate(spec: ScenarioSpec) -> SimulationResult:
     else:
         raise InvalidScenario("simulation did not terminate")
 
-    oracle = Oracle(
-        events=oracle_events,
-        true_cases=spec.true_cases(),
-        stage_durations={job.job_id: job.duration for job in spec.jobs},
-    )
+    oracle = Oracle(events=oracle_events, true_cases=spec.true_cases())
     return SimulationResult(snapshots=snapshots, oracle=oracle)
 
 

@@ -12,7 +12,6 @@ from hpcmine.snapshots import (
     PENDING,
     RUNNING,
     SUSPENDED,
-    DependencyCondition,
     DependencySpec,
     JobRow,
     JobState,
@@ -40,7 +39,7 @@ class TestJobState:
 
     def test_unknown_code_is_other(self):
         state = JobState.from_code("F")
-        assert state.is_other
+        assert state.kind == "other"
         assert state.code == "F"
 
 
@@ -191,7 +190,7 @@ def _assert_parses_as_reference(text, observed_at):
     assert errors == expected_errors
     assert all(type(row) is JobRow for row in rows)
     for row, reference in zip(rows, expected):
-        if not reference.state.is_other:
+        if reference.state.kind != "other":
             assert row.state is reference.state
 
 
@@ -302,15 +301,12 @@ class TestParseDependencySpec:
         spec = parse_dependency_spec("afterok:2:3")
         assert len(spec.clauses) == 1
         clause = spec.clauses[0]
-        assert clause.condition == DependencyCondition.AFTER_OK
+        assert clause.tag == "afterok"
         assert clause.targets == ("2", "3")
 
     def test_multiple_clauses(self):
         spec = parse_dependency_spec("afterany:10,afterok:11:12")
-        assert [c.condition for c in spec.clauses] == [
-            DependencyCondition.AFTER_ANY,
-            DependencyCondition.AFTER_OK,
-        ]
+        assert [c.tag for c in spec.clauses] == ["afterany", "afterok"]
         assert spec.targets() == ["10", "11", "12"]
 
     def test_question_mark_separator(self):
@@ -319,7 +315,6 @@ class TestParseDependencySpec:
 
     def test_bare_clause_is_unknown_without_targets(self):
         spec = parse_dependency_spec("singleton")
-        assert spec.clauses[0].condition == DependencyCondition.UNKNOWN
         assert spec.clauses[0].tag == "singleton"
         assert spec.clauses[0].targets == ()
 
@@ -338,7 +333,7 @@ class TestParseDependencySpec:
 
     def test_unknown_tag_still_extracts_targets(self):
         spec = parse_dependency_spec("aftercorr:7:8")
-        assert spec.clauses[0].condition == DependencyCondition.UNKNOWN
+        assert spec.clauses[0].tag == "aftercorr"
         assert spec.clauses[0].targets == ("7", "8")
 
     @given(st.text(max_size=80))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .eventlog import (  # extract_first_dependencies is re-exported
@@ -201,5 +202,5 @@ def apply_cases(events: Iterable[JobEvent], assignment: CaseAssignment) -> CaseL
         if case_id is None:
             raise UnassignedJob(event.job_id)
         case_events.append(with_case(event, case_id))
-    case_events.sort(key=lambda e: (e.case_id, e.timestamp, e.job_id))
+    case_events.sort(key=attrgetter("case_id", "timestamp", "job_id"))
     return CaseLog(case_events)

@@ -12,6 +12,7 @@ the events they register.
 from __future__ import annotations
 
 import logging
+import os
 import shlex
 import subprocess
 import time as _time
@@ -105,14 +106,14 @@ def diff_snapshot(state: ObserverState, rows: list[JobRow]) -> list[JobEvent]:
                 active[row.job_id] = tracked
             events.append(
                 JobEvent(
-                    job_id=row.job_id,
-                    account=row.account,
-                    group=row.group,
-                    activity=activity,
-                    state=row.state,
-                    dependency_raw=dep_raw,
-                    kind=EventKind.CREATED,
-                    timestamp=row.observed_at,
+                    row.job_id,
+                    row.account,
+                    row.group,
+                    activity,
+                    row.state,
+                    dep_raw,
+                    EventKind.CREATED,
+                    row.observed_at,
                 )
             )
         # Known states are shared JobState instances, so identity settles most
@@ -120,14 +121,14 @@ def diff_snapshot(state: ObserverState, rows: list[JobRow]) -> list[JobEvent]:
         elif tracked.state is not row.state and tracked.state != row.state:
             events.append(
                 JobEvent(
-                    job_id=row.job_id,
-                    account=row.account,
-                    group=row.group,
-                    activity=tracked.activity,
-                    state=row.state,
-                    dependency_raw=row.dependency_raw,
-                    kind=EventKind.STATE_CHANGED,
-                    timestamp=row.observed_at,
+                    row.job_id,
+                    row.account,
+                    row.group,
+                    tracked.activity,
+                    row.state,
+                    row.dependency_raw,
+                    EventKind.STATE_CHANGED,
+                    row.observed_at,
                 )
             )
             if row.state == COMPLETED:
@@ -160,14 +161,14 @@ def finalize_vanished(
     for job_id, tracked in vanished:
         events.append(
             JobEvent(
-                job_id=job_id,
-                account=tracked.account,
-                group=tracked.group,
-                activity=tracked.activity,
-                state=COMPLETED,
-                dependency_raw="(null)",
-                kind=EventKind.SYNTHETIC_COMPLETED,
-                timestamp=observed_at,
+                job_id,
+                tracked.account,
+                tracked.group,
+                tracked.activity,
+                COMPLETED,
+                "(null)",
+                EventKind.SYNTHETIC_COMPLETED,
+                observed_at,
             )
         )
         tracked.state = COMPLETED
@@ -214,15 +215,25 @@ class ReplayDirectorySource:
             raise FileNotFoundError(f"replay directory not found: {self.directory}")
 
     def __iter__(self) -> Iterator[Snapshot]:
-        paths = sorted(self.directory.glob(f"{SNAPSHOT_FILE_PREFIX}*{SNAPSHOT_FILE_SUFFIX}"))
-        for path in paths:
-            stamp = path.name[len(SNAPSHOT_FILE_PREFIX) : -len(SNAPSHOT_FILE_SUFFIX)]
+        try:
+            listed = os.listdir(self.directory)
+        except OSError as exc:
+            raise SourceFailure(str(exc)) from exc
+        # Sorted as strings: the fixed-width stamps sort in time order.
+        names = sorted(
+            name
+            for name in listed
+            if name.startswith(SNAPSHOT_FILE_PREFIX) and name.endswith(SNAPSHOT_FILE_SUFFIX)
+        )
+        for name in names:
+            stamp = name[len(SNAPSHOT_FILE_PREFIX) : -len(SNAPSHOT_FILE_SUFFIX)]
             try:
                 observed_at = parse_basic(stamp)
             except ValueError as exc:
-                raise SourceFailure(f"bad snapshot filename {path.name}") from exc
+                raise SourceFailure(f"bad snapshot filename {name}") from exc
             try:
-                text = path.read_text()
+                with open(os.path.join(self.directory, name)) as fh:
+                    text = fh.read()
             except OSError as exc:
                 raise SourceFailure(str(exc)) from exc
             yield Snapshot(observed_at, text)

@@ -50,6 +50,10 @@ SNAPSHOT_HEADER = "ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP"
 
 _MAX_TICKS = 1_000_000
 
+# The DEPENDENCY column reads "tag:id:id,tag:id?tag:id", and a target may
+# carry "+minutes" and "(state)" suffixes, so a job id must hold none of these.
+_DEPENDENCY_MARKS = ":,?+()"
+
 
 class ScenarioError(Exception):
     pass
@@ -105,6 +109,10 @@ class ScenarioSpec:
                 value = getattr(job, name)
                 if value.split() != [value]:
                     raise ValidationError(job.job_id, f"{name} {value!r} is not one column")
+            if any(mark in job.job_id for mark in _DEPENDENCY_MARKS):
+                raise ValidationError(
+                    job.job_id, f"job_id holds one of {_DEPENDENCY_MARKS!r}"
+                )
             if job.duration < 0:
                 raise ValidationError(job.job_id, "negative duration")
             for dep in job.dependencies:
@@ -334,6 +342,7 @@ def write_oracle(oracle: Oracle, directory) -> None:
 #   job <id> account=<a> group=<g> cmd=<path> dur=<secs> deps=<id,id|-> mode=<batch|manual>
 #
 # Blank lines and lines starting with '#' are ignored. account, group and cmd are not empty.
+# A job id holds none of the DEPENDENCY column's marks: colon, comma, ?, +, ( and ).
 
 
 def load_scenario(source: Path | str) -> ScenarioSpec:

@@ -9,8 +9,8 @@ ISO_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 BASIC_FORMAT = "%Y%m%dT%H%M%SZ"
 
 
-# Every event of a snapshot shares its timestamp, and a sorted case log
-# repeats each one in runs, so a small cache answers most calls.
+# The oracle writer formats one time per event, and every event of a tick
+# shares it, so a small cache answers most calls. The CSV sink keeps its own memo.
 @lru_cache(maxsize=64)
 def format_iso(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).strftime(ISO_FORMAT)
@@ -25,4 +25,22 @@ def format_basic(ts: datetime) -> str:
 
 
 def parse_basic(value: str) -> datetime:
-    return datetime.strptime(value, BASIC_FORMAT).replace(tzinfo=timezone.utc)
+    """Read ``YYYYMMDDTHHMMSSZ`` by slicing; any other form raises ``ValueError``."""
+    digits = value[:8] + value[9:15]
+    if not (
+        len(value) == 16
+        and value[8] == "T"
+        and value[15] == "Z"
+        and digits.isascii()
+        and digits.isdigit()
+    ):
+        raise ValueError(f"not a YYYYMMDDTHHMMSSZ timestamp: {value!r}")
+    return datetime(
+        int(value[0:4]),
+        int(value[4:6]),
+        int(value[6:8]),
+        int(value[9:11]),
+        int(value[11:13]),
+        int(value[13:15]),
+        tzinfo=timezone.utc,
+    )

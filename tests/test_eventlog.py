@@ -1,10 +1,12 @@
 import csv
 import io
 import random
-from dataclasses import fields, replace
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+from operator import attrgetter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_case_log, replay_events
 from hpcmine import simulator
@@ -31,7 +33,8 @@ from hpcmine.eventlog import (
     with_case,
     write_csv,
 )
-from hpcmine.snapshots import PENDING, JobState
+from hpcmine.snapshots import COMPLETED, PENDING, RUNNING, JobState
+from hpcmine.timeutil import format_iso
 
 
 def roundtrip(log):
@@ -57,8 +60,132 @@ class TestWithCase:
     }
 
     def test_copies_every_field(self):
-        event = JobEvent(**{f.name: self.SAMPLE[f.name] for f in fields(JobEvent)})
-        assert with_case(event, "new") == replace(event, case_id="new")
+        event = JobEvent(**{name: self.SAMPLE[name] for name in JobEvent._fields})
+        copy = with_case(event, "new")
+        assert copy == event._replace(case_id="new")
+        assert type(copy) is JobEvent and copy.case_id == "new"
+
+
+class TestJobEvent:
+    def test_event_is_an_immutable_tuple_of_its_fields(self):
+        at = datetime(2023, 5, 1, tzinfo=timezone.utc)
+        event = JobEvent(
+            job_id="1",
+            account="a",
+            group="g",
+            activity="x.sh",
+            state=PENDING,
+            dependency_raw="(null)",
+            kind=EventKind.CREATED,
+            timestamp=at,
+        )
+        fields = ("1", "a", "g", "x.sh", PENDING, "(null)", EventKind.CREATED, at, "")
+        assert event == fields
+        assert hash(event) == hash(fields)
+        with pytest.raises(AttributeError):
+            event.state = RUNNING
+
+
+# The per-column encoder the one-getter sink replaced: a getter over the
+# JobEvent fields and one Python encoder call per column.
+_REFERENCE_ENCODERS = {
+    "case_id": ("case_id", str),
+    "job_id": ("job_id", str),
+    "account": ("account", str),
+    "group": ("group", str),
+    "activity": ("activity", str),
+    "state": ("state", attrgetter("code")),
+    "lifecycle": ("state", attrgetter("code")),
+    "event_kind": ("kind", attrgetter("value")),
+    "timestamp": ("timestamp", format_iso),
+    "dependency_raw": ("dependency_raw", str),
+}
+
+
+def _reference_csv_text(events, header):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    values = attrgetter(*(_REFERENCE_ENCODERS[name][0] for name in header))
+    encoders = [_REFERENCE_ENCODERS[name][1] for name in header]
+    for event in events:
+        writer.writerow([encode(v) for encode, v in zip(encoders, values(event))])
+    return buffer.getvalue()
+
+
+_ZONES = [
+    timezone.utc,
+    timezone(timedelta(hours=5, minutes=30)),
+    timezone(timedelta(hours=-8)),
+]
+
+
+@st.composite
+def _hostile_events(draw):
+    """Events with hostile text, unknown state codes, and timestamps drawn
+    from a few instants in any order and zone, so instants repeat out of order."""
+    instants = draw(
+        st.lists(
+            st.datetimes(
+                min_value=datetime(1971, 1, 1),
+                max_value=datetime(2100, 1, 1),
+                timezones=st.just(timezone.utc),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    text = st.text(',"\n\r \tab1\u00e9\u4e2d\U0001f600', max_size=6)
+    state = st.sampled_from([PENDING, RUNNING, COMPLETED]) | st.builds(
+        JobState, st.just("other"), text
+    )
+    event = st.builds(
+        JobEvent,
+        job_id=text,
+        account=text,
+        group=text,
+        activity=text,
+        state=state,
+        dependency_raw=text,
+        kind=st.sampled_from(EventKind),
+        # The same instant in another zone, or the same wall clock there.
+        timestamp=st.builds(
+            lambda at, zone, convert: at.astimezone(zone) if convert else at.replace(tzinfo=zone),
+            st.sampled_from(instants),
+            st.sampled_from(_ZONES),
+            st.booleans(),
+        ),
+        case_id=text,
+    )
+    return draw(st.lists(event, max_size=20))
+
+
+class TestCsvEncodeMatchesPerColumnEncoder:
+    @settings(max_examples=200, deadline=None)
+    @given(_hostile_events())
+    def test_same_bytes(self, events):
+        for header in (EVENTS_CSV_HEADER, CSV_HEADER):
+            buffer = io.StringIO()
+            with CsvEventSink(buffer, header) as sink:
+                for event in events:
+                    sink.append(event)
+            assert buffer.getvalue() == _reference_csv_text(events, header)
+        buffer = io.StringIO()
+        assert write_csv(events, buffer) == len(events)
+        assert buffer.getvalue() == _reference_csv_text(events, CSV_HEADER)
+
+    def test_stream_memo_stays_bounded(self):
+        # A live observation writes time-ordered events for as long as it
+        # runs: the sink keeps one timestamp text, not one per instant.
+        t0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
+        sink = CsvEventSink(io.StringIO())
+        for i in range(10_000):
+            at = t0 + timedelta(seconds=i)
+            event = JobEvent("1", "a", "g", "x.sh", RUNNING, "(null)", EventKind.CREATED, at)
+            sink.append(event)
+            sink.append(event)
+            assert len(sink._texts) == 1
+        assert sink.rows == 20_000
 
 
 class TestCsvRoundTrip:

@@ -19,10 +19,12 @@ from hpcmine.observer import (
     OutOfOrderSnapshot,
     ReplayDirectorySource,
     Snapshot,
+    SourceFailure,
     diff_snapshot,
     finalize_vanished,
     read_events_csv,
     run_observation,
+    snapshot_filename,
 )
 from hpcmine.snapshots import (
     COMPLETED,
@@ -34,6 +36,7 @@ from hpcmine.snapshots import (
     normalize_command,
     parse_snapshot,
 )
+from hpcmine.timeutil import parse_basic
 
 T0 = datetime(2023, 5, 1, 12, 0, 0, tzinfo=timezone.utc)
 
@@ -389,6 +392,48 @@ class TestSources:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ReplayDirectorySource(tmp_path / "nope")
+
+    @pytest.mark.parametrize(
+        "stamp",
+        [
+            "yesterday",
+            "",
+            "20240101T000000",
+            "20240101T0000000Z",
+            "2024-01-01T00:00:00Z",
+            "20240101t000000Z",
+            "2024010１T000000Z",  # a non-ASCII digit
+            "+2024010T000000Z",
+            "20241301T000000Z",
+            "20240230T000000Z",
+            "20240101T240000Z",
+        ],
+    )
+    def test_bad_snapshot_filename_is_source_failure(self, tmp_path, stamp):
+        (tmp_path / f"snapshot_{stamp}.txt").write_text("a 1 (null) /x.sh PD g\n")
+        with pytest.raises(SourceFailure, match="^bad snapshot filename snapshot_"):
+            list(ReplayDirectorySource(tmp_path))
+
+    def test_only_snapshot_files_are_read_in_name_order(self, tmp_path):
+        for name in ["snapshot_20240101T000100Z.txt", "snapshot_20240101T000000Z.txt"]:
+            (tmp_path / name).write_text(name)
+        (tmp_path / "notes.txt").write_text("x")
+        (tmp_path / "snapshot_20240101T000200Z.csv").write_text("x")
+        snaps = list(ReplayDirectorySource(tmp_path))
+        assert [s.text for s in snaps] == [
+            "snapshot_20240101T000000Z.txt",
+            "snapshot_20240101T000100Z.txt",
+        ]
+        assert snaps[1].observed_at == datetime(2024, 1, 1, 0, 1, tzinfo=timezone.utc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.datetimes(min_value=datetime(1000, 1, 1), max_value=datetime(9999, 12, 31)))
+    def test_snapshot_stamp_reads_as_strptime_did(self, at):
+        # strptime is the parser slicing replaced.
+        stamp = snapshot_filename(at.replace(microsecond=0, tzinfo=timezone.utc))
+        stamp = stamp[len("snapshot_") : -len(".txt")]
+        expected = datetime.strptime(stamp, "%Y%m%dT%H%M%SZ").replace(tzinfo=timezone.utc)
+        assert parse_basic(stamp) == expected
 
     def test_command_source_uses_injected_runner(self):
         outputs = iter(

@@ -76,12 +76,28 @@ class TestLoadScenario:
         with pytest.raises(ValidationError):
             ScenarioSpec(jobs=(job,)).validate()
 
+    @pytest.mark.parametrize("mark", [":", ",", "?", "+", "(", ")"])
+    def test_job_id_with_dependency_mark_rejected(self, mark):
+        # A dependent of "x:y" would render "afterok:x:y", which names x and y.
+        job_id = f"x{mark}y"
+        jobs = (
+            SimJob(job_id, "a", "g", "/x", 30),
+            SimJob("2", "a", "g", "/x", 30, dependencies=(job_id,)),
+        )
+        with pytest.raises(ValidationError, match="^job x.y: job_id holds one of") as exc_info:
+            ScenarioSpec(jobs=jobs).validate()
+        assert exc_info.value.job_id == job_id
+
     def test_oracle_csvs_quote_commas(self, tmp_path):
-        result = simulate(load_scenario("job a,b account=a group=g cmd=/x dur=30\n"))
-        simulator.write_oracle(result.oracle, tmp_path)
+        # A scenario cannot name a job "a,b", but write_oracle takes any oracle.
+        result = simulate(load_scenario("job ab account=a group=g cmd=/x dur=30\n"))
+        oracle = Oracle(
+            [replace(e, job_id="a,b") for e in result.oracle.events], {"a,b": "case-a,b"}
+        )
+        simulator.write_oracle(oracle, tmp_path)
         with open(tmp_path / "oracle_events.csv", newline="") as fh:
             events = list(csv.reader(fh))[1:]
-        assert len(events) == len(result.oracle.events) == 4
+        assert len(events) == len(oracle.events) == 4
         assert all(len(row) == 4 and row[0] == "a,b" for row in events)
         with open(tmp_path / "true_cases.csv", newline="") as fh:
             assert list(csv.reader(fh))[1:] == [["a,b", "case-a,b"]]

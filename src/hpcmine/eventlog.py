@@ -132,7 +132,8 @@ class CsvEventSink:
     """Streams events to CSV as they are produced, one row per ``append``.
 
     ``header`` must hold a ``"timestamp"`` column. The text of a timestamp
-    is formatted once per distinct instant. The sink remembers only the last
+    is formatted once per distinct instant, keyed with its ``fold`` as
+    ``format_iso``'s cache is. The sink remembers only the last
     instant, which serves the observer's time-ordered stream in constant
     memory; ``write_csv`` keeps every instant of the log it writes.
     """
@@ -144,18 +145,19 @@ class CsvEventSink:
         self._writer.writerow(header)
         self._columns = attrgetter(*(_COLUMNS[name][1] for name in header))
         self._at = header.index("timestamp")
-        self._texts: dict[datetime, str] = {}
+        self._texts: dict[tuple[datetime, int], str] = {}
         self._keep_texts = False
         self.rows = 0
 
     def append(self, event: JobEvent) -> None:
         row = list(self._columns(event))
         stamp = row[self._at]
-        text = self._texts.get(stamp)
+        key = (stamp, stamp.fold)
+        text = self._texts.get(key)
         if text is None:
             if not self._keep_texts:
                 self._texts.clear()
-            text = self._texts[stamp] = format_iso(stamp)
+            text = self._texts[key] = format_iso(stamp)
         row[self._at] = text
         self._writer.writerow(row)
         self.rows += 1

@@ -6,7 +6,9 @@ job with a changed state yields a state-change event; an unchanged job
 yields nothing. Jobs that leave the queue receive a synthetic completion
 event so downstream models get terminal timestamps. ``diff_snapshot`` and
 ``finalize_vanished`` update the ``ObserverState`` in place and return only
-the events they register.
+the events they register. Every event of a round is stamped with the
+snapshot's observation time, which both take as an argument: a parsed row
+carries no time, so an unchanged line can be the same row in every round.
 """
 
 from __future__ import annotations
@@ -82,11 +84,14 @@ class ObserverState:
     active: dict[str, TrackedJob] = field(default_factory=dict)
 
 
-def diff_snapshot(state: ObserverState, rows: list[JobRow]) -> list[JobEvent]:
-    """Register events for one snapshot against the retained state.
+def diff_snapshot(
+    state: ObserverState, rows: list[JobRow], observed_at: datetime
+) -> list[JobEvent]:
+    """Register events for one snapshot, observed at ``observed_at``.
 
-    Updates ``state`` in place and returns the events. An unchanged
-    row costs one lookup and one state comparison, so a call is O(rows).
+    Updates ``state`` in place and returns the events, each stamped with
+    ``observed_at``. An unchanged row costs one lookup and one state
+    comparison, so a call is O(rows).
 
     A creation event carries the job's dependency column as first seen. The
     column is only trustworthy while the job is PENDING, so a job first seen
@@ -113,7 +118,7 @@ def diff_snapshot(state: ObserverState, rows: list[JobRow]) -> list[JobEvent]:
                     row.state,
                     dep_raw,
                     EventKind.CREATED,
-                    row.observed_at,
+                    observed_at,
                 )
             )
         # Known states are shared JobState instances, so identity settles most
@@ -128,7 +133,7 @@ def diff_snapshot(state: ObserverState, rows: list[JobRow]) -> list[JobEvent]:
                     row.state,
                     row.dependency_raw,
                     EventKind.STATE_CHANGED,
-                    row.observed_at,
+                    observed_at,
                 )
             )
             if row.state == COMPLETED:
@@ -347,7 +352,7 @@ def run_observation(
         rows = parse_snapshot(snapshot.text, snapshot.observed_at, errors)
         malformed += len(errors)
         errors.clear()
-        new_events = diff_snapshot(state, rows)
+        new_events = diff_snapshot(state, rows, snapshot.observed_at)
         if synthetic_complete:
             new_events.extend(finalize_vanished(state, rows, snapshot.observed_at))
         for event in new_events:

@@ -5,10 +5,11 @@ job: ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP. The COMMAND column may
 carry arguments (and thus embedded spaces), so the row is parsed
 positionally from both ends.
 
-Between two polls most lines of a queue come back unchanged, so
-``parse_snapshot`` keeps the previous call's good data lines with their
-parsed fields and splits only the lines it has not just seen. What it keeps
-is bounded by one snapshot.
+A row holds only what its line says; the observation time belongs to the
+snapshot. Between two polls most lines of a queue come back unchanged, so
+``parse_snapshot`` keeps the previous call's good data lines with their rows,
+returns the same row for a line it has just seen and splits only the others.
+What it keeps is bounded by one snapshot.
 
 ``parse_dependency_spec`` splits a DEPENDENCY value into clauses, each a
 condition tag and its target job ids. Only the targets are read downstream:
@@ -22,6 +23,8 @@ import re
 from dataclasses import dataclass
 from datetime import datetime
 from typing import NamedTuple
+
+from .timeutil import format_iso
 
 logger = logging.getLogger(__name__)
 
@@ -87,7 +90,8 @@ class DependencySpec:
 class JobRow(NamedTuple):
     """One parsed line of a queue snapshot.
 
-    A row compares equal to a plain tuple of its fields.
+    A row compares equal to a plain tuple of its fields. It carries no
+    observation time, so one row serves every poll that repeats its line.
     """
 
     account: str
@@ -96,7 +100,6 @@ class JobRow(NamedTuple):
     command_path: str
     state: JobState
     group: str
-    observed_at: datetime
 
 
 @dataclass(frozen=True)
@@ -147,12 +150,9 @@ def normalize_command(command_path: str) -> str:
     return name or UNKNOWN_COMMAND
 
 
-# A JobRow's fields other than ``observed_at``.
-_Fields = tuple[str, str, str, str, JobState, str]
-
 # Each good data line of the previous ``parse_snapshot`` call, mapped to its
-# row's fields. Replaced by every call.
-_previous_lines: dict[str, _Fields] = {}
+# row. Replaced by every call.
+_previous_lines: dict[str, JobRow] = {}
 
 
 def parse_snapshot(
@@ -163,42 +163,49 @@ def parse_snapshot(
     """Parse one snapshot into job rows, in file order.
 
     A header line (first token "ACCOUNT") is skipped. Data lines with fewer
-    than 6 columns are reported via ``errors`` (and the module logger) and
-    skipped; parsing continues.
+    than 6 columns are reported via ``errors`` (and the module logger, which
+    names the snapshot by ``observed_at``) and skipped; parsing continues.
 
-    A line that was a good data line of the previous call reuses that call's
-    fields; only new and changed lines are split. A row depends only on its
-    line and ``observed_at``, so interleaving calls for different streams
-    gives the same rows, only more slowly. Header, blank and malformed lines
-    are never kept, so a malformed line is reported every time it appears.
+    A line that was a good data line of the previous call returns that call's
+    row, the same object; only new and changed lines are split. A row depends
+    only on its line, so interleaving calls for different streams gives the
+    same rows, only more slowly. Header, blank and malformed lines are never
+    kept, so a malformed line is reported every time it appears.
     """
     global _previous_lines
     previous = _previous_lines
-    current: dict[str, _Fields] = {}
-    stamp = (observed_at,)
+    current: dict[str, JobRow] = {}
     new_row = tuple.__new__  # skips the Python-level JobRow.__new__
     rows: list[JobRow] = []
     for line_number, line in enumerate(text.splitlines(), start=1):
-        fields = previous.get(line)
-        if fields is None:
+        row = previous.get(line)
+        if row is None:
             tokens = line.split()
             if not tokens or tokens[0] == "ACCOUNT":
                 continue
             if len(tokens) < 6:
                 malformed = MalformedRow(line_number, line)
-                logger.warning("skipping malformed snapshot row %d: %r", line_number, line)
+                logger.warning(
+                    "skipping malformed snapshot row %d of the snapshot at %s: %r",
+                    line_number,
+                    format_iso(observed_at),
+                    line,
+                )
                 if errors is not None:
                     errors.append(malformed)
                 continue
-            fields = (
-                tokens[0],
-                tokens[1],
-                tokens[2],
-                " ".join(tokens[3:-2]),
-                JobState.from_code(tokens[-2]),
-                tokens[-1],
+            row = new_row(
+                JobRow,
+                (
+                    tokens[0],
+                    tokens[1],
+                    tokens[2],
+                    " ".join(tokens[3:-2]),
+                    JobState.from_code(tokens[-2]),
+                    tokens[-1],
+                ),
             )
-        current[line] = fields
-        rows.append(new_row(JobRow, fields + stamp))
+        current[line] = row
+        rows.append(row)
     _previous_lines = current
     return rows

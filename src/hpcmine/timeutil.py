@@ -9,10 +9,16 @@ ISO_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 BASIC_FORMAT = "%Y%m%dT%H%M%SZ"
 
 
+def format_iso(ts: datetime) -> str:
+    return _format_iso(ts, ts.fold)
+
+
 # The oracle writer formats one time per event, and every event of a tick
 # shares it, so a small cache answers most calls. The CSV sink keeps its own memo.
+# The key holds ``fold`` because the two sides of a DST fold compare and hash
+# equal although they are an hour apart.
 @lru_cache(maxsize=64)
-def format_iso(ts: datetime) -> str:
+def _format_iso(ts: datetime, fold: int) -> str:
     return ts.astimezone(timezone.utc).strftime(ISO_FORMAT)
 
 

@@ -3,6 +3,7 @@ import io
 import random
 from datetime import datetime, timedelta, timezone
 from operator import attrgetter
+from zoneinfo import ZoneInfo
 
 import pytest
 from hypothesis import given, settings
@@ -186,6 +187,49 @@ class TestCsvEncodeMatchesPerColumnEncoder:
             sink.append(event)
             assert len(sink._texts) == 1
         assert sink.rows == 20_000
+
+
+class TestDstFold:
+    """The two sides of a DST fold hash and compare equal but are an hour
+    apart; no timestamp cache may give one the other's text."""
+
+    @staticmethod
+    def folded(minute, folds):
+        wall = datetime(2023, 11, 5, 1, minute, tzinfo=ZoneInfo("America/New_York"))
+        return [wall.replace(fold=fold) for fold in folds]
+
+    @staticmethod
+    def utc_text(minute, fold):
+        return f"2023-11-05T{5 + fold:02d}:{minute:02d}:00Z"
+
+    # Each order uses its own minute, so neither finds the other's cache entries.
+    @pytest.mark.parametrize(
+        "folds,minute", [((0, 1), 30), ((1, 0), 40)], ids=["fold0-first", "fold1-first"]
+    )
+    def test_format_iso(self, folds, minute):
+        assert [format_iso(t) for t in self.folded(minute, folds)] == [
+            self.utc_text(minute, fold) for fold in folds
+        ]
+
+    @pytest.mark.parametrize(
+        "folds,minute", [((0, 1), 31), ((1, 0), 41)], ids=["fold0-first", "fold1-first"]
+    )
+    def test_sink_and_write_csv(self, folds, minute):
+        events = [
+            JobEvent("1", "a", "g", "x.sh", RUNNING, "(null)", EventKind.CREATED, t)
+            for t in self.folded(minute, folds + folds)
+        ]
+        expected = [self.utc_text(minute, fold) for fold in folds + folds]
+        buffer = io.StringIO()
+        with CsvEventSink(buffer) as sink:
+            for event in events:
+                sink.append(event)
+        buffer.seek(0)
+        assert [row["timestamp"] for row in csv.DictReader(buffer)] == expected
+        buffer = io.StringIO()
+        write_csv(events, buffer)
+        buffer.seek(0)
+        assert [row["timestamp"] for row in csv.DictReader(buffer)] == expected
 
 
 class TestCsvRoundTrip:

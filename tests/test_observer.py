@@ -1,6 +1,7 @@
 import io
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +21,7 @@ from hpcmine.observer import (
     ReplayDirectorySource,
     Snapshot,
     SourceFailure,
+    TrackedJob,
     diff_snapshot,
     finalize_vanished,
     read_events_csv,
@@ -33,6 +35,7 @@ from hpcmine.snapshots import (
     RUNNING,
     JobRow,
     JobState,
+    MalformedRow,
     normalize_command,
     parse_snapshot,
 )
@@ -41,7 +44,7 @@ from hpcmine.timeutil import parse_basic
 T0 = datetime(2023, 5, 1, 12, 0, 0, tzinfo=timezone.utc)
 
 
-def row(job_id, state, at=T0, dep="(null)", account="a", group="g", cmd="/x/run.sh"):
+def row(job_id, state, dep="(null)", account="a", group="g", cmd="/x/run.sh"):
     return JobRow(
         account=account,
         job_id=job_id,
@@ -49,14 +52,13 @@ def row(job_id, state, at=T0, dep="(null)", account="a", group="g", cmd="/x/run.
         command_path=cmd,
         state=state,
         group=group,
-        observed_at=at,
     )
 
 
 class TestDiffSnapshot:
     def test_new_job_registers_creation(self):
         state = ObserverState()
-        events = diff_snapshot(state, [row("1", PENDING)])
+        events = diff_snapshot(state, [row("1", PENDING)], T0)
         assert [(e.job_id, e.kind, e.state) for e in events] == [
             ("1", EventKind.CREATED, PENDING)
         ]
@@ -64,15 +66,15 @@ class TestDiffSnapshot:
 
     def test_unchanged_state_does_nothing(self):
         state = ObserverState()
-        diff_snapshot(state, [row("1", PENDING)])
-        events = diff_snapshot(state, [row("1", PENDING, at=T0 + timedelta(seconds=30))])
+        diff_snapshot(state, [row("1", PENDING)], T0)
+        events = diff_snapshot(state, [row("1", PENDING)], T0 + timedelta(seconds=30))
         assert events == []
 
     def test_state_change_registers_event(self):
         state = ObserverState()
-        diff_snapshot(state, [row("1", PENDING)])
+        diff_snapshot(state, [row("1", PENDING)], T0)
         t1 = T0 + timedelta(seconds=30)
-        events = diff_snapshot(state, [row("1", RUNNING, at=t1)])
+        events = diff_snapshot(state, [row("1", RUNNING)], t1)
         assert [(e.job_id, e.kind, e.state, e.timestamp) for e in events] == [
             ("1", EventKind.STATE_CHANGED, RUNNING, t1)
         ]
@@ -80,24 +82,24 @@ class TestDiffSnapshot:
     def test_at_most_one_event_per_job_per_snapshot(self):
         rows = [row(str(i), PENDING) for i in range(5)]
         state = ObserverState()
-        events = diff_snapshot(state, rows)
+        events = diff_snapshot(state, rows, T0)
         assert len(events) == 5
         t1 = T0 + timedelta(seconds=30)
-        rows = [row(str(i), RUNNING, at=t1) for i in range(5)]
-        events = diff_snapshot(state, rows)
+        rows = [row(str(i), RUNNING) for i in range(5)]
+        events = diff_snapshot(state, rows, t1)
         assert len(events) == 5
         assert len({e.job_id for e in events}) == 5
 
     def test_first_dependency_captured_once(self):
         state = ObserverState()
-        events = diff_snapshot(state, [row("1", PENDING, dep="afterok:7")])
+        events = diff_snapshot(state, [row("1", PENDING, dep="afterok:7")], T0)
         assert extract_first_dependencies(events)["1"].targets() == ["7"]
         t1 = T0 + timedelta(seconds=30)
-        later = diff_snapshot(state, [row("1", PENDING, at=t1, dep="(null)")])
+        later = diff_snapshot(state, [row("1", PENDING, dep="(null)")], t1)
         assert extract_first_dependencies(events + later)["1"].targets() == ["7"]
 
     def test_late_first_sight_flags_dependency(self):
-        events = diff_snapshot(ObserverState(), [row("1", RUNNING)])
+        events = diff_snapshot(ObserverState(), [row("1", RUNNING)], T0)
         assert events[0].dependency_raw == observer.LATE_DEPENDENCY
         assert extract_first_dependencies(events)["1"].is_empty
 
@@ -105,7 +107,7 @@ class TestDiffSnapshot:
 class TestFinalizeVanished:
     def test_vanished_job_gets_synthetic_completion(self):
         state = ObserverState()
-        diff_snapshot(state, [row("1", COMPLETING)])
+        diff_snapshot(state, [row("1", COMPLETING)], T0)
         t1 = T0 + timedelta(seconds=30)
         events = finalize_vanished(state, [], t1)
         assert [(e.job_id, e.kind, e.state, e.timestamp) for e in events] == [
@@ -119,7 +121,7 @@ class TestFinalizeVanished:
 
     def test_completed_job_not_finalized_twice(self):
         state = ObserverState()
-        diff_snapshot(state, [row("1", COMPLETING)])
+        diff_snapshot(state, [row("1", COMPLETING)], T0)
         finalize_vanished(state, [], T0 + timedelta(seconds=30))
         events = finalize_vanished(state, [], T0 + timedelta(seconds=60))
         assert events == []
@@ -141,21 +143,17 @@ class TestFinalizeVanished:
         state = ObserverState()
 
         def poll(rows, at):
-            events = diff_snapshot(state, rows)
+            events = diff_snapshot(state, rows, at)
             vanished = finalize_vanished(state, rows, at)
             return [(e.job_id, e.kind, e.state) for e in events + vanished]
 
-        poll([row(i, PENDING, at=t[0]) for i in "123"], t[0])
-        assert poll([row(i, PENDING, at=t[1]) for i in "23"], t[1]) == [
+        poll([row(i, PENDING) for i in "123"], t[0])
+        assert poll([row(i, PENDING) for i in "23"], t[1]) == [
             ("1", EventKind.SYNTHETIC_COMPLETED, COMPLETED)
         ]
         assert "1" not in state.active
         # A stale row brings job 1 back after jobs 2 and 3 in ``active``.
-        stale = [
-            row("2", PENDING, at=t[2]),
-            row("1", RUNNING, at=t[2]),
-            row("3", PENDING, at=t[2]),
-        ]
+        stale = [row("2", PENDING), row("1", RUNNING), row("3", PENDING)]
         assert poll(stale, t[2]) == [("1", EventKind.STATE_CHANGED, RUNNING)]
         assert list(state.active) == ["2", "3", "1"]
         assert poll([], t[3]) == [
@@ -167,10 +165,10 @@ class TestFinalizeVanished:
     def test_completed_row_leaves_active(self):
         rows = [row("1", RUNNING), row("2", RUNNING)]
         state = ObserverState()
-        diff_snapshot(state, rows)
+        diff_snapshot(state, rows, T0)
         t1 = T0 + timedelta(seconds=30)
-        rows = [row("1", COMPLETED, at=t1), row("2", RUNNING, at=t1)]
-        events = diff_snapshot(state, rows)
+        rows = [row("1", COMPLETED), row("2", RUNNING)]
+        events = diff_snapshot(state, rows, t1)
         assert [(e.job_id, e.state) for e in events] == [("1", COMPLETED)]
         assert list(state.active) == ["2"]
         vanished = finalize_vanished(state, [], t1 + timedelta(seconds=30))
@@ -178,7 +176,7 @@ class TestFinalizeVanished:
 
     def test_state_updated_in_place(self):
         state = ObserverState()
-        diff_snapshot(state, [row("1", PENDING)])
+        diff_snapshot(state, [row("1", PENDING)], T0)
         assert state.jobs["1"].state == PENDING
         finalize_vanished(state, [], T0 + timedelta(seconds=30))
         assert state.jobs["1"].state == COMPLETED
@@ -198,7 +196,7 @@ class _ReferenceJob:
     last_seen_at: datetime
 
 
-def _reference_diff(jobs, rows):
+def _reference_diff(jobs, rows, observed_at):
     events = []
     jobs = dict(jobs)
     for r in rows:
@@ -207,12 +205,12 @@ def _reference_diff(jobs, rows):
             activity = normalize_command(r.command_path)
             dep_raw = r.dependency_raw if r.state == PENDING else observer.LATE_DEPENDENCY
             jobs[r.job_id] = _ReferenceJob(
-                r.state, r.account, r.group, activity, r.observed_at, r.observed_at
+                r.state, r.account, r.group, activity, observed_at, observed_at
             )
             events.append(
                 JobEvent(
                     r.job_id, r.account, r.group, activity, r.state, dep_raw,
-                    EventKind.CREATED, r.observed_at,
+                    EventKind.CREATED, observed_at,
                 )
             )
         else:
@@ -220,10 +218,10 @@ def _reference_diff(jobs, rows):
                 events.append(
                     JobEvent(
                         r.job_id, r.account, r.group, tracked.activity, r.state,
-                        r.dependency_raw, EventKind.STATE_CHANGED, r.observed_at,
+                        r.dependency_raw, EventKind.STATE_CHANGED, observed_at,
                     )
                 )
-            jobs[r.job_id] = replace(tracked, state=r.state, last_seen_at=r.observed_at)
+            jobs[r.job_id] = replace(tracked, state=r.state, last_seen_at=observed_at)
     return events, jobs
 
 
@@ -281,11 +279,11 @@ class TestInPlaceMatchesReference:
         for i, snapshot in enumerate(stream):
             at = T0 + timedelta(seconds=30 * i)
             rows = [
-                row(job_id, JobState.from_code(code), at=at, dep=dep, account=account)
+                row(job_id, JobState.from_code(code), dep=dep, account=account)
                 for job_id, code, account, dep in snapshot
             ]
-            events = diff_snapshot(state, rows)
-            expected, reference = _reference_diff(reference, rows)
+            events = diff_snapshot(state, rows, at)
+            expected, reference = _reference_diff(reference, rows, at)
             if synthetic_complete:
                 events += finalize_vanished(state, rows, at)
                 vanished, reference = _reference_finalize(reference, rows, at)
@@ -297,6 +295,171 @@ class TestInPlaceMatchesReference:
                 j for j, tracked in state.jobs.items() if tracked.state != COMPLETED
             }
             assert all(state.active[j] is state.jobs[j] for j in state.active)
+
+
+# The parse, diff and vanish steps as they were while each row carried its
+# observation time, and the loop that drove them: the reference the whole
+# observation must match.
+
+
+class _TimedRow(NamedTuple):
+    account: str
+    job_id: str
+    dependency_raw: str
+    command_path: str
+    state: JobState
+    group: str
+    observed_at: datetime
+
+
+def _timed_parse(text, observed_at, errors, previous):
+    """Rows of ``text`` and the good lines to reuse in the next call."""
+    current = {}
+    rows = []
+    for line_number, line in enumerate(text.splitlines(), start=1):
+        fields = previous.get(line)
+        if fields is None:
+            tokens = line.split()
+            if not tokens or tokens[0] == "ACCOUNT":
+                continue
+            if len(tokens) < 6:
+                errors.append(MalformedRow(line_number, line))
+                continue
+            fields = (
+                tokens[0],
+                tokens[1],
+                tokens[2],
+                " ".join(tokens[3:-2]),
+                JobState.from_code(tokens[-2]),
+                tokens[-1],
+            )
+        current[line] = fields
+        rows.append(_TimedRow(*fields, observed_at))
+    return rows, current
+
+
+def _timed_diff(state, rows):
+    events = []
+    for r in rows:
+        tracked = state.jobs.get(r.job_id)
+        if tracked is None:
+            activity = normalize_command(r.command_path)
+            dep_raw = r.dependency_raw if r.state == PENDING else observer.LATE_DEPENDENCY
+            tracked = TrackedJob(r.state, r.account, r.group, activity, len(state.jobs))
+            state.jobs[r.job_id] = tracked
+            if r.state != COMPLETED:
+                state.active[r.job_id] = tracked
+            events.append(
+                JobEvent(
+                    r.job_id, r.account, r.group, activity, r.state, dep_raw,
+                    EventKind.CREATED, r.observed_at,
+                )
+            )
+        elif tracked.state != r.state:
+            events.append(
+                JobEvent(
+                    r.job_id, r.account, r.group, tracked.activity, r.state,
+                    r.dependency_raw, EventKind.STATE_CHANGED, r.observed_at,
+                )
+            )
+            if r.state == COMPLETED:
+                del state.active[r.job_id]
+            elif tracked.state == COMPLETED:
+                state.active[r.job_id] = tracked
+            tracked.state = r.state
+    return events
+
+
+def _timed_finalize(state, rows, observed_at):
+    present = {r.job_id for r in rows}
+    vanished = [(j, t) for j, t in state.active.items() if j not in present]
+    vanished.sort(key=lambda item: item[1].first_seen)
+    events = []
+    for job_id, tracked in vanished:
+        events.append(
+            JobEvent(
+                job_id, tracked.account, tracked.group, tracked.activity, COMPLETED,
+                "(null)", EventKind.SYNTHETIC_COMPLETED, observed_at,
+            )
+        )
+        tracked.state = COMPLETED
+        del state.active[job_id]
+    return events
+
+
+def _timed_observation(snapshots, synthetic_complete):
+    """The events and the malformed-line count of one observation."""
+    state = ObserverState()
+    events, errors, previous = [], [], {}
+    for snapshot in snapshots:
+        rows, previous = _timed_parse(snapshot.text, snapshot.observed_at, errors, previous)
+        events += _timed_diff(state, rows)
+        if synthetic_complete:
+            events += _timed_finalize(state, rows, snapshot.observed_at)
+    return events, len(errors)
+
+
+# Lines for jobs 1-3: each in several states, one with its dependency changed
+# in place, one re-spaced (another line, the same fields); and noise lines.
+_POOL = [
+    f"a {job_id} {dep} /x/{job_id}.sh --n 2 {code} g"
+    for job_id in "123"
+    for dep, code in [
+        ("(null)", "PD"), ("(null)", "R"), ("(null)", "CG"), ("(null)", "CD"),
+        ("(null)", "F"), ("afterok:1", "PD"),
+    ]
+] + [
+    "a  1 (null)\t/x/1.sh --n 2 PD g",
+    "ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP",
+    "",
+    "   ",
+    "a 9 PD g",
+    "broken line",
+]
+
+
+@st.composite
+def _snapshot_streams(draw):
+    """Snapshots drawn from a few pool lines, so consecutive ones overlap."""
+    lines = draw(st.lists(st.sampled_from(_POOL), min_size=1, max_size=6))
+    texts = draw(st.lists(st.lists(st.sampled_from(lines), max_size=8), max_size=10))
+    gaps = draw(st.lists(st.sampled_from([0, 30, 45]), min_size=len(texts), max_size=len(texts)))
+    at = T0
+    stream = []
+    for text, gap in zip(texts, gaps):
+        at += timedelta(seconds=gap)
+        stream.append(Snapshot(at, "\n".join(text)))
+    return stream
+
+
+def _crafted_observation():
+    job1, job2 = "a 1 (null) /x.sh PD g", "a 2 afterok:1 /y.sh PD g"
+    texts = [
+        ["ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP", job1, job2, "", "broken line"],
+        [job1, job2],  # unchanged
+        [job1.replace("PD", "R"), job2, job2],  # changed in place; a duplicate
+        [job1.replace("PD", "R"), job1.replace("PD", "CG")],  # one id, two states
+        [],  # both vanish
+        [job2],  # a stale row reopens job 2
+        [job2, "a 9 PD g"],
+    ]
+    return [
+        Snapshot(T0 + timedelta(seconds=30 * i), "\n".join(text))
+        for i, text in enumerate(texts)
+    ]
+
+
+class TestObservationMatchesTimedRows:
+    @settings(max_examples=300, deadline=None)
+    @given(_snapshot_streams(), st.booleans())
+    @example(_crafted_observation(), True)
+    def test_same_events_and_malformed_count(self, stream, synthetic_complete):
+        sink = ListSink()
+        summary = run_observation(stream, sink, synthetic_complete=synthetic_complete)
+        events, malformed = _timed_observation(stream, synthetic_complete)
+        assert sink.events == events
+        assert summary.malformed == malformed
+        assert (summary.snapshots, summary.events) == (len(stream), len(events))
 
 
 class TestRunObservation:
@@ -367,6 +530,20 @@ class TestRunObservation:
             passes.append((sink.events, summary.snapshots, summary.malformed))
         assert passes[0] == passes[1]
         assert passes[0][2] == 1
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_changed_line_takes_its_polls_time(self, k):
+        # The line is reused unchanged for k polls; its change is stamped
+        # with the poll that shows it, not with the poll that first saw it.
+        at = [T0 + timedelta(seconds=30 * i) for i in range(k + 1)]
+        snaps = [Snapshot(t, "a 1 (null) /x.sh PD g") for t in at[:k]]
+        snaps.append(Snapshot(at[k], "a 1 (null) /x.sh R g"))
+        sink = ListSink()
+        run_observation(snaps, sink)
+        assert [(e.kind, e.timestamp) for e in sink.events] == [
+            (EventKind.CREATED, at[0]),
+            (EventKind.STATE_CHANGED, at[k]),
+        ]
 
     def test_first_dependency_survives_mutated_replay(self):
         # Later snapshots lie about the dependency; the first view wins.

@@ -5,13 +5,15 @@ through the library's public functions, and ``perfbench/poll.py`` replays a
 snapshot directory through ``observer.run_observation``. Each bundled
 scenario goes through both, and what they write must equal the committed
 goldens under ``tests/golden/`` byte for byte, so a change to the library
-that breaks the benchmark fails here.
+that breaks the benchmark fails here. The traced mirror must also count every
+good snapshot row and span each snapshot's parse, diff and vanish step once.
 """
 
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,6 +46,15 @@ def perfbench_script(script: str, *args) -> subprocess.CompletedProcess:
     return done
 
 
+def good_data_lines(text: str) -> int:
+    """Lines with at least six columns that are not the header."""
+    return sum(
+        1
+        for line in text.splitlines()
+        if len(tokens := line.split()) >= 6 and tokens[0] != "ACCOUNT"
+    )
+
+
 @pytest.fixture(scope="module", params=SCENARIOS)
 def replay(request, tmp_path_factory):
     out = tmp_path_factory.mktemp(request.param)
@@ -60,7 +71,15 @@ def test_traced_pipeline(replay, strategy, tmp_path):
     )
     files = {artifact: (out / artifact).read_bytes() for artifact in ARTIFACTS}
     assert_golden(GOLDEN / name / strategy, {**files, "stdout.txt": done.stdout})
-    assert json.loads((tmp_path / "spans.json").read_text())["spans"]
+    trace = json.loads((tmp_path / "spans.json").read_text())
+    # The mirror counts rows and spans the per-snapshot steps by wrapping the
+    # functions ``run_observation`` looks up in ``hpcmine.observer``; a loop
+    # that bypasses those lookups leaves these short.
+    texts = [path.read_text() for path in snapshots.iterdir()]
+    assert trace["counters"]["snapshots.rows"] == sum(map(good_data_lines, texts))
+    spans = Counter(span[0] for span in trace["spans"])
+    for step in ("snapshots.parse", "observer.diff", "observer.vanish"):
+        assert spans[step] == len(texts), step
 
 
 def test_traced_simulate(replay, tmp_path):

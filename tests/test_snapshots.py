@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hpcmine import simulator, snapshots
+from hpcmine import observer, simulator, snapshots
 from hpcmine.snapshots import (
     COMPLETED,
     COMPLETING,
@@ -54,7 +54,8 @@ class TestParseSnapshot:
         assert row.command_path == "/home/u/merge.sh"
         assert row.state == PENDING
         assert row.group == "proj9"
-        assert row.observed_at == T0
+        # The observation time belongs to the snapshot: the row is its six fields.
+        assert row == ("acc1", "4", "afterok:2:3", "/home/u/merge.sh", PENDING, "proj9")
 
     def test_empty_text(self):
         assert parse_snapshot("", T0) == []
@@ -76,6 +77,14 @@ class TestParseSnapshot:
         rows = parse_snapshot(text, T0, errors=errors)
         assert [r.job_id for r in rows] == ["1", "2"]
         assert errors == [MalformedRow(2, "broken line")]
+
+    def test_malformed_row_warning_names_its_snapshot(self, caplog):
+        with caplog.at_level("WARNING", logger="hpcmine.snapshots"):
+            parse_snapshot("a 1 (null) /x.sh R g\nbroken line", T0, [])
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipping malformed snapshot row 2 of the snapshot at "
+            "2022-12-07T11:51:45Z: 'broken line'"
+        ]
 
     def test_order_preserved(self):
         text = "\n".join(f"a {i} (null) /x.sh PD g" for i in range(20))
@@ -106,7 +115,9 @@ class TestParseSnapshot:
 
 
 # The frozen-dataclass row and parser as they were before ``JobRow`` became a
-# named tuple, kept as the reference the current parser must match.
+# named tuple, kept as the reference the current parser must match. A
+# reference row still carries the observation time, which a ``JobRow`` leaves
+# to its snapshot.
 @dataclass(frozen=True)
 class _ReferenceRow:
     account: str
@@ -184,7 +195,7 @@ def _assert_parses_as_reference(text, observed_at):
     errors, expected_errors = [], []
     rows = parse_snapshot(text, observed_at, errors)
     expected = _reference_parse(text, observed_at, expected_errors)
-    assert [tuple(r) for r in rows] == [
+    assert [tuple(r) + (observed_at,) for r in rows] == [
         tuple(getattr(r, f.name) for f in fields(r)) for r in expected
     ]
     assert errors == expected_errors
@@ -247,8 +258,10 @@ class TestParserMatchesReference:
     @given(_snapshot_runs())
     def test_keeps_only_the_last_calls_good_lines(self, runs):
         for text in runs[0]:
-            parse_snapshot(text, T0)
-            assert snapshots._previous_lines == _kept_lines(text)
+            rows = parse_snapshot(text, T0)
+            kept = snapshots._previous_lines
+            assert {line: tuple(row) for line, row in kept.items()} == _kept_lines(text)
+            assert {id(row) for row in kept.values()} <= {id(row) for row in rows}
 
     def test_malformed_line_reported_at_each_appearance(self):
         job = "a 1 (null) /x.sh PD g"
@@ -261,13 +274,27 @@ class TestParserMatchesReference:
         assert [row.job_id for row in rows] == ["1"]
 
     def test_unchanged_line_gets_the_new_time(self):
+        # The time comes with the snapshot: the reused row's event takes it.
         t1 = T0 + timedelta(seconds=30)
         parse_snapshot("a 1 (null) /x.sh PD g", T0)
         (row,) = parse_snapshot("a 1 (null) /x.sh PD g", t1)
-        assert row == ("a", "1", "(null)", "/x.sh", PENDING, "g", t1)
+        assert row == ("a", "1", "(null)", "/x.sh", PENDING, "g")
+        (event,) = observer.diff_snapshot(observer.ObserverState(), [row], t1)
+        assert event.timestamp == t1
+
+    def test_unchanged_line_returns_the_same_row(self):
+        line = "a 1 afterok:7 /opt/run.sh --n 5 R g"
+        (first,) = parse_snapshot(line, T0)
+        rows = parse_snapshot(f"a 2 (null) /y.sh PD g\n{line}", T0 + timedelta(seconds=30))
+        assert rows[1] is first
+        (changed,) = parse_snapshot(line.replace(" R ", " CG "), T0 + timedelta(seconds=60))
+        assert changed is not first
+        assert changed == first._replace(state=COMPLETING)
 
     def test_same_field_names_in_same_order(self):
-        assert JobRow._fields == tuple(f.name for f in fields(_ReferenceRow))
+        assert JobRow._fields + ("observed_at",) == tuple(
+            f.name for f in fields(_ReferenceRow)
+        )
 
     def test_known_codes_parse_to_shared_instances(self):
         text = "\n".join(
@@ -285,9 +312,8 @@ class TestParserMatchesReference:
             command_path="/x.sh",
             state=PENDING,
             group="g",
-            observed_at=T0,
         )
-        assert row == ("a", "1", "(null)", "/x.sh", PENDING, "g", T0)
+        assert row == ("a", "1", "(null)", "/x.sh", PENDING, "g")
         with pytest.raises(AttributeError):
             row.state = RUNNING
 

@@ -9,7 +9,6 @@ memory. Both routes run the same stage functions and write the same files.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import replace
@@ -104,12 +103,13 @@ def _discover(args, log: eventlog.CaseLog, output, stats_out) -> None:
         sys.stdout.write(dot)
     if stats_out:
         with open(stats_out, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["from", "to", "frequency", "mean_seconds", "median_seconds"])
+            header = ["from", "to", "frequency", "mean_seconds", "median_seconds"]
+            fh.write(eventlog.csv_line(header))
             for (a, b), stats in sorted(dfg.edges.items()):
                 if stats.frequency < args.min_edge_freq:
                     continue
-                writer.writerow([a, b, stats.frequency, f"{stats.mean:.1f}", f"{stats.median:.1f}"])
+                row = [a, b, str(stats.frequency), f"{stats.mean:.1f}", f"{stats.median:.1f}"]
+                fh.write(eventlog.csv_line(row))
 
 
 def _stats(log: eventlog.CaseLog) -> None:

@@ -4,6 +4,9 @@ One record, ``JobEvent``, flows through the whole pipeline: the observer
 emits it with an empty ``case_id`` and correlation fills the case in. It is
 a ``NamedTuple``, so building and copying one costs what a tuple costs. The
 raw events file and the case log are two column layouts of one CSV codec.
+
+The codec has one encoder, ``csv_line``, which every CSV file the package
+writes goes through, and one reader, ``csv.reader``, behind ``read_csv``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .snapshots import DependencySpec, JobState, parse_dependency_spec
 from .timeutil import format_iso, parse_iso
@@ -50,6 +53,30 @@ def with_case(event: JobEvent, case_id: str) -> JobEvent:
     Python; ``case_id`` is the last field of ``JobEvent``.
     """
     return tuple.__new__(JobEvent, event[:-1] + (case_id,))
+
+
+def _quoted(field: str) -> str:
+    if "," in field or '"' in field or "\n" in field or "\r" in field:
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
+def csv_line(fields: Sequence[str]) -> str:
+    """Encode one CSV row as a line ending in ``\\n``.
+
+    A field holding a comma, a quote, CR or LF is quoted and its quotes are
+    doubled; a row whose only field is empty is ``""``. These are the bytes
+    ``csv.writer(lineterminator="\\n")`` writes on Python 3.13 (3.10-3.12
+    leave a CR unquoted, and 3.10 refuses a NUL), and ``csv.reader`` reads
+    them back. A row that needs no quoting costs one join.
+    """
+    line = ",".join(fields)
+    # More commas than separators means a field holds one.
+    if line.count(",") >= len(fields) or '"' in line or "\n" in line or "\r" in line:
+        line = ",".join(map(_quoted, fields))
+    elif not line:
+        return '""\n'
+    return line + "\n"
 
 
 # CSV column -> (JobEvent field, attribute path of its text, decode). Every
@@ -111,6 +138,12 @@ class BadTimestamp(EventLogError):
         self.value = value
 
 
+class MalformedCsv(EventLogError):
+    def __init__(self, row_number: int, reason: str) -> None:
+        super().__init__(f"malformed CSV in row {row_number}: {reason}")
+        self.row_number = row_number
+
+
 @dataclass
 class CaseLog:
     events: list[JobEvent]
@@ -141,8 +174,8 @@ class CsvEventSink:
     def __init__(self, destination, header: list[str] = EVENTS_CSV_HEADER) -> None:
         self._own = isinstance(destination, (str, Path))
         self._fh = open(destination, "w", newline="") if self._own else destination
-        self._writer = csv.writer(self._fh, lineterminator="\n")
-        self._writer.writerow(header)
+        self._write = self._fh.write
+        self._write(csv_line(header))
         self._columns = attrgetter(*(_COLUMNS[name][1] for name in header))
         self._at = header.index("timestamp")
         self._texts: dict[tuple[datetime, int], str] = {}
@@ -159,7 +192,7 @@ class CsvEventSink:
                 self._texts.clear()
             text = self._texts[key] = format_iso(stamp)
         row[self._at] = text
-        self._writer.writerow(row)
+        self._write(csv_line(row))
         self.rows += 1
 
     def close(self) -> None:
@@ -201,13 +234,15 @@ def read_csv(source, header: list[str] = CSV_HEADER) -> CaseLog:
     )
     own = isinstance(source, (str, Path))
     fh = open(source, newline="") if own else source
+    # The last row read whole; a csv.Error names the row after it.
+    row_number = 0
     try:
-        reader = csv.reader(fh)
-        found = next(reader, None)
+        rows = enumerate(csv.reader(fh), start=1)
+        row_number, found = next(rows, (1, None))
         if found != header:
             raise SchemaMismatch(found)
         events = []
-        for row_number, row in enumerate(reader, start=2):
+        for row_number, row in rows:
             if len(row) != len(header):
                 raise SchemaMismatch(row)
             for i, name, decode, memo in decoded:
@@ -223,6 +258,8 @@ def read_csv(source, header: list[str] = CSV_HEADER) -> CaseLog:
                 row[i] = value
             events.append(JobEvent(*in_field_order(row)))
         return CaseLog(events)
+    except csv.Error as exc:
+        raise MalformedCsv(row_number + 1, str(exc)) from None
     finally:
         if own:
             fh.close()

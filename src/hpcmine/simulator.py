@@ -27,7 +27,6 @@ previous snapshot. No per-tick loop visits every job of the scenario.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 import random
@@ -39,7 +38,7 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .correlation import cyclic_jobs, find_root
-from .eventlog import EventKind
+from .eventlog import EventKind, csv_line
 from .observer import snapshot_filename
 from .snapshots import COMPLETED, COMPLETING, PENDING, RUNNING, JobState
 from .timeutil import format_iso
@@ -323,15 +322,14 @@ def write_oracle(oracle: Oracle, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     with open(directory / "oracle_events.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["job_id", "event_kind", "state", "timestamp"])
-        writer.writerows(
-            [e.job_id, e.kind.value, e.state.code, format_iso(e.at)] for e in oracle.events
+        fh.write(csv_line(["job_id", "event_kind", "state", "timestamp"]))
+        fh.writelines(
+            csv_line([e.job_id, e.kind.value, e.state.code, format_iso(e.at)])
+            for e in oracle.events
         )
     with open(directory / "true_cases.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["job_id", "case_label"])
-        writer.writerows(sorted(oracle.true_cases.items()))
+        fh.write(csv_line(["job_id", "case_label"]))
+        fh.writelines(map(csv_line, sorted(oracle.true_cases.items())))
 
 
 # --- scenario file format -------------------------------------------------

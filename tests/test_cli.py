@@ -3,7 +3,7 @@ import csv
 import pytest
 
 from hpcmine.cli import main
-from hpcmine.eventlog import CsvEventSink
+from hpcmine.eventlog import CSV_HEADER, CsvEventSink
 from test_correlation import event
 
 
@@ -173,6 +173,16 @@ class TestStats:
         out = capsys.readouterr().out
         assert " 8" in out
         assert "100.00%" in out
+
+    def test_oversized_field_is_an_error(self, tmp_path, capsys):
+        # csv.reader refuses a field past its 131,072-character limit.
+        cases = tmp_path / "cases.csv"
+        row = "c,{},PD,created,2024-01-01T00:00:00Z,1,acc,g,(null)\n"
+        cases.write_text(",".join(CSV_HEADER) + "\n" + row.format("a.sh") + row.format("x" * 131_073))
+        assert main(["stats", str(cases)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed CSV in row 3: field larger than field limit")
+        assert "Traceback" not in err
 
 
 class TestPipeline:

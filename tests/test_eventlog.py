@@ -6,7 +6,7 @@ from operator import attrgetter
 from zoneinfo import ZoneInfo
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_case_log, replay_events
@@ -28,8 +28,10 @@ from hpcmine.eventlog import (
     SchemaMismatch,
     CsvEventSink,
     compute_stats,
+    csv_line,
     first_dependencies_from_log,
     read_csv,
+    read_events_csv,
     render_stats,
     with_case,
     write_csv,
@@ -103,15 +105,21 @@ _REFERENCE_ENCODERS = {
 }
 
 
-def _reference_csv_text(events, header):
+def _reference_csv_line(fields):
+    # With a CRLF terminator, csv.writer quotes a field holding CR or LF on
+    # every supported Python; with "\n" it leaves CR bare before 3.13.
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
+    csv.writer(buffer, lineterminator="\r\n").writerow(fields)
+    line = buffer.getvalue()
+    assert line.endswith("\r\n")
+    return line[:-2] + "\n"
+
+
+def _reference_csv_text(events, header):
     values = attrgetter(*(_REFERENCE_ENCODERS[name][0] for name in header))
     encoders = [_REFERENCE_ENCODERS[name][1] for name in header]
-    for event in events:
-        writer.writerow([encode(v) for encode, v in zip(encoders, values(event))])
-    return buffer.getvalue()
+    rows = [[encode(v) for encode, v in zip(encoders, values(event))] for event in events]
+    return "".join(map(_reference_csv_line, [header] + rows))
 
 
 _ZONES = [
@@ -159,6 +167,26 @@ def _hostile_events(draw):
         case_id=text,
     )
     return draw(st.lists(event, max_size=20))
+
+
+class TestCsvLine:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(
+            st.text(',"\r\n \tab\x0b\x0c\x1c\x85\u00a0\u2028\U0001f600', max_size=5),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    @example([""])
+    @example(["", ""])
+    @example(["a,b"])
+    @example(["a\rb", "c"])
+    @example(['say "hi"'])
+    def test_matches_crlf_reference(self, fields):
+        line = csv_line(fields)
+        assert line == _reference_csv_line(fields)
+        assert list(csv.reader(io.StringIO(line, newline=""))) == [fields]
 
 
 class TestCsvEncodeMatchesPerColumnEncoder:
@@ -299,6 +327,52 @@ class TestCsvRoundTrip:
         with pytest.raises(BadTimestamp) as exc_info:
             read_csv(buffer)
         assert exc_info.value.row_number == 2
+
+
+_HOSTILE_TEXT = st.text(',"\n\r \tab1\x0b\x85\u00e9\u4e2d\U0001f600', max_size=6)
+
+
+def _round_trip_events(case_id):
+    """Hostile events that survive the codec exactly: whole-second UTC
+    times, and states that ``JobState.from_code`` gives back unchanged."""
+    return st.lists(
+        st.builds(
+            JobEvent,
+            job_id=_HOSTILE_TEXT,
+            account=_HOSTILE_TEXT,
+            group=_HOSTILE_TEXT,
+            activity=_HOSTILE_TEXT,
+            state=st.builds(JobState.from_code, _HOSTILE_TEXT),
+            dependency_raw=_HOSTILE_TEXT,
+            kind=st.sampled_from(EventKind),
+            timestamp=st.datetimes(
+                min_value=datetime(1971, 1, 1),
+                max_value=datetime(2100, 1, 1),
+                timezones=st.just(timezone.utc),
+            ).map(lambda at: at.replace(microsecond=0)),
+            case_id=case_id,
+        ),
+        max_size=20,
+    )
+
+
+class TestHostileEventsRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(_round_trip_events(_HOSTILE_TEXT))
+    def test_case_log(self, events):
+        rows, back = roundtrip(events)
+        assert rows == len(events)
+        assert back.events == events
+
+    @settings(max_examples=200, deadline=None)
+    @given(_round_trip_events(st.just("")))
+    def test_events_file(self, events):
+        buffer = io.StringIO()
+        with CsvEventSink(buffer) as sink:
+            for event in events:
+                sink.append(event)
+        buffer.seek(0)
+        assert read_events_csv(buffer) == events
 
 
 def _reference_read_csv(source, header=CSV_HEADER):

@@ -26,3 +26,21 @@ def test_runtime_imports_only_the_standard_library():
                 if name.split(".")[0] not in allowed
             ]
     assert foreign == []
+
+
+def test_no_module_calls_csv_writer():
+    # Every CSV file the package writes goes through eventlog.csv_line.
+    writers = {"writer", "DictWriter"}
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "csv":
+                calls += [f"{path.name}: from csv import {a.name}" for a in node.names if a.name in writers]
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in writers
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "csv"
+            ):
+                calls.append(f"{path.name}:{node.lineno}: csv.{node.attr}")
+    assert calls == []

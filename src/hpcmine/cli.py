@@ -30,8 +30,7 @@ def _warn(message: str) -> None:
 def _make_source(args) -> observer.SnapshotSource:
     if args.replay is not None:
         return observer.ReplayDirectorySource(args.replay)
-    command = os.environ.get(SQUEUE_CMD_ENV) or args.squeue_cmd
-    return observer.CommandSource(command=command, interval=args.interval)
+    return observer.CommandSource(command=args.squeue_cmd, interval=args.interval)
 
 
 class _KeepingSink:
@@ -210,7 +209,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("observe", help="extract raw job events from snapshots")
+    # Stage options, shared by each stage's command and ``pipeline``.
+    observe_opts = argparse.ArgumentParser(add_help=False)
+    observe_opts.add_argument(
+        "--no-synthetic-complete", action="store_true",
+        help="do not emit completion events for jobs that leave the queue",
+    )
+    correlate_opts = argparse.ArgumentParser(add_help=False)
+    correlate_opts.add_argument("--strategy", choices=["explicit", "implicit"], default="explicit")
+    correlate_opts.add_argument("--hash-case-ids", action="store_true")
+    discover_opts = argparse.ArgumentParser(add_help=False)
+    discover_opts.add_argument(
+        "--milestone", choices=sorted(discovery.MILESTONES), default="running"
+    )
+    discover_opts.add_argument(
+        "--edge-duration", choices=[m.value for m in discovery.DurationMode],
+        default=discovery.DurationMode.START_START.value,
+    )
+    discover_opts.add_argument("--min-edge-freq", type=int, default=1)
+    discover_opts.add_argument("--account", help="restrict to one account")
+
+    p = sub.add_parser(
+        "observe", parents=[observe_opts], help="extract raw job events from snapshots"
+    )
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--replay", metavar="DIR", help="replay a snapshot directory")
     mode.add_argument("--live", action="store_true", help="poll the scheduler command")
@@ -219,32 +240,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="polling interval in seconds (live mode)",
     )
     p.add_argument(
-        "--no-synthetic-complete", action="store_true",
-        help="do not emit completion events for jobs that leave the queue",
-    )
-    p.add_argument(
-        "--squeue-cmd", default=observer.DEFAULT_SQUEUE_COMMAND,
-        help=f"live polling command (also via ${SQUEUE_CMD_ENV})",
+        "--squeue-cmd",
+        default=os.environ.get(SQUEUE_CMD_ENV) or observer.DEFAULT_SQUEUE_COMMAND,
+        help=f"live polling command (default: ${SQUEUE_CMD_ENV} if set, else squeue)",
     )
     p.add_argument("-o", "--output", default="events.csv", help="raw events CSV path")
     p.set_defaults(func=cmd_observe)
 
-    p = sub.add_parser("correlate", help="assign case ids to raw events")
+    p = sub.add_parser("correlate", parents=[correlate_opts], help="assign case ids to raw events")
     p.add_argument("events_csv", help="raw events CSV from observe")
-    p.add_argument("--strategy", choices=["explicit", "implicit"], default="explicit")
-    p.add_argument("--hash-case-ids", action="store_true")
     p.add_argument("-o", "--output", default="cases.csv", help="case log CSV path")
     p.set_defaults(func=cmd_correlate)
 
-    p = sub.add_parser("discover", help="discover an annotated directly-follows model")
-    p.add_argument("cases_csv", help="case log CSV from correlate")
-    p.add_argument("--milestone", choices=sorted(discovery.MILESTONES), default="running")
-    p.add_argument(
-        "--edge-duration", choices=[m.value for m in discovery.DurationMode],
-        default=discovery.DurationMode.START_START.value,
+    p = sub.add_parser(
+        "discover", parents=[discover_opts],
+        help="discover an annotated directly-follows model",
     )
-    p.add_argument("--min-edge-freq", type=int, default=1)
-    p.add_argument("--account", help="restrict to one account")
+    p.add_argument("cases_csv", help="case log CSV from correlate")
     p.add_argument("-o", "--output", help="DOT output path (default: stdout)")
     p.add_argument("--stats-out", help="also write per-edge statistics CSV")
     p.set_defaults(func=cmd_discover)
@@ -259,18 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default="sim_out", help="output directory")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("pipeline", help="observe + correlate + discover + stats")
-    p.add_argument("--replay", metavar="DIR", required=True)
-    p.add_argument("--no-synthetic-complete", action="store_true")
-    p.add_argument("--strategy", choices=["explicit", "implicit"], default="explicit")
-    p.add_argument("--hash-case-ids", action="store_true")
-    p.add_argument("--milestone", choices=sorted(discovery.MILESTONES), default="running")
-    p.add_argument(
-        "--edge-duration", choices=[m.value for m in discovery.DurationMode],
-        default=discovery.DurationMode.START_START.value,
+    p = sub.add_parser(
+        "pipeline", parents=[observe_opts, correlate_opts, discover_opts],
+        help="observe + correlate + discover + stats",
     )
-    p.add_argument("--min-edge-freq", type=int, default=1)
-    p.add_argument("--account")
+    p.add_argument("--replay", metavar="DIR", required=True)
     p.add_argument("-o", "--output", default="pipeline_out", help="output directory")
     p.set_defaults(func=cmd_pipeline)
 

@@ -165,10 +165,10 @@ class CsvEventSink:
     """Streams events to CSV as they are produced, one row per ``append``.
 
     ``header`` must hold a ``"timestamp"`` column. The text of a timestamp
-    is formatted once per distinct instant, keyed with its ``fold`` as
-    ``format_iso``'s cache is. The sink remembers only the last
-    instant, which serves the observer's time-ordered stream in constant
-    memory; ``write_csv`` keeps every instant of the log it writes.
+    is formatted once per distinct instant, keyed with its ``fold`` (the two
+    sides of a DST fold compare equal). The sink remembers only the last
+    instant, which serves the observer's and the oracle's time-ordered
+    streams in constant memory; ``write_csv`` keeps every instant it writes.
     """
 
     def __init__(self, destination, header: list[str] = EVENTS_CSV_HEADER) -> None:

@@ -21,7 +21,7 @@ import time as _time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Callable, Iterable, Iterator, NamedTuple, Protocol
 
 from .eventlog import (  # CsvEventSink and read_events_csv are re-exported
     LATE_DEPENDENCY,
@@ -181,8 +181,9 @@ def finalize_vanished(
     return events
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(NamedTuple):
+    """One poll of the queue; equal to the plain ``(observed_at, text)`` tuple."""
+
     observed_at: datetime
     text: str
 
@@ -312,7 +313,7 @@ class ObservationSummary:
     snapshots: int
     events: int
     state: ObserverState
-    malformed: int  # data lines skipped for having too few columns
+    malformed: int  # data lines skipped for too few columns or a NUL
 
 
 def run_observation(

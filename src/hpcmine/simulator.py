@@ -2,7 +2,9 @@
 
 Executes declarative workflow scenarios on a tick clock (one tick per
 snapshot interval), emits squeue-format snapshot text for every tick, and
-records the ground-truth event stream an observer should reproduce.
+records the ground-truth event stream an observer should reproduce: the
+snapshots are ``observer.Snapshot``s and the oracle is the observer's exact
+``JobEvent`` output, every field included.
 
 Per-job lifecycle in ticks: at least one pending tick, a running phase of
 ceil(duration / interval) ticks, one completing tick, then the job leaves
@@ -18,7 +20,7 @@ rest retry next tick. This staggers parallel branches deterministically,
 so different seeds realize different branch orders.
 
 The simulation is event-driven: jobs wait in tick-keyed buckets for their
-submission, start eligibility and entry into completing, and each job's
+submission, entry into completing and departure, and each job's
 snapshot row is cached until it changes. A tick's work is in the jobs that
 change state on it, plus one random draw per startable job (the seeded
 shuffle) and one cached row per queued job; an eventless tick reuses the
@@ -31,21 +33,22 @@ import enum
 import math
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from importlib import resources
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .correlation import cyclic_jobs, find_root
-from .eventlog import EventKind, csv_line
-from .observer import snapshot_filename
-from .snapshots import COMPLETED, COMPLETING, PENDING, RUNNING, JobState
-from .timeutil import format_iso
+from .eventlog import CsvEventSink, EventKind, JobEvent, csv_line
+from .observer import Snapshot, snapshot_filename
+from .snapshots import COMPLETED, COMPLETING, PENDING, RUNNING, JobState, normalize_command
 
 SIM_EPOCH = datetime(2024, 1, 1, 0, 0, 0, tzinfo=timezone.utc)
 
 SNAPSHOT_HEADER = "ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP"
+
+ORACLE_EVENTS_HEADER = ["job_id", "event_kind", "state", "timestamp"]
 
 _MAX_TICKS = 1_000_000
 
@@ -137,23 +140,15 @@ class ScenarioSpec:
         return {job.job_id: f"case-{find_root(parent, job.job_id)}" for job in self.jobs}
 
 
-@dataclass(frozen=True)
-class OracleEvent:
-    job_id: str
-    kind: EventKind
-    state: JobState
-    at: datetime
-
-
 @dataclass
 class Oracle:
-    events: list[OracleEvent]
+    events: list[JobEvent]  # exactly what observing the snapshots emits
     true_cases: dict[str, str]
 
 
 @dataclass
 class SimulationResult:
-    snapshots: list[tuple[datetime, str]]
+    snapshots: list[Snapshot]
     oracle: Oracle
 
 
@@ -161,6 +156,7 @@ class _JobRun:
     __slots__ = (
         "job",
         "index",
+        "head",
         "gone",
         "running_ticks",
         "unmet",
@@ -172,6 +168,8 @@ class _JobRun:
     def __init__(self, job: SimJob, index: int, interval: int) -> None:
         self.job = job
         self.index = index
+        # (job_id, account, group, activity): the leading fields of its events
+        self.head = (job.job_id, job.account, job.group, normalize_command(job.command_path))
         self.gone = False  # has left the queue
         self.running_ticks = math.ceil(job.duration / interval)
         # Distinct dependencies not yet met: a manual job's predecessor meets
@@ -200,14 +198,13 @@ def simulate(spec: ScenarioSpec) -> SimulationResult:
     }
     cg_at: dict[int, list[_JobRun]] = {}
     vanish_at: dict[int, list[_JobRun]] = {}
-    eligible_at: dict[int, list[int]] = {}
     queue: list[int] = []  # indices of the jobs in the queue, ascending
     eligible: list[int] = []  # indices of the pending jobs free to start, ascending
     running = gone_count = submitted = 0
 
-    def enter_cg(run: _JobRun, tick: int, row_events: list) -> None:
-        run.line = _render_line(run, COMPLETING, by_id)
-        row_events.append((run.index, run.job.job_id, EventKind.STATE_CHANGED, COMPLETING))
+    def enter_cg(run: _JobRun, tick: int, changes: list) -> None:
+        run.line = _render_line(run.job, COMPLETING)
+        changes.append((run.index, EventKind.STATE_CHANGED, COMPLETING, "(null)"))
         vanish_at.setdefault(tick + 1, []).append(run)
         for waiter in run.dependents:
             if waiter.job.mode == SubmitMode.MANUAL:
@@ -215,13 +212,14 @@ def simulate(spec: ScenarioSpec) -> SimulationResult:
                 if waiter.unmet == 0:
                     submit_at.setdefault(tick + 1, []).append(waiter)
 
-    snapshots: list[tuple[datetime, str]] = []
-    oracle_events: list[OracleEvent] = []
+    snapshots: list[Snapshot] = []
+    oracle_events: list[JobEvent] = []
     text = SNAPSHOT_HEADER + "\n"
     tick = 0
     while tick < _MAX_TICKS:
         at = SIM_EPOCH + timedelta(seconds=tick * interval)
-        row_events: list[tuple[int, str, EventKind, JobState]] = []
+        # (index, kind, state, DEPENDENCY column) of each job that changes
+        changes: list[tuple[int, EventKind, JobState, str]] = []
 
         # 1. Jobs past their completing tick leave the queue, in submission
         #    order; batch jobs waiting on them drop them from DEPENDENCY.
@@ -232,7 +230,7 @@ def simulate(spec: ScenarioSpec) -> SimulationResult:
             for waiter in run.dependents:
                 if waiter.job.mode == SubmitMode.BATCH:
                     waiter.unmet -= 1
-                    waiter.line = _render_line(waiter, PENDING, by_id)
+                    waiter.line = _render_line(waiter.job, PENDING, _dependency(waiter, by_id))
                     if waiter.unmet == 0:
                         insort(eligible, waiter.index)
         gone_count += len(leaving)
@@ -240,51 +238,51 @@ def simulate(spec: ScenarioSpec) -> SimulationResult:
         # 2. Running jobs that used up their duration enter completing.
         for run in cg_at.pop(tick, ()):
             running -= 1
-            enter_cg(run, tick, row_events)
+            enter_cg(run, tick, changes)
 
-        # 3. Submission: batch at tick 0; manual one snapshot after all
-        #    logical predecessors entered completing.
-        for run in sorted(submit_at.pop(tick, ()), key=attrgetter("index")):
-            run.submit_order = submitted
-            submitted += 1
-            run.line = _render_line(run, PENDING, by_id)
-            insort(queue, run.index)
-            row_events.append((run.index, run.job.job_id, EventKind.CREATED, PENDING))
-            if run.unmet == 0:
-                eligible_at.setdefault(tick + 1, []).append(run.index)
-
-        # 4. Start at most one eligible pending job (seeded shuffle breaks
-        #    ties, staggering parallel branches).
-        for index in eligible_at.pop(tick, ()):
-            insort(eligible, index)
+        # 3. Start at most one eligible pending job (seeded shuffle breaks
+        #    ties, staggering parallel branches). It runs before submission,
+        #    so a job submitted on this tick competes from the next one.
         if eligible and (max_running is None or running < max_running):
             index = eligible[0] if len(eligible) == 1 else rng.sample(eligible, len(eligible))[0]
             del eligible[bisect_left(eligible, index)]
             chosen = runs[index]
             if chosen.running_ticks == 0:
-                enter_cg(chosen, tick, row_events)
+                enter_cg(chosen, tick, changes)
             else:
                 running += 1
-                chosen.line = _render_line(chosen, RUNNING, by_id)
+                chosen.line = _render_line(chosen.job, RUNNING)
                 cg_at.setdefault(tick + chosen.running_ticks, []).append(chosen)
-                row_events.append((index, chosen.job.job_id, EventKind.STATE_CHANGED, RUNNING))
+                changes.append((index, EventKind.STATE_CHANGED, RUNNING, "(null)"))
+
+        # 4. Submission: batch at tick 0; manual one snapshot after all
+        #    logical predecessors entered completing.
+        for run in sorted(submit_at.pop(tick, ()), key=attrgetter("index")):
+            run.submit_order = submitted
+            submitted += 1
+            dependency = _dependency(run, by_id)
+            run.line = _render_line(run.job, PENDING, dependency)
+            insort(queue, run.index)
+            changes.append((run.index, EventKind.CREATED, PENDING, dependency))
+            if run.unmet == 0:
+                insort(eligible, run.index)
 
         # Oracle ordering mirrors the observer: per snapshot, row-order diff
         # events first, then synthetic completions in first-seen order.
-        row_events.sort(key=itemgetter(0))
-        oracle_events.extend(
-            OracleEvent(job_id, kind, state, at) for _, job_id, kind, state in row_events
-        )
-        oracle_events.extend(
-            OracleEvent(run.job.job_id, EventKind.SYNTHETIC_COMPLETED, COMPLETED, at)
-            for run in leaving
-        )
+        changes.sort(key=itemgetter(0))
+        changes += [
+            (run.index, EventKind.SYNTHETIC_COMPLETED, COMPLETED, "(null)") for run in leaving
+        ]
+        oracle_events += [
+            JobEvent(*runs[i].head, state, dependency, kind, at)
+            for i, kind, state, dependency in changes
+        ]
 
         # Every change emits an oracle event, so an eventless tick repeats
         # the previous snapshot.
-        if row_events or leaving:
+        if changes:
             text = "\n".join([SNAPSHOT_HEADER, *(runs[i].line for i in queue)]) + "\n"
-        snapshots.append((at, text))
+        snapshots.append(Snapshot(at, text))
 
         if gone_count == len(runs):
             break
@@ -296,17 +294,21 @@ def simulate(spec: ScenarioSpec) -> SimulationResult:
     return SimulationResult(snapshots=snapshots, oracle=oracle)
 
 
-def _render_line(run: _JobRun, state: JobState, by_id: dict[str, _JobRun]) -> str:
+def _dependency(run: _JobRun, by_id: dict[str, _JobRun]) -> str:
+    """A pending job's DEPENDENCY column; a job in any other state shows ``(null)``."""
     job = run.job
-    dependency = "(null)"
-    if state is PENDING and job.mode == SubmitMode.BATCH:
+    if job.mode == SubmitMode.BATCH:
         remaining = [d for d in job.dependencies if not by_id[d].gone]
         if remaining:
-            dependency = "afterok:" + ":".join(remaining)
+            return "afterok:" + ":".join(remaining)
+    return "(null)"
+
+
+def _render_line(job: SimJob, state: JobState, dependency: str = "(null)") -> str:
     return f"{job.account} {job.job_id} {dependency} {job.command_path} {state.code} {job.group}"
 
 
-def write_snapshots(snapshots: list[tuple[datetime, str]], directory) -> list[Path]:
+def write_snapshots(snapshots: list[Snapshot], directory) -> list[Path]:
     """Write one snapshot_<timestamp>.txt file per snapshot; returns the paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -321,12 +323,9 @@ def write_snapshots(snapshots: list[tuple[datetime, str]], directory) -> list[Pa
 def write_oracle(oracle: Oracle, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "oracle_events.csv", "w", newline="") as fh:
-        fh.write(csv_line(["job_id", "event_kind", "state", "timestamp"]))
-        fh.writelines(
-            csv_line([e.job_id, e.kind.value, e.state.code, format_iso(e.at)])
-            for e in oracle.events
-        )
+    with CsvEventSink(directory / "oracle_events.csv", ORACLE_EVENTS_HEADER) as sink:
+        for event in oracle.events:
+            sink.append(event)
     with open(directory / "true_cases.csv", "w", newline="") as fh:
         fh.write(csv_line(["job_id", "case_label"]))
         fh.writelines(map(csv_line, sorted(oracle.true_cases.items())))

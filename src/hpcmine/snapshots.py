@@ -104,7 +104,7 @@ class JobRow(NamedTuple):
 
 @dataclass(frozen=True)
 class MalformedRow:
-    """A skipped data line that did not have enough columns."""
+    """A skipped data line: it had too few columns or held a NUL."""
 
     line_number: int
     line: str
@@ -163,8 +163,10 @@ def parse_snapshot(
     """Parse one snapshot into job rows, in file order.
 
     A header line (first token "ACCOUNT") is skipped. Data lines with fewer
-    than 6 columns are reported via ``errors`` (and the module logger, which
-    names the snapshot by ``observed_at``) and skipped; parsing continues.
+    than 6 columns or holding a NUL are reported via ``errors`` (and the
+    module logger, which names the snapshot by ``observed_at``) and skipped;
+    parsing continues. A NUL would reach the events file, which Python
+    3.10's ``csv.reader`` refuses to read back.
 
     A line that was a good data line of the previous call returns that call's
     row, the same object; only new and changed lines are split. A row depends
@@ -183,7 +185,7 @@ def parse_snapshot(
             tokens = line.split()
             if not tokens or tokens[0] == "ACCOUNT":
                 continue
-            if len(tokens) < 6:
+            if len(tokens) < 6 or "\0" in line:
                 malformed = MalformedRow(line_number, line)
                 logger.warning(
                     "skipping malformed snapshot row %d of the snapshot at %s: %r",

@@ -1,24 +1,15 @@
-"""Timestamp helpers (UTC, second resolution)."""
+"""Timestamp helpers (UTC, second resolution), uncached: a writer that formats
+one instant many times keeps its own memo, as ``eventlog.CsvEventSink`` does."""
 
 from __future__ import annotations
 
 from datetime import datetime, timezone
-from functools import lru_cache
 
 ISO_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 BASIC_FORMAT = "%Y%m%dT%H%M%SZ"
 
 
 def format_iso(ts: datetime) -> str:
-    return _format_iso(ts, ts.fold)
-
-
-# The oracle writer formats one time per event, and every event of a tick
-# shares it, so a small cache answers most calls. The CSV sink keeps its own memo.
-# The key holds ``fold`` because the two sides of a DST fold compare and hash
-# equal although they are an hour apart.
-@lru_cache(maxsize=64)
-def _format_iso(ts: datetime, fold: int) -> str:
     return ts.astimezone(timezone.utc).strftime(ISO_FORMAT)
 
 

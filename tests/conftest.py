@@ -10,9 +10,8 @@ from hpcmine.snapshots import COMPLETED, COMPLETING, PENDING, RUNNING
 def replay_events(result, synthetic_complete=True):
     """Run the observer over a simulation's snapshot stream."""
     sink = observer.ListSink()
-    snapshots = [observer.Snapshot(at, text) for at, text in result.snapshots]
     summary = observer.run_observation(
-        snapshots, sink, synthetic_complete=synthetic_complete
+        result.snapshots, sink, synthetic_complete=synthetic_complete
     )
     return sink.events, summary
 

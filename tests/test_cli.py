@@ -1,8 +1,10 @@
+import argparse
 import csv
 
 import pytest
 
-from hpcmine.cli import main
+from hpcmine import observer
+from hpcmine.cli import SQUEUE_CMD_ENV, build_parser, main
 from hpcmine.eventlog import CSV_HEADER, CsvEventSink
 from test_correlation import event
 
@@ -73,6 +75,53 @@ class TestObserve:
     def test_missing_replay_dir(self, tmp_path, capsys):
         assert main(["observe", "--replay", str(tmp_path / "nope"), "-o", "x.csv"]) == 1
         assert "not found" in capsys.readouterr().err
+
+    def test_nul_line_is_malformed_and_the_events_read_back(self, tmp_path, capsys, caplog):
+        replay = tmp_path / "replay"
+        replay.mkdir()
+        (replay / "snapshot_20240101T000000Z.txt").write_text(
+            "a 1 (null) /x\0.sh PD g\na 2 (null) /y.sh PD g\n"
+        )
+        events, cases = tmp_path / "events.csv", tmp_path / "cases.csv"
+        assert main(["observe", "--replay", str(replay), "-o", str(events)]) == 0
+        assert capsys.readouterr().out == "snapshots: 1  events: 1\n"
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipping malformed snapshot row 1 of the snapshot at "
+            "2024-01-01T00:00:00Z: 'a 1 (null) /x\\x00.sh PD g'"
+        ]
+        assert main(["correlate", str(events), "-o", str(cases)]) == 0
+        with open(cases) as fh:
+            assert [row["job_id"] for row in csv.DictReader(fh)] == ["2"]
+
+    @pytest.mark.parametrize(
+        "env, flag, polled",
+        [
+            ("echo fromenv", "echo fromflag", ["echo", "fromflag"]),
+            ("echo fromenv", None, ["echo", "fromenv"]),
+            ("", None, ["squeue", "-o", "%a %i %E %o %t %g"]),
+            (None, None, ["squeue", "-o", "%a %i %E %o %t %g"]),
+        ],
+    )
+    def test_squeue_cmd_flag_then_env_then_default(
+        self, tmp_path, monkeypatch, env, flag, polled
+    ):
+        if env is None:
+            monkeypatch.delenv(SQUEUE_CMD_ENV, raising=False)
+        else:
+            monkeypatch.setenv(SQUEUE_CMD_ENV, env)
+        sources = []
+
+        class NoPolls(observer.CommandSource):
+            def __iter__(self):
+                sources.append(self)
+                return iter(())
+
+        monkeypatch.setattr(observer, "CommandSource", NoPolls)
+        argv = ["observe", "--live", "-o", str(tmp_path / "events.csv")]
+        if flag is not None:
+            argv += ["--squeue-cmd", flag]
+        assert main(argv) == 0
+        assert [source.argv for source in sources] == [polled]
 
 
 class TestCorrelate:
@@ -192,3 +241,34 @@ class TestPipeline:
             assert main(["pipeline", "--replay", str(fig1_replay), "-o", str(out)]) == 0
         assert (out_a / "dfg.dot").read_text() == (out_b / "dfg.dot").read_text()
         assert (out_a / "cases.csv").read_text() == (out_b / "cases.csv").read_text()
+
+    def test_shares_each_stage_option_with_its_stage(self):
+        commands = next(
+            action.choices
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        stages = [commands[name] for name in ("observe", "correlate", "discover")]
+
+        def declared(parser):
+            return {
+                option: (action.dest, action.default, action.choices, action.type, type(action))
+                for action in parser._actions
+                for option in action.option_strings
+            }
+
+        shared = {}
+        for stage in stages:
+            shared |= declared(stage)
+        own = {"-h", "--help", "--replay", "-o", "--output"}
+        pipeline = {k: v for k, v in declared(commands["pipeline"]).items() if k not in own}
+        assert set(pipeline) == {
+            "--no-synthetic-complete",
+            "--strategy",
+            "--hash-case-ids",
+            "--milestone",
+            "--edge-duration",
+            "--min-edge-freq",
+            "--account",
+        }
+        assert pipeline == {option: shared[option] for option in pipeline}

@@ -5,18 +5,18 @@ from dataclasses import replace
 from datetime import datetime, timedelta
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_scenario, replay_events
 from hpcmine import simulator
+from hpcmine.eventlog import JobEvent
 from hpcmine.observer import EventKind
 from hpcmine.simulator import (
     SIM_EPOCH,
     SNAPSHOT_HEADER,
     InvalidScenario,
     Oracle,
-    OracleEvent,
     ParseError,
     ScenarioSpec,
     SimJob,
@@ -28,7 +28,14 @@ from hpcmine.simulator import (
     serialize_scenario,
     simulate,
 )
-from hpcmine.snapshots import COMPLETED, COMPLETING, PENDING, RUNNING, parse_snapshot
+from hpcmine.snapshots import (
+    COMPLETED,
+    COMPLETING,
+    PENDING,
+    RUNNING,
+    normalize_command,
+    parse_snapshot,
+)
 
 
 class TestLoadScenario:
@@ -92,7 +99,7 @@ class TestLoadScenario:
         # A scenario cannot name a job "a,b", but write_oracle takes any oracle.
         result = simulate(load_scenario("job ab account=a group=g cmd=/x dur=30\n"))
         oracle = Oracle(
-            [replace(e, job_id="a,b") for e in result.oracle.events], {"a,b": "case-a,b"}
+            [e._replace(job_id="a,b") for e in result.oracle.events], {"a,b": "case-a,b"}
         )
         simulator.write_oracle(oracle, tmp_path)
         with open(tmp_path / "oracle_events.csv", newline="") as fh:
@@ -229,9 +236,23 @@ class TestOracle:
         for name in simulator.bundled_scenario_names():
             result = simulate(load_bundled_scenario(name))
             events, _ = replay_events(result)
-            observed = [(e.job_id, e.kind, e.state, e.timestamp) for e in events]
-            expected = [(e.job_id, e.kind, e.state, e.at) for e in result.oracle.events]
-            assert observed == expected, name
+            assert events == result.oracle.events, name
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.deferred(lambda: _specs()))
+    def test_observer_reproduces_oracle_on_random_specs(self, spec):
+        assume(spec.max_running != 0)
+        result = simulate(spec)
+        events, _ = replay_events(result)
+        assert events == result.oracle.events
+
+    def test_oracle_events_are_whole_observer_records(self):
+        result = simulate(load_bundled_scenario("fig1_explicit"))
+        merge = [e for e in result.oracle.events if e.job_id == "4"]
+        assert merge[0] == JobEvent(
+            "4", "acc1", "proj9", "merge.sh", PENDING, "afterok:2:3", EventKind.CREATED, SIM_EPOCH
+        )
+        assert [e.dependency_raw for e in merge[1:]] == ["(null)"] * 3
 
     def test_true_cases_partition_by_logical_dependencies(self):
         spec = load_bundled_scenario("two_chains")
@@ -283,6 +304,13 @@ class _ReferenceRun:
         # A job counts as complete from the tick after its completing tick.
         return self.cg_tick is not None and self.cg_tick < tick
 
+    def event(self, kind, state, at, dependency="(null)") -> JobEvent:
+        job = self.job
+        activity = normalize_command(job.command_path)
+        return JobEvent(
+            job.job_id, job.account, job.group, activity, state, dependency, kind, at
+        )
+
 
 def _reference_simulate(spec: ScenarioSpec) -> SimulationResult:
     """Run a scenario; returns the snapshot stream and the ground truth."""
@@ -298,13 +326,13 @@ def _reference_simulate(spec: ScenarioSpec) -> SimulationResult:
         return SIM_EPOCH + timedelta(seconds=tick * interval)
 
     snapshots: list[tuple[datetime, str]] = []
-    oracle_events: list[OracleEvent] = []
+    oracle_events: list[JobEvent] = []
     submit_order: dict[str, int] = {}
 
     tick = 0
     while tick < simulator._MAX_TICKS:
-        row_events: list[tuple[int, OracleEvent]] = []
-        vanish_events: list[tuple[int, OracleEvent]] = []
+        row_events: list[tuple[int, JobEvent]] = []
+        vanish_events: list[tuple[int, JobEvent]] = []
 
         # 1. Jobs past their completing tick leave the queue.
         for run in runs:
@@ -313,12 +341,7 @@ def _reference_simulate(spec: ScenarioSpec) -> SimulationResult:
                 vanish_events.append(
                     (
                         submit_order[run.job.job_id],
-                        OracleEvent(
-                            run.job.job_id,
-                            EventKind.SYNTHETIC_COMPLETED,
-                            COMPLETED,
-                            time_of(tick),
-                        ),
+                        run.event(EventKind.SYNTHETIC_COMPLETED, COMPLETED, time_of(tick)),
                     )
                 )
 
@@ -332,12 +355,7 @@ def _reference_simulate(spec: ScenarioSpec) -> SimulationResult:
                 run.status = "completing"
                 run.cg_tick = tick
                 row_events.append(
-                    (
-                        run.index,
-                        OracleEvent(
-                            run.job.job_id, EventKind.STATE_CHANGED, COMPLETING, time_of(tick)
-                        ),
-                    )
+                    (run.index, run.event(EventKind.STATE_CHANGED, COMPLETING, time_of(tick)))
                 )
 
         # 3. Submission: batch at tick 0; manual one snapshot after all
@@ -356,11 +374,9 @@ def _reference_simulate(spec: ScenarioSpec) -> SimulationResult:
                 run.status = "pending"
                 run.submit_tick = tick
                 submit_order[run.job.job_id] = len(submit_order)
+                dependency = _reference_dependency(run, by_id, tick)
                 row_events.append(
-                    (
-                        run.index,
-                        OracleEvent(run.job.job_id, EventKind.CREATED, PENDING, time_of(tick)),
-                    )
+                    (run.index, run.event(EventKind.CREATED, PENDING, time_of(tick), dependency))
                 )
 
         # 4. Start at most one eligible pending job (seeded shuffle breaks
@@ -384,22 +400,12 @@ def _reference_simulate(spec: ScenarioSpec) -> SimulationResult:
                 chosen.status = "completing"
                 chosen.cg_tick = tick
                 row_events.append(
-                    (
-                        chosen.index,
-                        OracleEvent(
-                            chosen.job.job_id, EventKind.STATE_CHANGED, COMPLETING, time_of(tick)
-                        ),
-                    )
+                    (chosen.index, chosen.event(EventKind.STATE_CHANGED, COMPLETING, time_of(tick)))
                 )
             else:
                 chosen.status = "running"
                 row_events.append(
-                    (
-                        chosen.index,
-                        OracleEvent(
-                            chosen.job.job_id, EventKind.STATE_CHANGED, RUNNING, time_of(tick)
-                        ),
-                    )
+                    (chosen.index, chosen.event(EventKind.STATE_CHANGED, RUNNING, time_of(tick)))
                 )
 
         # Oracle ordering mirrors the observer: per snapshot, row-order diff
@@ -431,15 +437,21 @@ def _reference_render_snapshot(runs, by_id, tick: int) -> str:
         else:
             continue
         dependency = "(null)"
-        if run.status == "pending" and run.job.mode == SubmitMode.BATCH:
-            remaining = [d for d in run.job.dependencies if not by_id[d].completed_by(tick)]
-            if remaining:
-                dependency = "afterok:" + ":".join(remaining)
+        if run.status == "pending":
+            dependency = _reference_dependency(run, by_id, tick)
         job = run.job
         lines.append(
             f"{job.account} {job.job_id} {dependency} {job.command_path} {code} {job.group}"
         )
     return "\n".join(lines) + "\n"
+
+
+def _reference_dependency(run, by_id, tick: int) -> str:
+    if run.job.mode == SubmitMode.BATCH:
+        remaining = [d for d in run.job.dependencies if not by_id[d].completed_by(tick)]
+        if remaining:
+            return "afterok:" + ":".join(remaining)
+    return "(null)"
 
 
 def _reference_check_acyclic(spec: ScenarioSpec) -> None:

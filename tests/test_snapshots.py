@@ -141,7 +141,7 @@ def _reference_parse(text, observed_at, errors):
             continue
         if tokens[0] == "ACCOUNT":
             continue
-        if len(tokens) < 6:
+        if len(tokens) < 6 or "\0" in line:
             errors.append(MalformedRow(line_number, line))
             continue
         rows.append(
@@ -238,6 +238,7 @@ class TestParserMatchesReference:
     @given(st.lists(_line, max_size=12).map("\n".join))
     @example("ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP\n\na 1 (null) /x.sh PD g")
     @example("a 1 afterok:2 /opt/run.sh --n  5\tR g\nshort line\na 2 x /y.sh F g")
+    @example("a 1 (null) /x\0.sh R g\na 2 (null) /y.sh R g\0")
     def test_same_fields_and_errors(self, text):
         _assert_parses_as_reference(text, T0)
 

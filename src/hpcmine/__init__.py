@@ -10,7 +10,6 @@ from .snapshots import (
     DependencyClause,
     DependencySpec,
     JobRow,
-    JobState,
     normalize_command,
     parse_dependency_spec,
     parse_snapshot,
@@ -43,7 +42,6 @@ from .correlation import (
 from .discovery import (
     Dfg,
     DurationMode,
-    ParallelRelation,
     detect_parallel,
     discover_dfg,
     export_dot,

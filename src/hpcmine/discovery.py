@@ -17,20 +17,13 @@ from dataclasses import dataclass, field
 from datetime import datetime
 
 from .eventlog import CaseLog, EventKind
-from .snapshots import COMPLETED, PENDING, RUNNING, JobState
+from .snapshots import COMPLETED, COMPLETING, PENDING, RUNNING
 
 logger = logging.getLogger(__name__)
 
-# How far along its lifecycle a state is; "other" states never satisfy a
-# milestone.
-_STATE_RANK = {
-    "pending": 0,
-    "running": 1,
-    "suspended": 1,
-    "completing": 2,
-    "completed": 3,
-    "other": -1,
-}
+# How far along its lifecycle each squeue state code is; a suspended job
+# ("S") has run. Any other code ranks -1 and never meets a milestone.
+_STATE_RANK = {PENDING: 0, RUNNING: 1, "S": 1, COMPLETING: 2, COMPLETED: 3}
 
 MILESTONES = {"pending": PENDING, "running": RUNNING, "completed": COMPLETED}
 
@@ -82,19 +75,16 @@ class Dfg:
         return not self.activities
 
 
-@dataclass(frozen=True)
-class ParallelRelation:
-    pairs: frozenset[tuple[str, str]]
-
-
-def project_case_traces(log: CaseLog, milestone: JobState = RUNNING) -> list[Trace]:
+def project_case_traces(log: CaseLog, milestone: str = RUNNING) -> list[Trace]:
     """Project the log onto one trace per case.
 
-    Each job contributes one entry, anchored at its first event at-or-after
-    the milestone state; jobs that never reach the milestone are dropped
-    (counted in a warning). Entries sort by timestamp, ties by job id.
+    ``milestone`` is a value of ``MILESTONES``, a squeue state code. Each job
+    contributes one entry, anchored at its first event whose state ranks
+    at-or-after the milestone in ``_STATE_RANK``; a code outside that table
+    ranks below every milestone. Jobs that never reach the milestone are
+    dropped (counted in a warning). Entries sort by timestamp, ties by job id.
     """
-    threshold = _STATE_RANK[milestone.kind]
+    threshold = _STATE_RANK[milestone]
     per_case: dict[str, dict[str, list]] = {}
     case_order: list[str] = []
     dropped = 0
@@ -111,7 +101,7 @@ def project_case_traces(log: CaseLog, milestone: JobState = RUNNING) -> list[Tra
         for job_id, events in per_case[case_id].items():
             events.sort(key=lambda e: e.timestamp)
             anchor = next(
-                (e for e in events if _STATE_RANK[e.state.kind] >= threshold), None
+                (e for e in events if _STATE_RANK.get(e.state, -1) >= threshold), None
             )
             if anchor is None:
                 dropped += 1
@@ -133,7 +123,8 @@ def project_case_traces(log: CaseLog, milestone: JobState = RUNNING) -> list[Tra
             )
         )
     if dropped:
-        logger.warning("%d job(s) never reached milestone %s; dropped", dropped, milestone.kind)
+        name = next((name for name, code in MILESTONES.items() if code == milestone), milestone)
+        logger.warning("%d job(s) never reached milestone %s; dropped", dropped, name)
     return traces
 
 
@@ -168,13 +159,13 @@ def discover_dfg(
     return dfg
 
 
-def detect_parallel(dfg: Dfg) -> ParallelRelation:
+def detect_parallel(dfg: Dfg) -> frozenset[tuple[str, str]]:
     """Unordered activity pairs observed in both directions."""
     pairs = set()
     for a, b in dfg.edges:
         if a != b and (b, a) in dfg.edges:
             pairs.add((min(a, b), max(a, b)))
-    return ParallelRelation(frozenset(pairs))
+    return frozenset(pairs)
 
 
 def humanize_duration(seconds: float) -> str:
@@ -195,7 +186,7 @@ def _dot_quote(text: str) -> str:
 
 def export_dot(
     dfg: Dfg,
-    parallel: ParallelRelation | None = None,
+    parallel: frozenset[tuple[str, str]] = frozenset(),
     *,
     min_edge_freq: int = 1,
 ) -> str:
@@ -218,7 +209,6 @@ def export_dot(
             if stats.frequency >= min_edge_freq
         }
         max_mean = max((stats.mean for stats in edges.values()), default=0.0)
-        parallel_pairs = parallel.pairs if parallel is not None else frozenset()
         for (a, b), stats in sorted(edges.items()):
             label = (
                 f"{stats.frequency} / {humanize_duration(stats.mean)}"
@@ -226,7 +216,7 @@ def export_dot(
             )
             penwidth = 1.0 + (4.0 * stats.mean / max_mean if max_mean > 0 else 0.0)
             attrs = [f'label="{label}"', f'penwidth={penwidth:.2f}']
-            if (min(a, b), max(a, b)) in parallel_pairs:
+            if (min(a, b), max(a, b)) in parallel:
                 attrs.append("style=dashed")
             lines.append(f"  {_dot_quote(a)} -> {_dot_quote(b)} [{', '.join(attrs)}];")
     lines.append("}")

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import csv
 import enum
+import sys
 from dataclasses import dataclass
 from datetime import datetime
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .snapshots import DependencySpec, JobState, parse_dependency_spec
+from .snapshots import DependencySpec, parse_dependency_spec
 from .timeutil import format_iso, parse_iso
 
 # Marker for jobs first observed past PENDING, whose dependency view is gone.
@@ -39,7 +40,7 @@ class JobEvent(NamedTuple):
     account: str
     group: str
     activity: str
-    state: JobState
+    state: str
     dependency_raw: str
     kind: EventKind
     timestamp: datetime
@@ -81,15 +82,16 @@ def csv_line(fields: Sequence[str]) -> str:
 
 # CSV column -> (JobEvent field, attribute path of its text, decode). Every
 # path but the timestamp's reads a string, so one attrgetter encodes a row
-# without a Python call; ``_value_`` is what the enum's ``value`` property returns.
+# without a Python call; ``_value_`` is what the enum's ``value`` property
+# returns. A state is its squeue code, written and read back verbatim.
 _COLUMNS = {
     "case_id": ("case_id", "case_id", str),
     "job_id": ("job_id", "job_id", str),
     "account": ("account", "account", str),
     "group": ("group", "group", str),
     "activity": ("activity", "activity", str),
-    "state": ("state", "state.code", JobState.from_code),
-    "lifecycle": ("state", "state.code", JobState.from_code),
+    "state": ("state", "state", sys.intern),
+    "lifecycle": ("state", "state", sys.intern),
     "event_kind": ("kind", "kind._value_", EventKind),
     "timestamp": ("timestamp", "timestamp", parse_iso),
     "dependency_raw": ("dependency_raw", "dependency_raw", str),

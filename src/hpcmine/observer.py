@@ -34,7 +34,6 @@ from .snapshots import (
     COMPLETED,
     PENDING,
     JobRow,
-    JobState,
     MalformedRow,
     normalize_command,
     parse_snapshot,
@@ -63,7 +62,7 @@ class SourceFailure(ObserverError):
 class TrackedJob:
     """What the observer keeps about one job; updated in place."""
 
-    state: JobState
+    state: str
     account: str
     group: str
     activity: str
@@ -121,9 +120,7 @@ def diff_snapshot(
                     observed_at,
                 )
             )
-        # Known states are shared JobState instances, so identity settles most
-        # unchanged rows without the dataclass comparison.
-        elif tracked.state is not row.state and tracked.state != row.state:
+        elif tracked.state != row.state:
             events.append(
                 JobEvent(
                     row.job_id,

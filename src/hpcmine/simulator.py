@@ -42,11 +42,9 @@ from pathlib import Path
 from .correlation import cyclic_jobs, find_root
 from .eventlog import CsvEventSink, EventKind, JobEvent, csv_line
 from .observer import Snapshot, snapshot_filename
-from .snapshots import COMPLETED, COMPLETING, PENDING, RUNNING, JobState, normalize_command
+from .snapshots import COMPLETED, COMPLETING, PENDING, RUNNING, SNAPSHOT_HEADER, normalize_command
 
 SIM_EPOCH = datetime(2024, 1, 1, 0, 0, 0, tzinfo=timezone.utc)
-
-SNAPSHOT_HEADER = "ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP"
 
 ORACLE_EVENTS_HEADER = ["job_id", "event_kind", "state", "timestamp"]
 
@@ -219,7 +217,7 @@ def simulate(spec: ScenarioSpec) -> SimulationResult:
     while tick < _MAX_TICKS:
         at = SIM_EPOCH + timedelta(seconds=tick * interval)
         # (index, kind, state, DEPENDENCY column) of each job that changes
-        changes: list[tuple[int, EventKind, JobState, str]] = []
+        changes: list[tuple[int, EventKind, str, str]] = []
 
         # 1. Jobs past their completing tick leave the queue, in submission
         #    order; batch jobs waiting on them drop them from DEPENDENCY.
@@ -304,8 +302,8 @@ def _dependency(run: _JobRun, by_id: dict[str, _JobRun]) -> str:
     return "(null)"
 
 
-def _render_line(job: SimJob, state: JobState, dependency: str = "(null)") -> str:
-    return f"{job.account} {job.job_id} {dependency} {job.command_path} {state.code} {job.group}"
+def _render_line(job: SimJob, state: str, dependency: str = "(null)") -> str:
+    return f"{job.account} {job.job_id} {dependency} {job.command_path} {state} {job.group}"
 
 
 def write_snapshots(snapshots: list[Snapshot], directory) -> list[Path]:

@@ -3,7 +3,12 @@
 A snapshot is plain text with six whitespace-separated logical columns per
 job: ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP. The COMMAND column may
 carry arguments (and thus embedded spaces), so the row is parsed
-positionally from both ends.
+positionally from both ends. A line is the header only when its words are
+exactly those of ``SNAPSHOT_HEADER``.
+
+A job's state is its ST code as squeue prints it (``PD``, ``R``, ``CG``,
+``CD``, ...), kept verbatim as an interned string: any code is valid, and
+how far along its lifecycle a code is belongs to discovery.
 
 A row holds only what its line says; the observation time belongs to the
 snapshot. Between two polls most lines of a queue come back unchanged, so
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import logging
 import re
+import sys
 from dataclasses import dataclass
 from datetime import datetime
 from typing import NamedTuple
@@ -31,30 +37,16 @@ logger = logging.getLogger(__name__)
 UNKNOWN_COMMAND = "<unknown>"
 
 
-@dataclass(frozen=True)
-class JobState:
-    """A job's scheduler state, keyed by its compact squeue code."""
+# A job's state is the squeue ``%t`` code itself; any code is valid.
+PENDING = "PD"
+RUNNING = "R"
+COMPLETING = "CG"
+COMPLETED = "CD"
 
-    kind: str
-    code: str
-
-    @classmethod
-    def from_code(cls, code: str) -> "JobState":
-        """The shared instance for a known code; a new "other" state otherwise."""
-        state = _STATES_BY_CODE.get(code)
-        return cls("other", code) if state is None else state
-
-    def __str__(self) -> str:
-        return self.code
-
-
-PENDING = JobState("pending", "PD")
-RUNNING = JobState("running", "R")
-COMPLETING = JobState("completing", "CG")
-COMPLETED = JobState("completed", "CD")
-SUSPENDED = JobState("suspended", "S")
-
-_STATES_BY_CODE = {s.code: s for s in (PENDING, RUNNING, COMPLETING, COMPLETED, SUSPENDED)}
+# The header line squeue prints above the rows; only a line with exactly
+# these words is skipped as the header.
+SNAPSHOT_HEADER = "ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP"
+_HEADER_WORDS = SNAPSHOT_HEADER.split()
 
 
 _NO_DEPENDENCY_VALUES = {"", "(null)", "null"}
@@ -90,21 +82,27 @@ class DependencySpec:
 class JobRow(NamedTuple):
     """One parsed line of a queue snapshot.
 
-    A row compares equal to a plain tuple of its fields. It carries no
-    observation time, so one row serves every poll that repeats its line.
+    A row compares equal to a plain tuple of its fields. ``state`` is the
+    ST column verbatim, interned, so equal codes are one string object. A row
+    carries no observation time, so one row serves every poll that repeats
+    its line.
     """
 
     account: str
     job_id: str
     dependency_raw: str
     command_path: str
-    state: JobState
+    state: str
     group: str
 
 
 @dataclass(frozen=True)
 class MalformedRow:
-    """A skipped data line: it had too few columns or held a NUL."""
+    """A skipped data line: it had too few columns or held a NUL.
+
+    A line of fewer than six words whose first word is ``ACCOUNT`` is
+    malformed too; only the exact header line is skipped silently.
+    """
 
     line_number: int
     line: str
@@ -162,7 +160,8 @@ def parse_snapshot(
 ) -> list[JobRow]:
     """Parse one snapshot into job rows, in file order.
 
-    A header line (first token "ACCOUNT") is skipped. Data lines with fewer
+    The header line (exactly the words of ``SNAPSHOT_HEADER``) is skipped, so
+    a job whose account is ``ACCOUNT`` is still a row. Data lines with fewer
     than 6 columns or holding a NUL are reported via ``errors`` (and the
     module logger, which names the snapshot by ``observed_at``) and skipped;
     parsing continues. A NUL would reach the events file, which Python
@@ -183,7 +182,7 @@ def parse_snapshot(
         row = previous.get(line)
         if row is None:
             tokens = line.split()
-            if not tokens or tokens[0] == "ACCOUNT":
+            if not tokens or tokens == _HEADER_WORDS:
                 continue
             if len(tokens) < 6 or "\0" in line:
                 malformed = MalformedRow(line_number, line)
@@ -203,7 +202,7 @@ def parse_snapshot(
                     tokens[1],
                     tokens[2],
                     " ".join(tokens[3:-2]),
-                    JobState.from_code(tokens[-2]),
+                    sys.intern(tokens[-2]),
                     tokens[-1],
                 ),
             )

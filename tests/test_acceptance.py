@@ -23,7 +23,7 @@ from hpcmine.discovery import (
     project_case_traces,
 )
 from hpcmine.eventlog import read_csv, write_csv
-from hpcmine.snapshots import parse_snapshot
+from hpcmine.snapshots import PENDING, parse_snapshot
 
 
 def _ok(n, text):
@@ -56,7 +56,7 @@ def test_criterion_2_dependency_visibility_decay():
         merge = next((r for r in rows if r.job_id == "4"), None)
         if merge is None:
             continue
-        if merge.state.kind != "pending":
+        if merge.state != PENDING:
             assert merge.dependency_raw == "(null)"
             continue
         if merge.dependency_raw == "(null)":
@@ -131,7 +131,7 @@ def test_criterion_5_parallel_pair_detection():
     log = apply_cases(events, assign_cases_implicit(events))
     dfg = discover_dfg(project_case_traces(log))
     parallel = detect_parallel(dfg)
-    assert parallel.pairs == {("Parallel-job1", "Parallel-job2")}
+    assert parallel == {("Parallel-job1", "Parallel-job2")}
     _ok(5, "implicit correlation discovers exactly the one parallel activity pair")
 
 

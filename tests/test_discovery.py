@@ -14,6 +14,7 @@ from hpcmine.correlation import (
     extract_first_dependencies,
 )
 from hpcmine.discovery import (
+    MILESTONES,
     Dfg,
     DurationMode,
     Trace,
@@ -93,6 +94,33 @@ class TestProjectCaseTraces:
         traces = project_case_traces(CaseLog(events), milestone=PENDING)
         assert len(traces[0].steps) == 2
 
+    @pytest.mark.parametrize(
+        "name,meeting",
+        [
+            ("pending", {"PD", "R", "S", "CG", "CD"}),
+            ("running", {"R", "S", "CG", "CD"}),
+            ("completed", {"CD"}),
+        ],
+    )
+    def test_codes_that_meet_each_milestone(self, name, meeting):
+        # One job per code, named after it; F, CA, TO and pd meet no milestone.
+        codes = ["PD", "R", "S", "CG", "CD", "F", "CA", "TO", "pd"]
+        events = [
+            case_event("c", str(i), code, code, EventKind.STATE_CHANGED, i)
+            for i, code in enumerate(codes)
+        ]
+        traces = project_case_traces(CaseLog(events), milestone=MILESTONES[name])
+        assert {s.activity for s in traces[0].steps} == meeting
+
+    def test_never_reached_warning_names_the_milestone(self, caplog):
+        events = [case_event("c", "1", "A", PENDING, EventKind.CREATED, 0)]
+        events += job_events("c", "2", "B", 30)
+        with caplog.at_level("WARNING", logger="hpcmine.discovery"):
+            project_case_traces(CaseLog(events))
+        assert [r.getMessage() for r in caplog.records] == [
+            "1 job(s) never reached milestone running; dropped"
+        ]
+
     def test_fig1_trace_shape(self):
         result = simulator.simulate(simulator.load_bundled_scenario("fig1_explicit"))
         events, _ = replay_events(result)
@@ -149,15 +177,15 @@ class TestDiscoverDfg:
 class TestDetectParallel:
     def test_both_directions(self):
         dfg = discover_dfg([trace(("A", 0), ("B", 30)), trace(("B", 100), ("A", 130))])
-        assert detect_parallel(dfg).pairs == {("A", "B")}
+        assert detect_parallel(dfg) == {("A", "B")}
 
     def test_strict_chain_empty(self):
         dfg = discover_dfg([trace(("A", 0), ("B", 30), ("C", 60))])
-        assert detect_parallel(dfg).pairs == frozenset()
+        assert detect_parallel(dfg) == frozenset()
 
     def test_symmetry(self):
         dfg = discover_dfg([trace(("A", 0), ("B", 30)), trace(("B", 100), ("A", 130))])
-        pairs = detect_parallel(dfg).pairs
+        pairs = detect_parallel(dfg)
         assert all(a < b for a, b in pairs)
 
 

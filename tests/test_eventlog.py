@@ -1,6 +1,7 @@
 import csv
 import io
 import random
+import sys
 from datetime import datetime, timedelta, timezone
 from operator import attrgetter
 from zoneinfo import ZoneInfo
@@ -36,7 +37,7 @@ from hpcmine.eventlog import (
     with_case,
     write_csv,
 )
-from hpcmine.snapshots import COMPLETED, PENDING, RUNNING, JobState
+from hpcmine.snapshots import COMPLETED, PENDING, RUNNING
 from hpcmine.timeutil import format_iso
 
 
@@ -55,7 +56,7 @@ class TestWithCase:
         "account": "acct",
         "group": "grp",
         "activity": "step.sh",
-        "state": JobState("other", "F"),
+        "state": "F",
         "dependency_raw": "afterok:16",
         "kind": EventKind.SYNTHETIC_COMPLETED,
         "timestamp": datetime(2023, 5, 1, 12, 30, tzinfo=timezone.utc),
@@ -97,8 +98,8 @@ _REFERENCE_ENCODERS = {
     "account": ("account", str),
     "group": ("group", str),
     "activity": ("activity", str),
-    "state": ("state", attrgetter("code")),
-    "lifecycle": ("state", attrgetter("code")),
+    "state": ("state", str),
+    "lifecycle": ("state", str),
     "event_kind": ("kind", attrgetter("value")),
     "timestamp": ("timestamp", format_iso),
     "dependency_raw": ("dependency_raw", str),
@@ -145,9 +146,7 @@ def _hostile_events(draw):
         )
     )
     text = st.text(',"\n\r \tab1\u00e9\u4e2d\U0001f600', max_size=6)
-    state = st.sampled_from([PENDING, RUNNING, COMPLETED]) | st.builds(
-        JobState, st.just("other"), text
-    )
+    state = st.sampled_from([PENDING, RUNNING, COMPLETED]) | text
     event = st.builds(
         JobEvent,
         job_id=text,
@@ -296,7 +295,7 @@ class TestCsvRoundTrip:
         event = JobEvent(
             case_id="a,b",
             activity='odd "quote".sh',
-            state=JobState.from_code("XX"),
+            state="XX",
             kind=EventKind.STATE_CHANGED,
             timestamp=datetime(2024, 1, 1, tzinfo=timezone.utc),
             job_id="1_2",
@@ -334,7 +333,7 @@ _HOSTILE_TEXT = st.text(',"\n\r \tab1\x0b\x85\u00e9\u4e2d\U0001f600', max_size=6
 
 def _round_trip_events(case_id):
     """Hostile events that survive the codec exactly: whole-second UTC
-    times, and states that ``JobState.from_code`` gives back unchanged."""
+    times, and any text as a state code, which the codec keeps verbatim."""
     return st.lists(
         st.builds(
             JobEvent,
@@ -342,7 +341,7 @@ def _round_trip_events(case_id):
             account=_HOSTILE_TEXT,
             group=_HOSTILE_TEXT,
             activity=_HOSTILE_TEXT,
-            state=st.builds(JobState.from_code, _HOSTILE_TEXT),
+            state=_HOSTILE_TEXT,
             dependency_raw=_HOSTILE_TEXT,
             kind=st.sampled_from(EventKind),
             timestamp=st.datetimes(
@@ -429,6 +428,18 @@ class TestReadCsvMatchesPerRowDecode:
         assert _read_outcome(read_csv, text, EVENTS_CSV_HEADER) == events
         assert _read_outcome(_reference_read_csv, text, EVENTS_CSV_HEADER) == events
 
+    def test_one_shared_string_per_state_code(self):
+        codes = [PENDING, RUNNING, "CG", COMPLETED, "S", "F", "CA", "TO", "OOM", "pd"]
+        at = datetime(2024, 1, 1, tzinfo=timezone.utc)
+        log = CaseLog([
+            JobEvent(str(i), "acc", "g", "a.sh", codes[i % len(codes)],
+                     "(null)", EventKind.STATE_CHANGED, at, "c")
+            for i in range(1000)
+        ])
+        _, back = roundtrip(log)
+        assert back.events == log.events
+        assert {id(e.state) for e in back.events} == {id(sys.intern(c)) for c in codes}
+
     def test_unknown_state_code_decodes_alike(self):
         # The state code "created" is also an event kind's text: each column
         # decodes it on its own.
@@ -439,7 +450,7 @@ class TestReadCsvMatchesPerRowDecode:
         )
         events = _read_outcome(read_csv, text, CSV_HEADER)
         assert events == _read_outcome(_reference_read_csv, text, CSV_HEADER)
-        assert events[0].state == JobState("other", "created")
+        assert events[0].state == "created"
         assert events[0].kind == EventKind.CREATED
 
     @pytest.mark.parametrize(

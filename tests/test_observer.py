@@ -34,7 +34,6 @@ from hpcmine.snapshots import (
     PENDING,
     RUNNING,
     JobRow,
-    JobState,
     MalformedRow,
     normalize_command,
     parse_snapshot,
@@ -183,7 +182,7 @@ class TestFinalizeVanished:
 
 @dataclass(frozen=True)
 class _ReferenceJob:
-    state: JobState
+    state: str
     account: str
     group: str
     activity: str
@@ -274,7 +273,7 @@ class TestInPlaceMatchesReference:
         for i, snapshot in enumerate(stream):
             at = T0 + timedelta(seconds=30 * i)
             rows = [
-                row(job_id, JobState.from_code(code), dep=dep, account=account)
+                row(job_id, code, dep=dep, account=account)
                 for job_id, code, account, dep in snapshot
             ]
             events = diff_snapshot(state, rows, at)
@@ -302,7 +301,7 @@ class _TimedRow(NamedTuple):
     job_id: str
     dependency_raw: str
     command_path: str
-    state: JobState
+    state: str
     group: str
     observed_at: datetime
 
@@ -315,7 +314,7 @@ def _timed_parse(text, observed_at, errors, previous):
         fields = previous.get(line)
         if fields is None:
             tokens = line.split()
-            if not tokens or tokens[0] == "ACCOUNT":
+            if not tokens or tokens == "ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP".split():
                 continue
             if len(tokens) < 6 or "\0" in line:
                 errors.append(MalformedRow(line_number, line))
@@ -325,7 +324,7 @@ def _timed_parse(text, observed_at, errors, previous):
                 tokens[1],
                 tokens[2],
                 " ".join(tokens[3:-2]),
-                JobState.from_code(tokens[-2]),
+                tokens[-2],
                 tokens[-1],
             )
         current[line] = fields
@@ -406,6 +405,8 @@ _POOL = [
 ] + [
     "a  1 (null)\t/x/1.sh --n 2 PD g",
     "ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP",
+    "ACCOUNT 7 (null) /x/7.sh R g",
+    "ACCOUNT",
     "",
     "   ",
     "a 9 PD g",

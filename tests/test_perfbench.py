@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import hpcmine
+from hpcmine.snapshots import SNAPSHOT_HEADER
 from test_golden import (
     ARTIFACTS,
     GOLDEN,
@@ -51,7 +52,7 @@ def good_data_lines(text: str) -> int:
     return sum(
         1
         for line in text.splitlines()
-        if len(tokens := line.split()) >= 6 and tokens[0] != "ACCOUNT"
+        if len(tokens := line.split()) >= 6 and tokens != SNAPSHOT_HEADER.split()
     )
 
 

@@ -14,7 +14,6 @@ from hpcmine.eventlog import JobEvent
 from hpcmine.observer import EventKind
 from hpcmine.simulator import (
     SIM_EPOCH,
-    SNAPSHOT_HEADER,
     InvalidScenario,
     Oracle,
     ParseError,
@@ -33,6 +32,7 @@ from hpcmine.snapshots import (
     COMPLETING,
     PENDING,
     RUNNING,
+    SNAPSHOT_HEADER,
     normalize_command,
     parse_snapshot,
 )
@@ -164,7 +164,7 @@ class TestSimulate:
             for row in parse_snapshot(text, at):
                 if row.job_id == "4":
                     merge_rows.append(row)
-        pending = [r for r in merge_rows if r.state.kind == "pending"]
+        pending = [r for r in merge_rows if r.state == PENDING]
         assert pending[0].dependency_raw == "afterok:2:3"
         sizes = [
             0 if r.dependency_raw == "(null)" else len(r.dependency_raw.split(":")) - 1
@@ -172,7 +172,7 @@ class TestSimulate:
         ]
         assert sizes == sorted(sizes, reverse=True)
         for r in merge_rows:
-            if r.state.kind != "pending":
+            if r.state != PENDING:
                 assert r.dependency_raw == "(null)"
 
     def test_manual_jobs_never_render_dependencies(self):
@@ -187,7 +187,7 @@ class TestSimulate:
         states = []
         for at, text in result.snapshots:
             rows = parse_snapshot(text, at)
-            states.append(rows[0].state.code if rows else "-")
+            states.append(rows[0].state if rows else "-")
         assert states == ["PD", "CG", "-"]
 
     def test_determinism(self):
@@ -204,7 +204,7 @@ class TestSimulate:
             starts = [
                 e.job_id
                 for e in result.oracle.events
-                if e.kind == EventKind.STATE_CHANGED and e.state.kind == "running"
+                if e.kind == EventKind.STATE_CHANGED and e.state == RUNNING
             ]
             orders.add(tuple(j for j in starts if j in {"2", "3"}))
         assert orders == {("2", "3"), ("3", "2")}
@@ -220,15 +220,15 @@ class TestSimulate:
         result = simulate(ScenarioSpec(jobs=jobs, max_running=1))
         for at, text in result.snapshots:
             rows = parse_snapshot(text, at)
-            assert sum(1 for r in rows if r.state.kind == "running") <= 1
+            assert sum(1 for r in rows if r.state == RUNNING) <= 1
 
     def test_every_job_observed_pending_first(self):
         for seed in range(5):
             result = simulate(random_scenario(seed))
             first_state = {}
             for event in result.oracle.events:
-                first_state.setdefault(event.job_id, event.state.kind)
-            assert set(first_state.values()) == {"pending"}
+                first_state.setdefault(event.job_id, event.state)
+            assert set(first_state.values()) == {PENDING}
 
 
 class TestOracle:
@@ -245,6 +245,14 @@ class TestOracle:
         result = simulate(spec)
         events, _ = replay_events(result)
         assert events == result.oracle.events
+
+    def test_observer_keeps_a_job_whose_account_is_ACCOUNT(self):
+        spec = load_scenario("job 1 account=ACCOUNT group=g cmd=/x.sh dur=30\n")
+        result = simulate(spec)
+        events, summary = replay_events(result)
+        assert len(result.oracle.events) == 4
+        assert events == result.oracle.events
+        assert summary.malformed == 0
 
     def test_oracle_events_are_whole_observer_records(self):
         result = simulate(load_bundled_scenario("fig1_explicit"))
@@ -269,9 +277,9 @@ class TestOracle:
         result = simulate(load_bundled_scenario("fig1_explicit"))
         per_job = {}
         for event in result.oracle.events:
-            per_job.setdefault(event.job_id, []).append(event.state.kind)
+            per_job.setdefault(event.job_id, []).append(event.state)
         for states in per_job.values():
-            assert states == ["pending", "running", "completing", "completed"]
+            assert states == [PENDING, RUNNING, COMPLETING, COMPLETED]
 
 
 # The tick-scan simulator the event-driven loop replaced: every tick walks
@@ -429,11 +437,11 @@ def _reference_render_snapshot(runs, by_id, tick: int) -> str:
     lines = [SNAPSHOT_HEADER]
     for run in runs:
         if run.status == "pending":
-            code = PENDING.code
+            code = PENDING
         elif run.status == "running":
-            code = RUNNING.code
+            code = RUNNING
         elif run.status == "completing":
-            code = COMPLETING.code
+            code = COMPLETING
         else:
             continue
         dependency = "(null)"

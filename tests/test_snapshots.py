@@ -1,3 +1,4 @@
+import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 
@@ -11,10 +12,9 @@ from hpcmine.snapshots import (
     COMPLETING,
     PENDING,
     RUNNING,
-    SUSPENDED,
+    SNAPSHOT_HEADER,
     DependencySpec,
     JobRow,
-    JobState,
     MalformedRow,
     normalize_command,
     parse_dependency_spec,
@@ -23,24 +23,7 @@ from hpcmine.snapshots import (
 
 T0 = datetime(2022, 12, 7, 11, 51, 45, tzinfo=timezone.utc)
 
-KNOWN_STATES = (PENDING, RUNNING, COMPLETING, COMPLETED, SUSPENDED)
-
-
-class TestJobState:
-    @pytest.mark.parametrize(
-        "code,kind",
-        [("PD", "pending"), ("R", "running"), ("CG", "completing"),
-         ("CD", "completed"), ("S", "suspended")],
-    )
-    def test_named_codes_round_trip(self, code, kind):
-        state = JobState.from_code(code)
-        assert state.kind == kind
-        assert state.code == code
-
-    def test_unknown_code_is_other(self):
-        state = JobState.from_code("F")
-        assert state.kind == "other"
-        assert state.code == "F"
+KNOWN_STATES = (PENDING, RUNNING, COMPLETING, COMPLETED, "S")
 
 
 class TestParseSnapshot:
@@ -65,10 +48,18 @@ class TestParseSnapshot:
         rows = parse_snapshot(text, T0)
         assert [r.job_id for r in rows] == ["1"]
 
+    def test_header_is_the_exact_header_words(self):
+        errors = []
+        header = "  " + SNAPSHOT_HEADER.replace(" ", "\t")
+        text = f"{header}\nACCOUNT 1 (null) /x.sh R g\nACCOUNT\n"
+        rows = parse_snapshot(text, T0, errors)
+        assert rows == [("ACCOUNT", "1", "(null)", "/x.sh", RUNNING, "g")]
+        assert errors == [MalformedRow(3, "ACCOUNT")]
+
     def test_command_with_arguments_spans_middle_columns(self):
         rows = parse_snapshot("a 1 (null) /opt/run.sh --n 5 R g", T0)
         assert rows[0].command_path == "/opt/run.sh --n 5"
-        assert rows[0].state.code == "R"
+        assert rows[0].state == "R"
         assert rows[0].group == "g"
 
     def test_malformed_row_reported_and_skipped(self):
@@ -115,22 +106,18 @@ class TestParseSnapshot:
 
 
 # The frozen-dataclass row and parser as they were before ``JobRow`` became a
-# named tuple, kept as the reference the current parser must match. A
-# reference row still carries the observation time, which a ``JobRow`` leaves
-# to its snapshot.
+# named tuple, kept as the reference the current parser must match; only the
+# exact header line is skipped. A reference row still carries the observation
+# time, which a ``JobRow`` leaves to its snapshot.
 @dataclass(frozen=True)
 class _ReferenceRow:
     account: str
     job_id: str
     dependency_raw: str
     command_path: str
-    state: JobState
+    state: str
     group: str
     observed_at: datetime
-
-
-def _reference_state(code):
-    return {s.code: s for s in KNOWN_STATES}.get(code, JobState("other", code))
 
 
 def _reference_parse(text, observed_at, errors):
@@ -139,7 +126,7 @@ def _reference_parse(text, observed_at, errors):
         tokens = line.split()
         if not tokens:
             continue
-        if tokens[0] == "ACCOUNT":
+        if tokens == "ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP".split():
             continue
         if len(tokens) < 6 or "\0" in line:
             errors.append(MalformedRow(line_number, line))
@@ -150,7 +137,7 @@ def _reference_parse(text, observed_at, errors):
                 job_id=tokens[1],
                 dependency_raw=tokens[2],
                 command_path=" ".join(tokens[3:-2]),
-                state=_reference_state(tokens[-2]),
+                state=tokens[-2],
                 group=tokens[-1],
                 observed_at=observed_at,
             )
@@ -165,7 +152,7 @@ def _join(tokens, separators, pad):
 
 _separator = st.text(alphabet=" \t", min_size=1, max_size=3)
 _word = st.text(alphabet="abcXYZ019_/.-:(),+", min_size=1, max_size=8)
-_code = st.sampled_from([s.code for s in KNOWN_STATES] + ["F", "CA", "OOM", "pd"])
+_code = st.sampled_from([*KNOWN_STATES, "F", "CA", "OOM", "pd"])
 # ACCOUNT JOBID DEPENDENCY, a command of one to four tokens, ST GROUP.
 _data_tokens = st.builds(
     lambda head, command, code, group: head + command + [code, group],
@@ -200,9 +187,8 @@ def _assert_parses_as_reference(text, observed_at):
     ]
     assert errors == expected_errors
     assert all(type(row) is JobRow for row in rows)
-    for row, reference in zip(rows, expected):
-        if reference.state.kind != "other":
-            assert row.state is reference.state
+    # Known and unknown codes alike: one shared string per code, in every call.
+    assert all(row.state is sys.intern(row.state) for row in rows)
 
 
 def _kept_lines(text):
@@ -239,6 +225,7 @@ class TestParserMatchesReference:
     @example("ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP\n\na 1 (null) /x.sh PD g")
     @example("a 1 afterok:2 /opt/run.sh --n  5\tR g\nshort line\na 2 x /y.sh F g")
     @example("a 1 (null) /x\0.sh R g\na 2 (null) /y.sh R g\0")
+    @example("ACCOUNT 1 (null) /x.sh R g\nACCOUNT\nACCOUNT JOBID DEPENDENCY COMMAND ST")
     def test_same_fields_and_errors(self, text):
         _assert_parses_as_reference(text, T0)
 
@@ -298,11 +285,18 @@ class TestParserMatchesReference:
         )
 
     def test_known_codes_parse_to_shared_instances(self):
-        text = "\n".join(
-            f"a {i} (null) /x.sh {s.code} g" for i, s in enumerate(KNOWN_STATES)
-        )
+        text = "\n".join(f"a {i} (null) /x.sh {code} g" for i, code in enumerate(KNOWN_STATES))
         rows = parse_snapshot(text, T0)
         assert all(row.state is known for row, known in zip(rows, KNOWN_STATES))
+        assert rows[0].state is PENDING
+
+    def test_every_code_is_one_shared_string_across_calls(self):
+        codes = [*KNOWN_STATES, "F", "CA", "OOM", "pd"]
+        for account in ("a", "b"):  # new lines, so the second call splits them too
+            text = "\n".join(f"{account} {i} (null) /x.sh {c} g" for i, c in enumerate(codes))
+            rows = parse_snapshot(text, T0)
+            assert [row.state for row in rows] == codes
+            assert all(row.state is sys.intern(code) for row, code in zip(rows, codes))
         assert rows[0].state is PENDING
 
     def test_row_is_an_immutable_tuple_of_its_fields(self):

@@ -65,7 +65,15 @@ def _observe(args, source: observer.SnapshotSource, sink: observer.EventSink) ->
     return 0
 
 
-def _correlate(args, events: list[eventlog.JobEvent], output) -> eventlog.CaseLog | None:
+def _correlate(
+    args, events: list[eventlog.JobEvent], output
+) -> tuple[eventlog.CaseLog, dict | None] | None:
+    """Write the case log from ``events``, which ``apply_cases`` consumes.
+
+    Returns the log and, for the explicit strategy, the first dependencies
+    it parsed, which the stats reuse.
+    """
+    first_deps = None
     if args.strategy == "explicit":
         first_deps = correlation.extract_first_dependencies(events)
         graph = correlation.build_dependency_graph(events, first_deps)
@@ -83,7 +91,7 @@ def _correlate(args, events: list[eventlog.JobEvent], output) -> eventlog.CaseLo
         return None
     rows = eventlog.write_csv(log, output)
     print(f"cases: {len(set(assignment.cases.values()))}  rows: {rows}")
-    return log
+    return log, first_deps
 
 
 def _discover(args, log: eventlog.CaseLog, output, stats_out) -> None:
@@ -111,8 +119,11 @@ def _discover(args, log: eventlog.CaseLog, output, stats_out) -> None:
                 fh.write(eventlog.csv_line(row))
 
 
-def _stats(log: eventlog.CaseLog) -> None:
-    first_deps = eventlog.extract_first_dependencies(log)
+def _stats(log: eventlog.CaseLog, first_deps: dict | None = None) -> None:
+    # A job's first event is its creation in the observer's order and in the
+    # log's alike, so first dependencies taken from either give equal stats.
+    if first_deps is None:
+        first_deps = eventlog.extract_first_dependencies(log)
     print(eventlog.render_stats(eventlog.compute_stats(log, first_deps)))
 
 
@@ -194,11 +205,12 @@ def cmd_pipeline(args) -> int:
         rc = _observe(args, source, sink)
     if rc != 0:
         return rc
-    log = _correlate(args, sink.events, out / "cases.csv")
-    if log is None:
+    correlated = _correlate(args, sink.events, out / "cases.csv")
+    if correlated is None:
         return 1
+    log, first_deps = correlated
     _discover(args, log, out / "dfg.dot", out / "edges.csv")
-    _stats(log)
+    _stats(log, first_deps)
     return 0
 
 

@@ -12,7 +12,6 @@ reversed edges only when there is a cycle.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -91,13 +90,12 @@ class DependencyGraph:
     # Union-find over the weak components of every added edge (see ``find_root``).
     parent: dict[str, str] = field(default_factory=dict, repr=False, compare=False)
 
-    def add_edge(self, source: str, target: str) -> bool:
-        """Record the edge and join its ends' components; always ``True``."""
+    def add_edge(self, source: str, target: str) -> None:
+        """Record the edge and join its ends' components."""
         self.vertices.add(source)
         self.vertices.add(target)
         self.edges.add((source, target))
         self.parent[find_root(self.parent, source)] = find_root(self.parent, target)
-        return True
 
 
 @dataclass(frozen=True)
@@ -150,6 +148,8 @@ def _component_case_id(component: Iterable[str], hash_ids: bool) -> str:
     ordered = sorted(component, key=sort_key)
     case_id = "JID" + "".join(ordered)
     if hash_ids or len(case_id) > MAX_CASE_ID_LENGTH:
+        import hashlib  # loads OpenSSL: paid only by a run that hashes an id
+
         digest = hashlib.sha256(",".join(ordered).encode()).hexdigest()[:16]
         return f"JID{digest}"
     return case_id
@@ -194,13 +194,19 @@ def assign_cases_implicit(events: Iterable[JobEvent]) -> CaseAssignment:
     return CaseAssignment(cases)
 
 
-def apply_cases(events: Iterable[JobEvent], assignment: CaseAssignment) -> CaseLog:
-    """Attach case ids and produce the sorted event log."""
-    case_events = []
-    for event in events:
-        case_id = assignment.cases.get(event.job_id)
+def apply_cases(events: list[JobEvent], assignment: CaseAssignment) -> CaseLog:
+    """Attach case ids and produce the sorted event log, consuming ``events``.
+
+    Each event of the list is replaced by its copy with the case id, and the
+    list itself is sorted and becomes the log's ``events``: no event is held
+    twice. Pass a copy to keep the original order. On ``UnassignedJob`` the
+    list is left stamped up to the unassigned event and unsorted.
+    """
+    cases = assignment.cases
+    for i, event in enumerate(events):
+        case_id = cases.get(event.job_id)
         if case_id is None:
             raise UnassignedJob(event.job_id)
-        case_events.append(with_case(event, case_id))
-    case_events.sort(key=attrgetter("case_id", "timestamp", "job_id"))
-    return CaseLog(case_events)
+        events[i] = with_case(event, case_id)
+    events.sort(key=attrgetter("case_id", "timestamp", "job_id"))
+    return CaseLog(events)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import logging
-import statistics
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -54,13 +54,20 @@ class EdgeStats:
     def frequency(self) -> int:
         return len(self.durations)
 
+    # Both equal ``statistics.fmean`` and ``statistics.median`` exactly;
+    # ``statistics`` is not imported for them, as it loads ``decimal`` and
+    # ``fractions``.
     @property
     def mean(self) -> float:
-        return statistics.fmean(self.durations)
+        return math.fsum(self.durations) / len(self.durations)
 
     @property
     def median(self) -> float:
-        return statistics.median(self.durations)
+        ordered = sorted(self.durations)
+        middle = len(ordered) // 2
+        if len(ordered) % 2:
+            return ordered[middle]
+        return (ordered[middle - 1] + ordered[middle]) / 2
 
 
 @dataclass

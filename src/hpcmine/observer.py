@@ -16,7 +16,6 @@ from __future__ import annotations
 import logging
 import os
 import shlex
-import subprocess
 import time as _time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -274,6 +273,8 @@ class CommandSource:
 
     @staticmethod
     def _run_subprocess(argv: list[str]) -> str:
+        import subprocess  # only live polling runs a command
+
         result = subprocess.run(argv, capture_output=True, text=True)
         if result.returncode != 0:
             raise SourceFailure(

@@ -3,8 +3,9 @@
 A snapshot is plain text with six whitespace-separated logical columns per
 job: ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP. The COMMAND column may
 carry arguments (and thus embedded spaces), so the row is parsed
-positionally from both ends. A line is the header only when its words are
-exactly those of ``SNAPSHOT_HEADER``.
+positionally from both ends. A line is the header when its first two words
+are ``ACCOUNT JOBID``, whatever format codes follow: a squeue job id is never
+the word ``JOBID``, so a job whose account is ``ACCOUNT`` is still a row.
 
 A job's state is its ST code as squeue prints it (``PD``, ``R``, ``CG``,
 ``CD``, ...), kept verbatim as an interned string: any code is valid, and
@@ -14,7 +15,9 @@ A row holds only what its line says; the observation time belongs to the
 snapshot. Between two polls most lines of a queue come back unchanged, so
 ``parse_snapshot`` keeps the previous call's good data lines with their rows,
 returns the same row for a line it has just seen and splits only the others.
-What it keeps is bounded by one snapshot.
+What it keeps is bounded by one snapshot. A split line's account, job id,
+DEPENDENCY and group are interned like its state, so a job's rows, events and
+observer record share one string per column however often its line changes.
 
 ``parse_dependency_spec`` splits a DEPENDENCY value into clauses, each a
 condition tag and its target job ids. Only the targets are read downstream:
@@ -43,10 +46,11 @@ RUNNING = "R"
 COMPLETING = "CG"
 COMPLETED = "CD"
 
-# The header line squeue prints above the rows; only a line with exactly
-# these words is skipped as the header.
+# The header line squeue prints above the rows for the default format. Any
+# line whose first two words are those of the header is skipped: squeue names
+# the columns of another format (``%T`` prints STATE) after the same two.
 SNAPSHOT_HEADER = "ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP"
-_HEADER_WORDS = SNAPSHOT_HEADER.split()
+_HEADER_START = SNAPSHOT_HEADER.split()[:2]
 
 
 _NO_DEPENDENCY_VALUES = {"", "(null)", "null"}
@@ -83,9 +87,9 @@ class JobRow(NamedTuple):
     """One parsed line of a queue snapshot.
 
     A row compares equal to a plain tuple of its fields. ``state`` is the
-    ST column verbatim, interned, so equal codes are one string object. A row
-    carries no observation time, so one row serves every poll that repeats
-    its line.
+    ST column verbatim. Every field but ``command_path`` is interned, so equal
+    texts are one string object. A row carries no observation time, so one
+    row serves every poll that repeats its line.
     """
 
     account: str
@@ -101,7 +105,7 @@ class MalformedRow:
     """A skipped data line: it had too few columns or held a NUL.
 
     A line of fewer than six words whose first word is ``ACCOUNT`` is
-    malformed too; only the exact header line is skipped silently.
+    malformed too, unless its second word is ``JOBID``: that is the header.
     """
 
     line_number: int
@@ -160,8 +164,8 @@ def parse_snapshot(
 ) -> list[JobRow]:
     """Parse one snapshot into job rows, in file order.
 
-    The header line (exactly the words of ``SNAPSHOT_HEADER``) is skipped, so
-    a job whose account is ``ACCOUNT`` is still a row. Data lines with fewer
+    The header line (first two words ``ACCOUNT JOBID``) is skipped, so a job
+    whose account is ``ACCOUNT`` is still a row. Data lines with fewer
     than 6 columns or holding a NUL are reported via ``errors`` (and the
     module logger, which names the snapshot by ``observed_at``) and skipped;
     parsing continues. A NUL would reach the events file, which Python
@@ -177,12 +181,13 @@ def parse_snapshot(
     previous = _previous_lines
     current: dict[str, JobRow] = {}
     new_row = tuple.__new__  # skips the Python-level JobRow.__new__
+    intern = sys.intern
     rows: list[JobRow] = []
     for line_number, line in enumerate(text.splitlines(), start=1):
         row = previous.get(line)
         if row is None:
             tokens = line.split()
-            if not tokens or tokens == _HEADER_WORDS:
+            if not tokens or tokens[:2] == _HEADER_START:
                 continue
             if len(tokens) < 6 or "\0" in line:
                 malformed = MalformedRow(line_number, line)
@@ -198,12 +203,12 @@ def parse_snapshot(
             row = new_row(
                 JobRow,
                 (
-                    tokens[0],
-                    tokens[1],
-                    tokens[2],
+                    intern(tokens[0]),
+                    intern(tokens[1]),
+                    intern(tokens[2]),
                     " ".join(tokens[3:-2]),
-                    sys.intern(tokens[-2]),
-                    tokens[-1],
+                    intern(tokens[-2]),
+                    intern(tokens[-1]),
                 ),
             )
         current[line] = row

@@ -105,10 +105,10 @@ def test_criterion_4_explicit_partition_equals_union_find():
             if n < 2:
                 break
             a, b = rng.sample(vertices, 2)
-            if graph.add_edge(a, b):
-                root_a, root_b = find(a), find(b)
-                if root_a != root_b:
-                    parent[root_a] = root_b
+            graph.add_edge(a, b)
+            root_a, root_b = find(a), find(b)
+            if root_a != root_b:
+                parent[root_a] = root_b
         assignment = assign_cases_explicit(graph)
         roots = {v: find(v) for v in vertices}
         partition_by_case = {}

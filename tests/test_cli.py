@@ -1,8 +1,15 @@
 import argparse
 import csv
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hpcmine
 from hpcmine import observer
 from hpcmine.cli import SQUEUE_CMD_ENV, build_parser, main
 from hpcmine.eventlog import CSV_HEADER, CsvEventSink
@@ -272,3 +279,48 @@ class TestPipeline:
             "--account",
         }
         assert pipeline == {option: shared[option] for option in pipeline}
+
+
+# Runs each argv list given as JSON through ``main`` in this fresh interpreter
+# and prints, after the import and after each run, which of the modules a
+# replay pipeline has no use for it loaded since start-up.
+_FRESH_RUNS = """
+import json, sys
+LAZY = {"hashlib", "subprocess", "statistics"}
+before = set(sys.modules)
+loaded = lambda: sorted(LAZY & (set(sys.modules) - before))
+from hpcmine.cli import main
+report = {"import": loaded()}
+for argv in json.loads(sys.argv[1]):
+    report[argv[-1]] = [main(argv), loaded(), "hashlib" in sys.modules]
+print(json.dumps(report))
+"""
+
+
+class TestLazyImports:
+    def test_pipeline_loads_no_module_it_does_not_use(self, tmp_path, fig1_replay):
+        base = ["pipeline", "--replay", str(fig1_replay)]
+        runs = [
+            base + ["-o", str(tmp_path / "explicit"), "--strategy", "explicit"],
+            base + ["-o", str(tmp_path / "implicit"), "--strategy", "implicit"],
+            # Last: it loads hashlib for the rest of the interpreter's life.
+            base + ["-o", str(tmp_path / "hashed"), "--hash-case-ids"],
+        ]
+        paths = [str(Path(hpcmine.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        done = subprocess.run(
+            [sys.executable, "-c", _FRESH_RUNS, json.dumps(runs)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.splitlines()[-1])
+        assert report["import"] == []
+        assert report["explicit"][:2] == [0, []]
+        assert report["implicit"][:2] == [0, []]
+        assert report["--hash-case-ids"][0] == 0
+        assert report["--hash-case-ids"][2]
+        with open(tmp_path / "hashed" / "cases.csv") as fh:
+            case_ids = {row["case_id"] for row in csv.DictReader(fh)}
+        assert case_ids == {"JID" + hashlib.sha256(b"4,3,2,1").hexdigest()[:16]}

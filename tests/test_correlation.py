@@ -130,8 +130,8 @@ class TestBuildDependencyGraph:
 
     def test_repeated_edge_kept_once(self, caplog):
         graph = DependencyGraph()
-        assert graph.add_edge("1", "2")
-        assert graph.add_edge("1", "2")
+        graph.add_edge("1", "2")
+        graph.add_edge("1", "2")
         assert graph.edges == {("1", "2")}
         assert graph.dropped_edges == []
         events = [event("1"), event("2", dep="afterok:1:1")]
@@ -205,9 +205,9 @@ class TestAssignCasesExplicit:
                 a, b = rng.sample(vertices, 2) if n > 1 else (vertices[0], vertices[0])
                 if a == b:
                     continue
-                if graph.add_edge(a, b):
-                    parent[find(a)] = find(b)
-                    edges.add((a, b))
+                graph.add_edge(a, b)
+                parent[find(a)] = find(b)
+                edges.add((a, b))
             assignment = assign_cases_explicit(graph)
             for a in vertices:
                 for b in vertices:
@@ -529,6 +529,20 @@ class TestApplyCases:
         with pytest.raises(UnassignedJob):
             apply_cases([event("1")], assign_cases_implicit([]))
 
+    def test_stamps_and_sorts_the_given_list(self):
+        events = [event("2", offset=10), event("1", offset=10), event("3", offset=5)]
+        assignment = CaseAssignment({"1": "b", "2": "a", "3": "b"})
+        log = apply_cases(events, assignment)
+        assert log.events is events
+        assert [(e.case_id, e.job_id) for e in events] == [("a", "2"), ("b", "3"), ("b", "1")]
+
+    def test_unassigned_job_leaves_the_list_partly_stamped(self):
+        events = [event("2"), event("1"), event("3")]
+        with pytest.raises(UnassignedJob) as raised:
+            apply_cases(events, CaseAssignment({"2": "a", "3": "a"}))
+        assert raised.value.job_id == "1"
+        assert [(e.job_id, e.case_id) for e in events] == [("2", "a"), ("1", ""), ("3", "")]
+
     def test_simulator_chain_case_counts(self):
         result = simulator.simulate(simulator.load_bundled_scenario("two_chains"))
         events, _ = replay_events(result)
@@ -548,11 +562,11 @@ class TestApplyCases:
         events = [e._replace(case_id="") for e in random_case_log(rng, n_cases=6)]
         rng.shuffle(events)
         cases = {e.job_id: f"c{rng.randint(0, 3)}" for e in events}
-        log = apply_cases(events, CaseAssignment(cases))
         expected = sorted(
             (e._replace(case_id=cases[e.job_id]) for e in events),
             key=lambda e: (e.case_id, e.timestamp, e.job_id),
         )
+        log = apply_cases(events, CaseAssignment(cases))
         assert log.events == expected
 
 

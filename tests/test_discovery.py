@@ -1,8 +1,11 @@
 import random
 import re
+import statistics
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_case_log, replay_events
 from hpcmine import simulator
@@ -17,6 +20,7 @@ from hpcmine.discovery import (
     MILESTONES,
     Dfg,
     DurationMode,
+    EdgeStats,
     Trace,
     TraceStep,
     detect_parallel,
@@ -172,6 +176,17 @@ class TestDiscoverDfg:
         )
         dfg = discover_dfg([Trace("c", steps)], duration_mode=DurationMode.COMPLETION_START)
         assert dfg.edges[("A", "B")].durations == [30.0]
+
+
+class TestEdgeStats:
+    # Finite floats whose sums stay finite: near the float limit both sides
+    # raise OverflowError alike.
+    @given(st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1))
+    def test_mean_and_median_equal_the_statistics_module(self, durations):
+        stats = EdgeStats(list(durations))
+        assert stats.mean == statistics.fmean(durations)
+        assert stats.median == statistics.median(durations)
+        assert stats.durations == durations
 
 
 class TestDetectParallel:

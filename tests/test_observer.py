@@ -314,7 +314,7 @@ def _timed_parse(text, observed_at, errors, previous):
         fields = previous.get(line)
         if fields is None:
             tokens = line.split()
-            if not tokens or tokens == "ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP".split():
+            if not tokens or tokens[:2] == ["ACCOUNT", "JOBID"]:
                 continue
             if len(tokens) < 6 or "\0" in line:
                 errors.append(MalformedRow(line_number, line))
@@ -405,6 +405,7 @@ _POOL = [
 ] + [
     "a  1 (null)\t/x/1.sh --n 2 PD g",
     "ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP",
+    "ACCOUNT JOBID DEPENDENCY COMMAND STATE GROUP",
     "ACCOUNT 7 (null) /x/7.sh R g",
     "ACCOUNT",
     "",

@@ -52,7 +52,7 @@ def good_data_lines(text: str) -> int:
     return sum(
         1
         for line in text.splitlines()
-        if len(tokens := line.split()) >= 6 and tokens != SNAPSHOT_HEADER.split()
+        if len(tokens := line.split()) >= 6 and tokens[:2] != SNAPSHOT_HEADER.split()[:2]
     )
 
 

@@ -56,6 +56,35 @@ class TestParseSnapshot:
         assert rows == [("ACCOUNT", "1", "(null)", "/x.sh", RUNNING, "g")]
         assert errors == [MalformedRow(3, "ACCOUNT")]
 
+    def test_header_of_another_format_skipped(self):
+        # ``squeue -o "%a %i %E %o %T %g"`` names its state column STATE.
+        errors = []
+        text = "ACCOUNT JOBID DEPENDENCY COMMAND STATE GROUP\nu1 7 (null) /x.sh PENDING g\n"
+        rows = parse_snapshot(text, T0, errors)
+        assert rows == [("u1", "7", "(null)", "/x.sh", "PENDING", "g")]
+        assert errors == []
+
+    def test_column_texts_are_shared_across_calls(self):
+        # Job 101's line changes state, job 102's line comes back unchanged,
+        # and job 103 is new but shares every column text but its id with 101.
+        # Ids of one character would be shared anyway: CPython caches them.
+        first = parse_snapshot(
+            "acct 101 afterok:99 /x.sh PD grp\nacct 102 (null) /y.sh R grp", T0
+        )
+        second = parse_snapshot(
+            "acct 101 afterok:99 /x.sh R grp\nacct 102 (null) /y.sh R grp\n"
+            "acct 103 afterok:99 /z.sh PD grp",
+            T0 + timedelta(seconds=30),
+        )
+        old, new = first[0], second[0]
+        assert new is not old
+        for name in ("account", "job_id", "dependency_raw", "group"):
+            assert getattr(new, name) is getattr(old, name), name
+        assert second[1] is first[1]
+        assert second[2].account is old.account
+        assert second[2].dependency_raw is old.dependency_raw
+        assert second[2].group is old.group
+
     def test_command_with_arguments_spans_middle_columns(self):
         rows = parse_snapshot("a 1 (null) /opt/run.sh --n 5 R g", T0)
         assert rows[0].command_path == "/opt/run.sh --n 5"
@@ -106,9 +135,10 @@ class TestParseSnapshot:
 
 
 # The frozen-dataclass row and parser as they were before ``JobRow`` became a
-# named tuple, kept as the reference the current parser must match; only the
-# exact header line is skipped. A reference row still carries the observation
-# time, which a ``JobRow`` leaves to its snapshot.
+# named tuple, kept as the reference the current parser must match; a line
+# whose first two words are ACCOUNT JOBID is the header and is skipped. A
+# reference row still carries the observation time, which a ``JobRow`` leaves
+# to its snapshot.
 @dataclass(frozen=True)
 class _ReferenceRow:
     account: str
@@ -126,7 +156,7 @@ def _reference_parse(text, observed_at, errors):
         tokens = line.split()
         if not tokens:
             continue
-        if tokens == "ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP".split():
+        if tokens[:2] == ["ACCOUNT", "JOBID"]:
             continue
         if len(tokens) < 6 or "\0" in line:
             errors.append(MalformedRow(line_number, line))
@@ -187,8 +217,9 @@ def _assert_parses_as_reference(text, observed_at):
     ]
     assert errors == expected_errors
     assert all(type(row) is JobRow for row in rows)
-    # Known and unknown codes alike: one shared string per code, in every call.
-    assert all(row.state is sys.intern(row.state) for row in rows)
+    # Known and unknown codes alike: one shared string per code, in every call;
+    # so too for every other column but the command.
+    assert all(text is sys.intern(text) for row in rows for text in row[:3] + row[4:])
 
 
 def _kept_lines(text):
@@ -208,6 +239,7 @@ def _line_pools(draw):
     # Each job again in a state drawn anew (known, unknown or the same).
     pool += [" ".join(tokens[:-2] + [draw(_code), tokens[-1]]) for tokens in jobs]
     pool += ["ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP", "", "  ", "broken line"]
+    pool += ["ACCOUNT JOBID DEPENDENCY COMMAND STATE GROUP", "ACCOUNT JOBID"]
     pool += draw(st.lists(_line, max_size=4))
     return pool
 
@@ -226,6 +258,7 @@ class TestParserMatchesReference:
     @example("a 1 afterok:2 /opt/run.sh --n  5\tR g\nshort line\na 2 x /y.sh F g")
     @example("a 1 (null) /x\0.sh R g\na 2 (null) /y.sh R g\0")
     @example("ACCOUNT 1 (null) /x.sh R g\nACCOUNT\nACCOUNT JOBID DEPENDENCY COMMAND ST")
+    @example("ACCOUNT JOBID DEPENDENCY COMMAND STATE GROUP\nu1 7 (null) /x.sh PENDING g")
     def test_same_fields_and_errors(self, text):
         _assert_parses_as_reference(text, T0)
 

@@ -4,6 +4,8 @@ Observes a queue through periodic snapshots, extracts a job event log by
 diffing, assigns case identifiers via explicit dependency chains or
 account-group keys, and discovers frequency/performance-annotated
 directly-follows models.
+
+The simulator is not imported here: its names come from ``hpcmine.simulator``.
 """
 
 from .snapshots import (
@@ -46,15 +48,6 @@ from .discovery import (
     discover_dfg,
     export_dot,
     project_case_traces,
-)
-from .simulator import (
-    Oracle,
-    ScenarioSpec,
-    SimJob,
-    SubmitMode,
-    load_bundled_scenario,
-    load_scenario,
-    simulate,
 )
 
 __version__ = "0.1.0"

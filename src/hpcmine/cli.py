@@ -11,10 +11,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import correlation, discovery, eventlog, observer, simulator
+from . import correlation, discovery, eventlog, observer
+
+if TYPE_CHECKING:
+    from .simulator import ScenarioSpec
 
 SQUEUE_CMD_ENV = "HPCPM_SQUEUE_CMD"
 
@@ -160,20 +163,25 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _load_scenario(name_or_path: str, seed: int | None) -> simulator.ScenarioSpec:
-    if Path(name_or_path).exists():
-        spec = simulator.load_scenario(Path(name_or_path))
+def _load_scenario(name_or_path: str, seed: int | None) -> ScenarioSpec:
+    from . import simulator
+
+    path = Path(name_or_path)
+    if path.is_file():
+        spec = simulator.load_scenario(path)
     else:
         spec = simulator.load_bundled_scenario(name_or_path)
     if seed is not None:
-        spec = replace(spec, seed=seed)
+        spec = spec._replace(seed=seed)
     return spec
 
 
 def cmd_simulate(args) -> int:
+    from . import simulator  # only this command runs the simulator
+
     try:
         spec = _load_scenario(args.scenario, args.seed)
-    except simulator.ScenarioError as exc:
+    except (simulator.ScenarioError, OSError, UnicodeDecodeError) as exc:
         _err(str(exc))
         return 1
     result = simulator.simulate(spec)

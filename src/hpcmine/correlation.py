@@ -13,9 +13,8 @@ reversed edges only when there is a cycle.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .eventlog import (  # extract_first_dependencies is re-exported
     CaseLog,
@@ -75,7 +74,6 @@ def cyclic_jobs(edges: Iterable[tuple[str, str]]) -> set[str]:
     return set(unmet)
 
 
-@dataclass
 class DependencyGraph:
     """Directed graph over job ids; edge (a, b) means b depends on a.
 
@@ -83,12 +81,22 @@ class DependencyGraph:
     on or between cycles end in ``dropped_edges``; they never change a component.
     """
 
-    vertices: set[str] = field(default_factory=set)
-    edges: set[tuple[str, str]] = field(default_factory=set)
-    external: set[str] = field(default_factory=set)
-    dropped_edges: list[tuple[str, str]] = field(default_factory=list)
-    # Union-find over the weak components of every added edge (see ``find_root``).
-    parent: dict[str, str] = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("vertices", "edges", "external", "dropped_edges", "parent")
+
+    def __init__(
+        self,
+        vertices: set[str] | None = None,
+        edges: set[tuple[str, str]] | None = None,
+        external: set[str] | None = None,
+        dropped_edges: list[tuple[str, str]] | None = None,
+        parent: dict[str, str] | None = None,
+    ) -> None:
+        self.vertices = set() if vertices is None else vertices
+        self.edges = set() if edges is None else edges
+        self.external = set() if external is None else external
+        self.dropped_edges = [] if dropped_edges is None else dropped_edges
+        # Union-find over the weak components of every added edge (see ``find_root``).
+        self.parent = {} if parent is None else parent
 
     def add_edge(self, source: str, target: str) -> None:
         """Record the edge and join its ends' components."""
@@ -98,8 +106,7 @@ class DependencyGraph:
         self.parent[find_root(self.parent, source)] = find_root(self.parent, target)
 
 
-@dataclass(frozen=True)
-class CaseAssignment:
+class CaseAssignment(NamedTuple):
     cases: Mapping[str, str]
 
 

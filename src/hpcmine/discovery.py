@@ -13,8 +13,9 @@ import enum
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from datetime import datetime
+from operator import itemgetter
+from typing import NamedTuple
 
 from .eventlog import CaseLog, EventKind
 from .snapshots import COMPLETED, COMPLETING, PENDING, RUNNING
@@ -33,22 +34,22 @@ class DurationMode(enum.Enum):
     COMPLETION_START = "completion-start"
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     activity: str
     at: datetime
     completed_at: datetime | None = None
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     case_id: str
     steps: tuple[TraceStep, ...]
 
 
-@dataclass
 class EdgeStats:
-    durations: list[float] = field(default_factory=list)
+    __slots__ = ("durations",)
+
+    def __init__(self, durations: list[float] | None = None) -> None:
+        self.durations = [] if durations is None else durations
 
     @property
     def frequency(self) -> int:
@@ -70,12 +71,20 @@ class EdgeStats:
         return (ordered[middle - 1] + ordered[middle]) / 2
 
 
-@dataclass
 class Dfg:
-    activities: Counter = field(default_factory=Counter)
-    edges: dict[tuple[str, str], EdgeStats] = field(default_factory=dict)
-    start_activities: Counter = field(default_factory=Counter)
-    end_activities: Counter = field(default_factory=Counter)
+    __slots__ = ("activities", "edges", "start_activities", "end_activities")
+
+    def __init__(
+        self,
+        activities: Counter | None = None,
+        edges: dict[tuple[str, str], EdgeStats] | None = None,
+        start_activities: Counter | None = None,
+        end_activities: Counter | None = None,
+    ) -> None:
+        self.activities = Counter() if activities is None else activities
+        self.edges = {} if edges is None else edges
+        self.start_activities = Counter() if start_activities is None else start_activities
+        self.end_activities = Counter() if end_activities is None else end_activities
 
     @property
     def is_empty(self) -> bool:
@@ -86,43 +95,46 @@ def project_case_traces(log: CaseLog, milestone: str = RUNNING) -> list[Trace]:
     """Project the log onto one trace per case.
 
     ``milestone`` is a value of ``MILESTONES``, a squeue state code. Each job
-    contributes one entry, anchored at its first event whose state ranks
-    at-or-after the milestone in ``_STATE_RANK``; a code outside that table
-    ranks below every milestone. Jobs that never reach the milestone are
-    dropped (counted in a warning). Entries sort by timestamp, ties by job id.
+    contributes one entry, anchored at its earliest event whose state ranks
+    at-or-after the milestone in ``_STATE_RANK`` (the first in log order
+    among equal times); a code outside that table ranks below every
+    milestone. Jobs that never reach the milestone are dropped (counted in a
+    warning). Entries sort by timestamp, ties by job id.
+
+    One pass over the log folds each job's anchor and completion, the
+    earliest synthetic or COMPLETED event, so the log need not be sorted.
     """
     threshold = _STATE_RANK[milestone]
-    per_case: dict[str, dict[str, list]] = {}
-    case_order: list[str] = []
-    dropped = 0
+    rank = _STATE_RANK.get
+    synthetic = EventKind.SYNTHETIC_COMPLETED
+    # (case id, job id) -> [anchor time, anchor activity, completion time]
+    jobs: dict[tuple[str, str], list] = {}
     for event in log.events:
-        jobs = per_case.get(event.case_id)
-        if jobs is None:
-            jobs = per_case[event.case_id] = {}
-            case_order.append(event.case_id)
-        jobs.setdefault(event.job_id, []).append(event)
+        key = (event.case_id, event.job_id)
+        job = jobs.get(key)
+        if job is None:
+            job = jobs[key] = [None, None, None]
+        at = event.timestamp
+        if rank(event.state, -1) >= threshold and (job[0] is None or at < job[0]):
+            job[0] = at
+            job[1] = event.activity
+        if (event.kind is synthetic or event.state == COMPLETED) and (
+            job[2] is None or at < job[2]
+        ):
+            job[2] = at
 
+    per_case: dict[str, list] = {}
+    dropped = 0
+    for (case_id, job_id), (at, activity, completed) in jobs.items():
+        entries = per_case.setdefault(case_id, [])
+        if at is None:
+            dropped += 1
+        else:
+            entries.append((at, job_id, activity, completed))
     traces: list[Trace] = []
-    for case_id in sorted(case_order):
-        entries = []
-        for job_id, events in per_case[case_id].items():
-            events.sort(key=lambda e: e.timestamp)
-            anchor = next(
-                (e for e in events if _STATE_RANK.get(e.state, -1) >= threshold), None
-            )
-            if anchor is None:
-                dropped += 1
-                continue
-            completed = next(
-                (
-                    e.timestamp
-                    for e in events
-                    if e.kind == EventKind.SYNTHETIC_COMPLETED or e.state == COMPLETED
-                ),
-                None,
-            )
-            entries.append((anchor.timestamp, job_id, anchor.activity, completed))
-        entries.sort(key=lambda item: (item[0], item[1]))
+    for case_id in sorted(per_case):
+        entries = per_case[case_id]
+        entries.sort(key=itemgetter(0, 1))
         traces.append(
             Trace(
                 case_id,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import enum
 import sys
-from dataclasses import dataclass
 from datetime import datetime
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -146,9 +145,13 @@ class MalformedCsv(EventLogError):
         self.row_number = row_number
 
 
-@dataclass
 class CaseLog:
-    events: list[JobEvent]
+    """Case-stamped events; ``apply_cases`` sorts them by case, time and job id."""
+
+    __slots__ = ("events",)
+
+    def __init__(self, events: list[JobEvent]) -> None:
+        self.events = events
 
     def __len__(self) -> int:
         return len(self.events)
@@ -292,8 +295,7 @@ def extract_first_dependencies(events: Iterable[JobEvent]) -> dict[str, Dependen
 first_dependencies_from_log = extract_first_dependencies
 
 
-@dataclass(frozen=True)
-class LogStats:
+class LogStats(NamedTuple):
     num_events: int
     num_unique_jobs: int
     num_accounts: int

@@ -16,8 +16,8 @@ from __future__ import annotations
 import logging
 import os
 import shlex
+import sys
 import time as _time
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Protocol
@@ -57,18 +57,21 @@ class SourceFailure(ObserverError):
     """The snapshot source failed; already-produced events were kept."""
 
 
-@dataclass(slots=True)
 class TrackedJob:
     """What the observer keeps about one job; updated in place."""
 
-    state: str
-    account: str
-    group: str
-    activity: str
-    first_seen: int  # position of the job in first-seen order
+    __slots__ = ("state", "account", "group", "activity", "first_seen")
+
+    def __init__(
+        self, state: str, account: str, group: str, activity: str, first_seen: int
+    ) -> None:
+        self.state = state
+        self.account = account
+        self.group = group
+        self.activity = activity
+        self.first_seen = first_seen  # position of the job in first-seen order
 
 
-@dataclass
 class ObserverState:
     """Retained per-job view, updated in place by each polling round.
 
@@ -78,8 +81,15 @@ class ObserverState:
     completes and returns when a stale row shows it in another state.
     """
 
-    jobs: dict[str, TrackedJob] = field(default_factory=dict)
-    active: dict[str, TrackedJob] = field(default_factory=dict)
+    __slots__ = ("jobs", "active")
+
+    def __init__(
+        self,
+        jobs: dict[str, TrackedJob] | None = None,
+        active: dict[str, TrackedJob] | None = None,
+    ) -> None:
+        self.jobs = {} if jobs is None else jobs
+        self.active = {} if active is None else active
 
 
 def diff_snapshot(
@@ -93,7 +103,8 @@ def diff_snapshot(
 
     A creation event carries the job's dependency column as first seen. The
     column is only trustworthy while the job is PENDING, so a job first seen
-    in a later state carries the "(late)" marker instead.
+    in a later state carries the "(late)" marker instead. A new job's activity
+    is interned, so the jobs of one command share one string.
     """
     events: list[JobEvent] = []
     jobs = state.jobs
@@ -101,7 +112,7 @@ def diff_snapshot(
     for row in rows:
         tracked = jobs.get(row.job_id)
         if tracked is None:
-            activity = normalize_command(row.command_path)
+            activity = sys.intern(normalize_command(row.command_path))
             dep_raw = row.dependency_raw if row.state == PENDING else LATE_DEPENDENCY
             tracked = TrackedJob(row.state, row.account, row.group, activity, len(jobs))
             jobs[row.job_id] = tracked
@@ -306,8 +317,7 @@ class CommandSource:
                 self.sleep(deadline - now)
 
 
-@dataclass
-class ObservationSummary:
+class ObservationSummary(NamedTuple):
     snapshots: int
     events: int
     state: ObserverState

@@ -33,11 +33,11 @@ import enum
 import math
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from importlib import resources
 from operator import attrgetter, itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .correlation import cyclic_jobs, find_root
 from .eventlog import CsvEventSink, EventKind, JobEvent, csv_line
@@ -80,8 +80,7 @@ class SubmitMode(enum.Enum):
     MANUAL = "manual"
 
 
-@dataclass(frozen=True)
-class SimJob:
+class SimJob(NamedTuple):
     job_id: str
     account: str
     group: str
@@ -91,8 +90,7 @@ class SimJob:
     mode: SubmitMode = SubmitMode.BATCH
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(NamedTuple):
     jobs: tuple[SimJob, ...]
     seed: int = 0
     snapshot_interval: int = 30
@@ -138,14 +136,12 @@ class ScenarioSpec:
         return {job.job_id: f"case-{find_root(parent, job.job_id)}" for job in self.jobs}
 
 
-@dataclass
-class Oracle:
+class Oracle(NamedTuple):
     events: list[JobEvent]  # exactly what observing the snapshots emits
     true_cases: dict[str, str]
 
 
-@dataclass
-class SimulationResult:
+class SimulationResult(NamedTuple):
     snapshots: list[Snapshot]
     oracle: Oracle
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 import logging
 import re
 import sys
-from dataclasses import dataclass
 from datetime import datetime
 from typing import NamedTuple
 
@@ -60,14 +59,12 @@ _NO_DEPENDENCY_VALUES = {"", "(null)", "null"}
 _TARGET = re.compile(r"(.*?)(?:\+\d+)?(?:\([^()]*\))?", re.DOTALL)
 
 
-@dataclass(frozen=True)
-class DependencyClause:
+class DependencyClause(NamedTuple):
     tag: str
     targets: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class DependencySpec:
+class DependencySpec(NamedTuple):
     """Parsed DEPENDENCY column value: zero or more condition clauses."""
 
     clauses: tuple[DependencyClause, ...] = ()
@@ -100,8 +97,7 @@ class JobRow(NamedTuple):
     group: str
 
 
-@dataclass(frozen=True)
-class MalformedRow:
+class MalformedRow(NamedTuple):
     """A skipped data line: it had too few columns or held a NUL.
 
     A line of fewer than six words whose first word is ``ACCOUNT`` is

@@ -3,7 +3,6 @@
 import io
 import random
 import time
-from dataclasses import replace
 
 from conftest import random_case_log, random_scenario, replay_events
 from hpcmine import simulator
@@ -171,9 +170,9 @@ def test_criterion_8_bottleneck_annotation():
     start = time.monotonic()
     base = simulator.load_bundled_scenario("fig1_explicit")
     jobs = tuple(
-        replace(job, duration=600 if job.job_id == "1" else 60) for job in base.jobs
+        job._replace(duration=600 if job.job_id == "1" else 60) for job in base.jobs
     )
-    result = simulator.simulate(replace(base, jobs=jobs))
+    result = simulator.simulate(base._replace(jobs=jobs))
     events, _ = replay_events(result)
     graph = build_dependency_graph(events, extract_first_dependencies(events))
     log = apply_cases(events, assign_cases_explicit(graph))

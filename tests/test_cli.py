@@ -54,6 +54,27 @@ class TestSimulate:
         assert main(["simulate", "nonesuch", "-o", str(tmp_path / "x")]) == 1
         assert "nonesuch" in capsys.readouterr().err
 
+    def test_directory_named_like_a_scenario_is_not_read(self, tmp_path, monkeypatch):
+        # The first run's output directory shadows the bundled name.
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "fig1_explicit", "-o", "fig1_explicit"]) == 0
+        assert main(["simulate", "fig1_explicit", "-o", "again"]) == 0
+        first = sorted(os.listdir(tmp_path / "fig1_explicit" / "snapshots"))
+        assert sorted(os.listdir(tmp_path / "again" / "snapshots")) == first
+
+    def test_undecodable_scenario_file_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.scenario"
+        path.write_bytes(b"seed=1\njob 1 account=a group=g cmd=/caf\xff.sh dur=30\n")
+        assert main(["simulate", str(path), "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "can't decode byte 0xff" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_unreadable_scenario_path_is_an_error(self, tmp_path, capsys):
+        name = "x" * 5000  # longer than any file name: stat fails
+        assert main(["simulate", name, "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno")
+
     def test_seed_override_keeps_job_set(self, tmp_path):
         out = tmp_path / "s3"
         assert main(["simulate", "fig1_explicit", "--seed", "3", "-o", str(out)]) == 0
@@ -281,18 +302,18 @@ class TestPipeline:
         assert pipeline == {option: shared[option] for option in pipeline}
 
 
-# Runs each argv list given as JSON through ``main`` in this fresh interpreter
-# and prints, after the import and after each run, which of the modules a
-# replay pipeline has no use for it loaded since start-up.
+# Runs each (name, argv) pair given as JSON through ``main`` in this fresh
+# interpreter and prints, after the import and after each run, which of the
+# modules a replay has no use for it loaded since start-up.
 _FRESH_RUNS = """
 import json, sys
-LAZY = {"hashlib", "subprocess", "statistics"}
+LAZY = {"hashlib", "subprocess", "statistics", "dataclasses", "hpcmine.simulator"}
 before = set(sys.modules)
 loaded = lambda: sorted(LAZY & (set(sys.modules) - before))
 from hpcmine.cli import main
 report = {"import": loaded()}
-for argv in json.loads(sys.argv[1]):
-    report[argv[-1]] = [main(argv), loaded(), "hashlib" in sys.modules]
+for name, argv in json.loads(sys.argv[1]):
+    report[name] = [main(argv), loaded(), "hashlib" in sys.modules]
 print(json.dumps(report))
 """
 
@@ -301,10 +322,13 @@ class TestLazyImports:
     def test_pipeline_loads_no_module_it_does_not_use(self, tmp_path, fig1_replay):
         base = ["pipeline", "--replay", str(fig1_replay)]
         runs = [
-            base + ["-o", str(tmp_path / "explicit"), "--strategy", "explicit"],
-            base + ["-o", str(tmp_path / "implicit"), "--strategy", "implicit"],
-            # Last: it loads hashlib for the rest of the interpreter's life.
-            base + ["-o", str(tmp_path / "hashed"), "--hash-case-ids"],
+            ["observe", ["observe", "--replay", str(fig1_replay), "-o", str(tmp_path / "e.csv")]],
+            ["explicit", base + ["-o", str(tmp_path / "explicit"), "--strategy", "explicit"]],
+            ["implicit", base + ["-o", str(tmp_path / "implicit"), "--strategy", "implicit"]],
+            # These load hashlib and the simulator for the rest of the
+            # interpreter's life, so they come last.
+            ["hashed", base + ["-o", str(tmp_path / "hashed"), "--hash-case-ids"]],
+            ["simulate", ["simulate", "fig1_explicit", "-o", str(tmp_path / "sim")]],
         ]
         paths = [str(Path(hpcmine.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
@@ -317,10 +341,16 @@ class TestLazyImports:
         assert done.returncode == 0, done.stderr
         report = json.loads(done.stdout.splitlines()[-1])
         assert report["import"] == []
+        assert report["observe"][:2] == [0, []]
         assert report["explicit"][:2] == [0, []]
         assert report["implicit"][:2] == [0, []]
-        assert report["--hash-case-ids"][0] == 0
-        assert report["--hash-case-ids"][2]
+        assert report["hashed"][0] == 0
+        assert report["hashed"][2]
+        assert "dataclasses" not in report["hashed"][1]
+        assert "hpcmine.simulator" not in report["hashed"][1]
+        assert report["simulate"][0] == 0
+        assert "hpcmine.simulator" in report["simulate"][1]
+        assert "dataclasses" not in report["simulate"][1]
         with open(tmp_path / "hashed" / "cases.csv") as fh:
             case_ids = {row["case_id"] for row in csv.DictReader(fh)}
         assert case_ids == {"JID" + hashlib.sha256(b"4,3,2,1").hexdigest()[:16]}

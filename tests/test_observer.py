@@ -475,6 +475,23 @@ class TestRunObservation:
         assert len(sink.events) == 3
         assert all(e.kind == EventKind.CREATED for e in sink.events)
 
+    def test_equal_activities_are_one_string(self):
+        # Each new job's command is split afresh; its activity is interned.
+        snaps = [
+            Snapshot(T0, "a 1 (null) /x/run.sh --n 1 PD g\na 2 (null) /y/prep.sh R g"),
+            Snapshot(
+                T0 + timedelta(seconds=30),
+                "a 3 (null) /y/run.sh --n 2 PD g\na 4 (null) /z/prep.sh PD g",
+            ),
+        ]
+        sink = ListSink()
+        run_observation(snaps, sink)
+        by_text = {}
+        for event in sink.events:
+            by_text.setdefault(event.activity, set()).add(id(event.activity))
+        assert sorted(by_text) == ["prep.sh", "run.sh"]
+        assert all(len(ids) == 1 for ids in by_text.values())
+
     def test_empty_source(self):
         sink = ListSink()
         summary = run_observation([], sink)

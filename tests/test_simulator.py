@@ -1,7 +1,6 @@
 import csv
 import math
 import random
-from dataclasses import replace
 from datetime import datetime, timedelta
 
 import pytest
@@ -79,7 +78,7 @@ class TestLoadScenario:
     @pytest.mark.parametrize("field", ["job_id", "account", "group", "command_path"])
     @pytest.mark.parametrize("value", ["", "x y", "x\t"])
     def test_column_field_must_be_one_word(self, field, value):
-        job = replace(SimJob("1", "a", "g", "/x", 30), **{field: value})
+        job = SimJob("1", "a", "g", "/x", 30)._replace(**{field: value})
         with pytest.raises(ValidationError):
             ScenarioSpec(jobs=(job,)).validate()
 
@@ -200,7 +199,7 @@ class TestSimulate:
         spec = load_bundled_scenario("fig1_explicit")
         orders = set()
         for seed in range(10):
-            result = simulate(replace(spec, seed=seed))
+            result = simulate(spec._replace(seed=seed))
             starts = [
                 e.job_id
                 for e in result.oracle.events
@@ -211,8 +210,8 @@ class TestSimulate:
 
     def test_seed_changes_order_not_job_set(self):
         spec = load_bundled_scenario("fig1_explicit")
-        a = simulate(replace(spec, seed=0))
-        b = simulate(replace(spec, seed=3))
+        a = simulate(spec._replace(seed=0))
+        b = simulate(spec._replace(seed=3))
         assert {e.job_id for e in a.oracle.events} == {e.job_id for e in b.oracle.events}
 
     def test_max_running_limits_concurrency(self):
@@ -537,7 +536,7 @@ class TestEventDrivenEquivalence:
     def test_bundled_scenarios_over_seeds(self, name):
         spec = load_bundled_scenario(name)
         for seed in range(30):
-            seeded = replace(spec, seed=seed)
+            seeded = spec._replace(seed=seed)
             assert _outcome(simulate, seeded) == _outcome(_reference_simulate, seeded), seed
 
     def test_empty_spec(self):

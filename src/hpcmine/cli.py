@@ -51,6 +51,9 @@ class _KeepingSink:
 def _read(read, path):
     try:
         return read(path)
+    except UnicodeDecodeError as exc:  # its message names no file
+        _err(f"{path}: {exc}")
+        return None
     except (OSError, eventlog.EventLogError, ValueError) as exc:
         _err(str(exc))
         return None
@@ -181,7 +184,10 @@ def cmd_simulate(args) -> int:
 
     try:
         spec = _load_scenario(args.scenario, args.seed)
-    except (simulator.ScenarioError, OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:  # its message names no file
+        _err(f"{args.scenario}: {exc}")
+        return 1
+    except (simulator.ScenarioError, OSError) as exc:
         _err(str(exc))
         return 1
     result = simulator.simulate(spec)

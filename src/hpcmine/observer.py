@@ -219,6 +219,11 @@ def snapshot_filename(observed_at: datetime) -> str:
     return f"{SNAPSHOT_FILE_PREFIX}{format_basic(observed_at)}{SNAPSHOT_FILE_SUFFIX}"
 
 
+def is_snapshot_filename(name: str) -> bool:
+    """Whether a replay reads the file of this name as a snapshot."""
+    return name.startswith(SNAPSHOT_FILE_PREFIX) and name.endswith(SNAPSHOT_FILE_SUFFIX)
+
+
 class ReplayDirectorySource:
     """Reads snapshot_<ISO8601-basic-UTC>.txt files from a directory."""
 
@@ -233,11 +238,7 @@ class ReplayDirectorySource:
         except OSError as exc:
             raise SourceFailure(str(exc)) from exc
         # Sorted as strings: the fixed-width stamps sort in time order.
-        names = sorted(
-            name
-            for name in listed
-            if name.startswith(SNAPSHOT_FILE_PREFIX) and name.endswith(SNAPSHOT_FILE_SUFFIX)
-        )
+        names = sorted(filter(is_snapshot_filename, listed))
         for name in names:
             stamp = name[len(SNAPSHOT_FILE_PREFIX) : -len(SNAPSHOT_FILE_SUFFIX)]
             try:

@@ -14,23 +14,25 @@ the not-yet-completed ones) into the DEPENDENCY column. Manual jobs are
 submitted one snapshot after their logical predecessors complete and
 never render a dependency, mimicking a user driving a chain by hand.
 
-At most one job starts per tick. When several are startable, the seed
-shuffles them, listed in scenario order, and only the first starts; the
-rest retry next tick. This staggers parallel branches deterministically,
-so different seeds realize different branch orders.
+At most one job starts per tick. When several are startable, one seeded
+draw picks it from them, listed in scenario order; the rest retry next
+tick. This staggers parallel branches deterministically, so different
+seeds realize different branch orders.
 
 The simulation is event-driven: jobs wait in tick-keyed buckets for their
 submission, entry into completing and departure, and each job's
 snapshot row is cached until it changes. A tick's work is in the jobs that
-change state on it, plus one random draw per startable job (the seeded
-shuffle) and one cached row per queued job; an eventless tick reuses the
-previous snapshot. No per-tick loop visits every job of the scenario.
+change state on it, plus at most one seeded draw (for the start) and one
+cached row per queued job; an eventless tick reuses the previous snapshot.
+No per-tick loop visits every job of the scenario.
 """
 
 from __future__ import annotations
 
 import enum
+import locale
 import math
+import os
 import random
 from bisect import bisect_left, insort
 from datetime import datetime, timedelta, timezone
@@ -41,7 +43,7 @@ from typing import NamedTuple
 
 from .correlation import cyclic_jobs, find_root
 from .eventlog import CsvEventSink, EventKind, JobEvent, csv_line
-from .observer import Snapshot, snapshot_filename
+from .observer import Snapshot, is_snapshot_filename, snapshot_filename
 from .snapshots import COMPLETED, COMPLETING, PENDING, RUNNING, SNAPSHOT_HEADER, normalize_command
 
 SIM_EPOCH = datetime(2024, 1, 1, 0, 0, 0, tzinfo=timezone.utc)
@@ -234,11 +236,11 @@ def simulate(spec: ScenarioSpec) -> SimulationResult:
             running -= 1
             enter_cg(run, tick, changes)
 
-        # 3. Start at most one eligible pending job (seeded shuffle breaks
+        # 3. Start at most one eligible pending job (a seeded draw breaks
         #    ties, staggering parallel branches). It runs before submission,
         #    so a job submitted on this tick competes from the next one.
         if eligible and (max_running is None or running < max_running):
-            index = eligible[0] if len(eligible) == 1 else rng.sample(eligible, len(eligible))[0]
+            index = eligible[0] if len(eligible) == 1 else eligible[rng.randrange(len(eligible))]
             del eligible[bisect_left(eligible, index)]
             chosen = runs[index]
             if chosen.running_ticks == 0:
@@ -303,15 +305,44 @@ def _render_line(job: SimJob, state: str, dependency: str = "(null)") -> str:
 
 
 def write_snapshots(snapshots: list[Snapshot], directory) -> list[Path]:
-    """Write one snapshot_<timestamp>.txt file per snapshot; returns the paths."""
+    """Write one snapshot_<timestamp>.txt file per snapshot; returns the paths.
+
+    Each file holds the bytes ``Path.write_text`` writes on POSIX. The snapshot
+    files of an earlier run are rewritten in place, and those this run did
+    not write are removed, so a replay of the directory reads this run alone.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    stale = set(filter(is_snapshot_filename, os.listdir(directory)))
+    encoding = locale.getpreferredencoding(False)  # what open() uses for text
     paths = []
     for observed_at, text in snapshots:
-        path = directory / snapshot_filename(observed_at)
-        path.write_text(text)
+        name = snapshot_filename(observed_at)
+        stale.discard(name)
+        path = directory / name
+        _rewrite(path, text.encode(encoding))
         paths.append(path)
+    for name in stale:
+        os.remove(directory / name)
     return paths
+
+
+def _rewrite(path: Path, data: bytes) -> None:
+    """Make the file at ``path`` hold ``data``, overwriting it in place.
+
+    Opening with O_TRUNC empties an existing file first, and ext4
+    (``auto_da_alloc``) then releases and reallocates its blocks and starts
+    writing it back when it is closed. Writing over the old bytes and
+    cutting the file at the end of ``data`` avoids both.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def write_oracle(oracle: Oracle, directory) -> None:

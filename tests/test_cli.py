@@ -13,7 +13,13 @@ import hpcmine
 from hpcmine import observer
 from hpcmine.cli import SQUEUE_CMD_ENV, build_parser, main
 from hpcmine.eventlog import CSV_HEADER, CsvEventSink
+from hpcmine.simulator import load_bundled_scenario, simulate
+from hpcmine.snapshots import SNAPSHOT_HEADER
 from test_correlation import event
+
+
+def tree(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
 
 
 @pytest.fixture
@@ -67,8 +73,33 @@ class TestSimulate:
         path.write_bytes(b"seed=1\njob 1 account=a group=g cmd=/caf\xff.sh dur=30\n")
         assert main(["simulate", str(path), "-o", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "can't decode byte 0xff" in err
+        assert err.startswith(f"error: {path}: ") and "can't decode byte 0xff" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("earlier", ["fig8_parallel", "fig1_manual", "two_chains"])
+    def test_rerun_into_a_used_directory_equals_a_fresh_run(self, tmp_path, earlier):
+        fresh, used = tmp_path / "fresh", tmp_path / "used"
+        assert main(["simulate", "fig1_explicit", "-o", str(fresh)]) == 0
+        assert main(["simulate", earlier, "-o", str(used)]) == 0
+        names = sorted(os.listdir(fresh / "snapshots"))
+        snapshots = used / "snapshots"
+        (snapshots / names[0]).write_text("x" * 10_000)  # longer than the new file
+        (snapshots / names[1]).write_text("")  # shorter
+        for stale in ["snapshot_20990101T000000Z.txt", "snapshot_junk.txt"]:
+            (snapshots / stale).write_text(SNAPSHOT_HEADER + "\nacc 9 (null) /x.sh R g\n")
+        # Files a replay does not read are left alone.
+        kept = {"notes.txt": b"n", "snapshot_20240101T000000Z.csv": b"c", "my_snapshot_1.txt": b"m"}
+        for name, data in kept.items():
+            (snapshots / name).write_bytes(data)
+
+        assert main(["simulate", "fig1_explicit", "-o", str(used)]) == 0
+        assert tree(snapshots) == {**tree(fresh / "snapshots"), **kept}
+        for name in ["oracle_events.csv", "true_cases.csv"]:
+            assert (used / name).read_bytes() == (fresh / name).read_bytes()
+        sink = observer.ListSink()
+        observer.run_observation(observer.ReplayDirectorySource(snapshots), sink)
+        oracle = simulate(load_bundled_scenario("fig1_explicit")).oracle
+        assert sink.events == oracle.events
 
     def test_unreadable_scenario_path_is_an_error(self, tmp_path, capsys):
         name = "x" * 5000  # longer than any file name: stat fails
@@ -250,6 +281,14 @@ class TestStats:
         out = capsys.readouterr().out
         assert " 8" in out
         assert "100.00%" in out
+
+    @pytest.mark.parametrize("command", ["correlate", "discover", "stats"])
+    def test_undecodable_csv_error_names_the_file(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(",".join(CSV_HEADER).encode() + b"\ncaf\xff\n")
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "can't decode byte 0xff" in err
 
     def test_oversized_field_is_an_error(self, tmp_path, capsys):
         # csv.reader refuses a field past its 131,072-character limit.

@@ -214,6 +214,35 @@ class TestSimulate:
         b = simulate(spec._replace(seed=3))
         assert {e.job_id for e in a.oracle.events} == {e.job_id for e in b.oracle.events}
 
+    def test_one_seeded_draw_per_start(self, monkeypatch):
+        draws = []
+
+        class CountingRandom(random.Random):
+            def sample(self, *args, **kwargs):
+                raise AssertionError("simulate drew a sample")
+
+            def randrange(self, *args):
+                draws.append(args)
+                return super().randrange(*args)
+
+        monkeypatch.setattr(simulator.random, "Random", CountingRandom)
+        specs = [load_bundled_scenario(name) for name in simulator.bundled_scenario_names()]
+        total = 0
+        for spec in specs + [random_scenario(seed) for seed in range(20)]:
+            draws.clear()
+            simulate(spec)
+            assert len(draws) <= len(spec.jobs)  # every job starts once
+            total += len(draws)
+        assert total > 0
+
+    def test_snapshot_files_hold_what_write_text_writes(self, tmp_path):
+        spec = load_scenario("job 1 account=a group=g cmd=/home/u/caf\u00e9.sh dur=30\n")
+        snapshots = simulate(spec).snapshots
+        for path, (_, text) in zip(simulator.write_snapshots(snapshots, tmp_path), snapshots):
+            expected = tmp_path / "expected"
+            expected.write_text(text)
+            assert path.read_bytes() == expected.read_bytes()
+
     def test_max_running_limits_concurrency(self):
         jobs = tuple(SimJob(str(i), "a", "g", "/x.sh", 120) for i in range(1, 6))
         result = simulate(ScenarioSpec(jobs=jobs, max_running=1))
@@ -401,7 +430,7 @@ def _reference_simulate(spec: ScenarioSpec) -> SimulationResult:
                 continue
             eligible.append(run)
         if eligible:
-            chosen = eligible[0] if len(eligible) == 1 else rng.sample(eligible, len(eligible))[0]
+            chosen = eligible[0] if len(eligible) == 1 else eligible[rng.randrange(len(eligible))]
             chosen.start_tick = tick
             if chosen.running_ticks == 0:
                 chosen.status = "completing"

@@ -192,8 +192,12 @@ def cmd_simulate(args) -> int:
         return 1
     result = simulator.simulate(spec)
     out = Path(args.output)
-    simulator.write_snapshots(result.snapshots, out / "snapshots")
-    simulator.write_oracle(result.oracle, out)
+    try:
+        simulator.write_snapshots(result.snapshots, out / "snapshots")
+        simulator.write_oracle(result.oracle, out)
+    except OSError as exc:
+        _err(str(exc))
+        return 1
     print(
         f"snapshots: {len(result.snapshots)}  oracle events: {len(result.oracle.events)}"
         f"  -> {out}"

@@ -30,7 +30,6 @@ No per-tick loop visits every job of the scenario.
 from __future__ import annotations
 
 import enum
-import locale
 import math
 import os
 import random
@@ -307,42 +306,22 @@ def _render_line(job: SimJob, state: str, dependency: str = "(null)") -> str:
 def write_snapshots(snapshots: list[Snapshot], directory) -> list[Path]:
     """Write one snapshot_<timestamp>.txt file per snapshot; returns the paths.
 
-    Each file holds the bytes ``Path.write_text`` writes on POSIX. The snapshot
-    files of an earlier run are rewritten in place, and those this run did
-    not write are removed, so a replay of the directory reads this run alone.
+    Snapshot files of an earlier run that this run did not write are
+    removed, so a replay of the directory reads this run alone.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     stale = set(filter(is_snapshot_filename, os.listdir(directory)))
-    encoding = locale.getpreferredencoding(False)  # what open() uses for text
     paths = []
     for observed_at, text in snapshots:
         name = snapshot_filename(observed_at)
         stale.discard(name)
         path = directory / name
-        _rewrite(path, text.encode(encoding))
+        path.write_text(text)
         paths.append(path)
     for name in stale:
         os.remove(directory / name)
     return paths
-
-
-def _rewrite(path: Path, data: bytes) -> None:
-    """Make the file at ``path`` hold ``data``, overwriting it in place.
-
-    Opening with O_TRUNC empties an existing file first, and ext4
-    (``auto_da_alloc``) then releases and reallocates its blocks and starts
-    writing it back when it is closed. Writing over the old bytes and
-    cutting the file at the end of ``data`` avoids both.
-    """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        written = 0
-        while written < len(data):
-            written += os.write(fd, data[written:])
-        os.ftruncate(fd, written)
-    finally:
-        os.close(fd)
 
 
 def write_oracle(oracle: Oracle, directory) -> None:

@@ -101,6 +101,14 @@ class TestSimulate:
         oracle = simulate(load_bundled_scenario("fig1_explicit")).oracle
         assert sink.events == oracle.events
 
+    def test_unwritable_output_is_an_error(self, tmp_path, capsys):
+        stale = tmp_path / "out" / "snapshots" / "snapshot_x.txt"
+        stale.mkdir(parents=True)  # named like a snapshot, but cannot be removed
+        assert main(["simulate", "fig1_explicit", "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(stale) in err
+        assert "Traceback" not in err
+
     def test_unreadable_scenario_path_is_an_error(self, tmp_path, capsys):
         name = "x" * 5000  # longer than any file name: stat fails
         assert main(["simulate", name, "-o", str(tmp_path / "out")]) == 1

@@ -235,14 +235,6 @@ class TestSimulate:
             total += len(draws)
         assert total > 0
 
-    def test_snapshot_files_hold_what_write_text_writes(self, tmp_path):
-        spec = load_scenario("job 1 account=a group=g cmd=/home/u/caf\u00e9.sh dur=30\n")
-        snapshots = simulate(spec).snapshots
-        for path, (_, text) in zip(simulator.write_snapshots(snapshots, tmp_path), snapshots):
-            expected = tmp_path / "expected"
-            expected.write_text(text)
-            assert path.read_bytes() == expected.read_bytes()
-
     def test_max_running_limits_concurrency(self):
         jobs = tuple(SimJob(str(i), "a", "g", "/x.sh", 120) for i in range(1, 6))
         result = simulate(ScenarioSpec(jobs=jobs, max_running=1))

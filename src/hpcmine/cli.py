@@ -111,11 +111,11 @@ def _discover(args, log: eventlog.CaseLog, output, stats_out) -> None:
     parallel = discovery.detect_parallel(dfg)
     dot = discovery.export_dot(dfg, parallel, min_edge_freq=args.min_edge_freq)
     if output:
-        Path(output).write_text(dot)
+        Path(output).write_text(dot, encoding="utf-8")
     else:
         sys.stdout.write(dot)
     if stats_out:
-        with open(stats_out, "w", newline="") as fh:
+        with open(stats_out, "w", encoding="utf-8", newline="") as fh:
             header = ["from", "to", "frequency", "mean_seconds", "median_seconds"]
             fh.write(eventlog.csv_line(header))
             for (a, b), stats in sorted(dfg.edges.items()):

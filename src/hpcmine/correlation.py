@@ -12,7 +12,6 @@ reversed edges only when there is a cycle.
 
 from __future__ import annotations
 
-import logging
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
@@ -23,8 +22,6 @@ from .eventlog import (  # extract_first_dependencies is re-exported
     with_case,
 )
 from .snapshots import DependencySpec
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_GROUP = "default"
 
@@ -140,7 +137,11 @@ def build_dependency_graph(
             edge for edge in graph.edges if edge[0] in cyclic and edge[1] in cyclic
         )
         graph.edges.difference_update(graph.dropped_edges)
-        logger.warning("dependency cycle among %s; edges between them dropped", sorted(cyclic))
+        import logging  # loaded only when there is something to report
+
+        logging.getLogger(__name__).warning(
+            "dependency cycle among %s; edges between them dropped", sorted(cyclic)
+        )
     return graph
 
 

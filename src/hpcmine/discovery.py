@@ -10,7 +10,6 @@ pairs that can execute in either order.
 from __future__ import annotations
 
 import enum
-import logging
 import math
 from collections import Counter
 from datetime import datetime
@@ -19,8 +18,6 @@ from typing import NamedTuple
 
 from .eventlog import CaseLog, EventKind
 from .snapshots import COMPLETED, COMPLETING, PENDING, RUNNING
-
-logger = logging.getLogger(__name__)
 
 # How far along its lifecycle each squeue state code is; a suspended job
 # ("S") has run. Any other code ranks -1 and never meets a milestone.
@@ -143,7 +140,11 @@ def project_case_traces(log: CaseLog, milestone: str = RUNNING) -> list[Trace]:
         )
     if dropped:
         name = next((name for name, code in MILESTONES.items() if code == milestone), milestone)
-        logger.warning("%d job(s) never reached milestone %s; dropped", dropped, name)
+        import logging  # loaded only when there is something to report
+
+        logging.getLogger(__name__).warning(
+            "%d job(s) never reached milestone %s; dropped", dropped, name
+        )
     return traces
 
 

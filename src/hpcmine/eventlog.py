@@ -11,7 +11,6 @@ writes goes through, and one reader, ``csv.reader``, behind ``read_csv``.
 
 from __future__ import annotations
 
-import csv
 import enum
 import sys
 from datetime import datetime
@@ -178,7 +177,9 @@ class CsvEventSink:
 
     def __init__(self, destination, header: list[str] = EVENTS_CSV_HEADER) -> None:
         self._own = isinstance(destination, (str, Path))
-        self._fh = open(destination, "w", newline="") if self._own else destination
+        self._fh = (
+            open(destination, "w", encoding="utf-8", newline="") if self._own else destination
+        )
         self._write = self._fh.write
         self._write(csv_line(header))
         self._columns = attrgetter(*(_COLUMNS[name][1] for name in header))
@@ -237,8 +238,10 @@ def read_csv(source, header: list[str] = CSV_HEADER) -> CaseLog:
     in_field_order = itemgetter(
         *(column_of[name] for name in JobEvent._fields if name in column_of)
     )
+    import csv  # only reading a CSV file back needs its reader
+
     own = isinstance(source, (str, Path))
-    fh = open(source, newline="") if own else source
+    fh = open(source, encoding="utf-8", newline="") if own else source
     # The last row read whole; a csv.Error names the row after it.
     row_number = 0
     try:

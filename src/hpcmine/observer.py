@@ -13,9 +13,7 @@ carries no time, so an unchanged line can be the same row in every round.
 
 from __future__ import annotations
 
-import logging
 import os
-import shlex
 import sys
 import time as _time
 from datetime import datetime, timezone
@@ -38,8 +36,6 @@ from .snapshots import (
     parse_snapshot,
 )
 from .timeutil import format_basic, parse_basic
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_SQUEUE_COMMAND = 'squeue -o "%a %i %E %o %t %g"'
 DEFAULT_INTERVAL_SECONDS = 30.0
@@ -224,6 +220,52 @@ def is_snapshot_filename(name: str) -> bool:
     return name.startswith(SNAPSHOT_FILE_PREFIX) and name.endswith(SNAPSHOT_FILE_SUFFIX)
 
 
+# Snapshot files are bytes on disk: no platform newline translation.
+_O_BINARY = getattr(os, "O_BINARY", 0)
+_READ_SIZE = 1 << 16
+
+
+def decode_snapshot(data: bytes) -> str:
+    """Snapshot text from its bytes: strict UTF-8, CR LF and a lone CR read as LF.
+
+    This is what a text-mode ``open()`` returns in UTF-8 mode, whatever the
+    locale, so a replayed file and a live poll of the same bytes are the
+    same text.
+    """
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def read_snapshot_file(path) -> str:
+    """The decoded text of one snapshot file; any failure is a ``SourceFailure``."""
+    try:
+        fd = os.open(path, os.O_RDONLY | _O_BINARY)
+        try:
+            chunks = []
+            while chunk := os.read(fd, _READ_SIZE):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        return decode_snapshot(b"".join(chunks))
+    except OSError as exc:
+        raise SourceFailure(str(exc)) from exc
+    except UnicodeDecodeError as exc:  # its message names no file
+        raise SourceFailure(f"{path}: {exc}") from exc
+
+
+def write_snapshot_file(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path``, replacing what the file held."""
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | _O_BINARY, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data) :]
+    finally:
+        os.close(fd)
+
+
 class ReplayDirectorySource:
     """Reads snapshot_<ISO8601-basic-UTC>.txt files from a directory."""
 
@@ -245,12 +287,7 @@ class ReplayDirectorySource:
                 observed_at = parse_basic(stamp)
             except ValueError as exc:
                 raise SourceFailure(f"bad snapshot filename {name}") from exc
-            try:
-                with open(os.path.join(self.directory, name)) as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise SourceFailure(str(exc)) from exc
-            yield Snapshot(observed_at, text)
+            yield Snapshot(observed_at, read_snapshot_file(os.path.join(self.directory, name)))
 
 
 class CommandSource:
@@ -275,6 +312,8 @@ class CommandSource:
         max_snapshots: int | None = None,
         monotonic: Callable[[], float] = _time.monotonic,
     ) -> None:
+        import shlex  # only live polling splits a command
+
         self.argv = shlex.split(command)
         self.interval = interval
         self.runner = runner or self._run_subprocess
@@ -287,12 +326,11 @@ class CommandSource:
     def _run_subprocess(argv: list[str]) -> str:
         import subprocess  # only live polling runs a command
 
-        result = subprocess.run(argv, capture_output=True, text=True)
+        result = subprocess.run(argv, capture_output=True)
         if result.returncode != 0:
-            raise SourceFailure(
-                f"{argv[0]} exited with {result.returncode}: {result.stderr.strip()}"
-            )
-        return result.stdout
+            stderr = result.stderr.decode("utf-8", "replace").strip()
+            raise SourceFailure(f"{argv[0]} exited with {result.returncode}: {stderr}")
+        return decode_snapshot(result.stdout)
 
     def __iter__(self) -> Iterator[Snapshot]:
         produced = 0
@@ -311,7 +349,9 @@ class CommandSource:
                 deadline += self.interval
                 now = self.monotonic()
                 if now > deadline:
-                    logger.warning(
+                    import logging  # loaded only when there is something to report
+
+                    logging.getLogger(__name__).warning(
                         "poll overran its %gs interval by %.1fs", self.interval, now - deadline
                     )
                     deadline = now
@@ -352,7 +392,9 @@ def run_observation(
         except StopIteration:
             break
         except KeyboardInterrupt:
-            logger.info("observation interrupted; stopping")
+            import logging
+
+            logging.getLogger(__name__).info("observation interrupted; stopping")
             break
         if last_at is not None and snapshot.observed_at < last_at:
             raise OutOfOrderSnapshot(

@@ -35,14 +35,13 @@ import os
 import random
 from bisect import bisect_left, insort
 from datetime import datetime, timedelta, timezone
-from importlib import resources
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
 from .correlation import cyclic_jobs, find_root
 from .eventlog import CsvEventSink, EventKind, JobEvent, csv_line
-from .observer import Snapshot, is_snapshot_filename, snapshot_filename
+from .observer import Snapshot, is_snapshot_filename, snapshot_filename, write_snapshot_file
 from .snapshots import COMPLETED, COMPLETING, PENDING, RUNNING, SNAPSHOT_HEADER, normalize_command
 
 SIM_EPOCH = datetime(2024, 1, 1, 0, 0, 0, tzinfo=timezone.utc)
@@ -306,6 +305,9 @@ def _render_line(job: SimJob, state: str, dependency: str = "(null)") -> str:
 def write_snapshots(snapshots: list[Snapshot], directory) -> list[Path]:
     """Write one snapshot_<timestamp>.txt file per snapshot; returns the paths.
 
+    Each file holds the UTF-8 bytes of its snapshot's text, whatever the
+    locale (``observer.write_snapshot_file``).
+
     Snapshot files of an earlier run that this run did not write are
     removed, so a replay of the directory reads this run alone.
     """
@@ -317,7 +319,7 @@ def write_snapshots(snapshots: list[Snapshot], directory) -> list[Path]:
         name = snapshot_filename(observed_at)
         stale.discard(name)
         path = directory / name
-        path.write_text(text)
+        write_snapshot_file(path, text)
         paths.append(path)
     for name in stale:
         os.remove(directory / name)
@@ -330,7 +332,7 @@ def write_oracle(oracle: Oracle, directory) -> None:
     with CsvEventSink(directory / "oracle_events.csv", ORACLE_EVENTS_HEADER) as sink:
         for event in oracle.events:
             sink.append(event)
-    with open(directory / "true_cases.csv", "w", newline="") as fh:
+    with open(directory / "true_cases.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write(csv_line(["job_id", "case_label"]))
         fh.writelines(map(csv_line, sorted(oracle.true_cases.items())))
 
@@ -348,7 +350,7 @@ def write_oracle(oracle: Oracle, directory) -> None:
 
 def load_scenario(source: Path | str) -> ScenarioSpec:
     """Parse a scenario file (a ``Path``) or scenario text (a ``str``)."""
-    text = source.read_text() if isinstance(source, Path) else source
+    text = source.read_text(encoding="utf-8") if isinstance(source, Path) else source
     seed = 0
     interval = 30
     max_running: int | None = None
@@ -432,14 +434,19 @@ def serialize_scenario(spec: ScenarioSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _bundled_scenarios():
+    from importlib import resources  # only bundled scenarios are package data
+
+    return resources.files(__package__) / "scenarios"
+
+
 def bundled_scenario_names() -> list[str]:
-    root = resources.files(__package__) / "scenarios"
+    root = _bundled_scenarios()
     return sorted(p.name[: -len(".scenario")] for p in root.iterdir() if p.name.endswith(".scenario"))
 
 
 def load_bundled_scenario(name: str) -> ScenarioSpec:
-    root = resources.files(__package__) / "scenarios"
-    path = root / f"{name}.scenario"
+    path = _bundled_scenarios() / f"{name}.scenario"
     if not path.is_file():
         raise InvalidScenario(f"unknown bundled scenario {name!r}")
-    return load_scenario(path.read_text())
+    return load_scenario(path.read_text(encoding="utf-8"))

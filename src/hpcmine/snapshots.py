@@ -26,15 +26,12 @@ they draw the edges of explicit correlation.
 
 from __future__ import annotations
 
-import logging
 import re
 import sys
 from datetime import datetime
 from typing import NamedTuple
 
 from .timeutil import format_iso
-
-logger = logging.getLogger(__name__)
 
 UNKNOWN_COMMAND = "<unknown>"
 
@@ -187,7 +184,9 @@ def parse_snapshot(
                 continue
             if len(tokens) < 6 or "\0" in line:
                 malformed = MalformedRow(line_number, line)
-                logger.warning(
+                import logging  # loaded only when there is something to report
+
+                logging.getLogger(__name__).warning(
                     "skipping malformed snapshot row %d of the snapshot at %s: %r",
                     line_number,
                     format_iso(observed_at),

@@ -160,6 +160,27 @@ class TestObserve:
         with open(cases) as fh:
             assert [row["job_id"] for row in csv.DictReader(fh)] == ["2"]
 
+    @pytest.mark.parametrize("command", ["observe", "pipeline"])
+    def test_undecodable_snapshot_is_an_error_line(self, tmp_path, capsys, command):
+        replay = tmp_path / "replay"
+        replay.mkdir()
+        (replay / "snapshot_20240101T000000Z.txt").write_bytes(b"a 1 (null) /x.sh PD g\n")
+        bad = replay / "snapshot_20240101T000030Z.txt"
+        bad.write_bytes(b"a 1 (null) /home/u/caf\xe9.sh R g\n")
+        out = tmp_path / "out"
+        if command == "observe":
+            out.mkdir()
+            argv = ["observe", "--replay", str(replay), "-o", str(out / "events.csv")]
+        else:
+            argv = ["pipeline", "--replay", str(replay), "-o", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: 'utf-8' codec can't decode byte 0xe9 in position 22:"
+            " invalid continuation byte\n"
+        )
+        with open(out / "events.csv", encoding="utf-8") as fh:
+            assert [(r["job_id"], r["state"]) for r in csv.DictReader(fh)] == [("1", "PD")]
+
     @pytest.mark.parametrize(
         "env, flag, polled",
         [
@@ -354,7 +375,10 @@ class TestPipeline:
 # modules a replay has no use for it loaded since start-up.
 _FRESH_RUNS = """
 import json, sys
-LAZY = {"hashlib", "subprocess", "statistics", "dataclasses", "hpcmine.simulator"}
+LAZY = {
+    "hashlib", "subprocess", "statistics", "dataclasses", "hpcmine.simulator",
+    "logging", "csv", "shlex",
+}
 before = set(sys.modules)
 loaded = lambda: sorted(LAZY & (set(sys.modules) - before))
 from hpcmine.cli import main
@@ -367,6 +391,9 @@ print(json.dumps(report))
 
 class TestLazyImports:
     def test_pipeline_loads_no_module_it_does_not_use(self, tmp_path, fig1_replay):
+        malformed = tmp_path / "malformed"
+        malformed.mkdir()
+        (malformed / "snapshot_20240101T000000Z.txt").write_text("a 1 PD\n", encoding="utf-8")
         base = ["pipeline", "--replay", str(fig1_replay)]
         runs = [
             ["observe", ["observe", "--replay", str(fig1_replay), "-o", str(tmp_path / "e.csv")]],
@@ -376,6 +403,8 @@ class TestLazyImports:
             # interpreter's life, so they come last.
             ["hashed", base + ["-o", str(tmp_path / "hashed"), "--hash-case-ids"]],
             ["simulate", ["simulate", "fig1_explicit", "-o", str(tmp_path / "sim")]],
+            # A malformed row is reported through logging, loaded only then.
+            ["malformed", ["observe", "--replay", str(malformed), "-o", str(tmp_path / "m.csv")]],
         ]
         paths = [str(Path(hpcmine.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
@@ -397,7 +426,12 @@ class TestLazyImports:
         assert "hpcmine.simulator" not in report["hashed"][1]
         assert report["simulate"][0] == 0
         assert "hpcmine.simulator" in report["simulate"][1]
-        assert "dataclasses" not in report["simulate"][1]
+        assert {"dataclasses", "logging", "csv", "shlex"}.isdisjoint(report["simulate"][1])
+        assert report["malformed"][0] == 0
+        assert "logging" in report["malformed"][1]
+        assert done.stderr.splitlines()[-1] == (
+            "skipping malformed snapshot row 1 of the snapshot at 2024-01-01T00:00:00Z: 'a 1 PD'"
+        )
         with open(tmp_path / "hashed" / "cases.csv") as fh:
             case_ids = {row["case_id"] for row in csv.DictReader(fh)}
         assert case_ids == {"JID" + hashlib.sha256(b"4,3,2,1").hexdigest()[:16]}

@@ -1,4 +1,8 @@
 import io
+import os
+import shlex
+import sys
+import tempfile
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from typing import NamedTuple
@@ -650,6 +654,81 @@ class TestSources:
         kinds = [e.kind for e in sink.events]
         assert kinds == [EventKind.CREATED, EventKind.STATE_CHANGED]
         assert slept == [30]
+
+
+# Characters that text-mode reading treats specially, or that are not ASCII.
+_SNAPSHOT_PIECES = st.sampled_from(["\r", "\r\n", "\n", "\x0c", "\x85", "\u2028", "é", "a 1 PD"])
+_SNAPSHOT_TEXTS = st.lists(
+    _SNAPSHOT_PIECES | st.characters(blacklist_categories=("Cs",)), max_size=12
+).map("".join)
+
+
+class TestSnapshotFiles:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_SNAPSHOT_TEXTS, min_size=1, max_size=3))
+    @example([""])
+    @example(["a\r\nb\rc\n\r\n", "\r"])
+    def test_replay_reads_what_text_mode_open_reads(self, texts):
+        snaps = [Snapshot(T0 + timedelta(seconds=30 * i), t) for i, t in enumerate(texts)]
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = simulator.write_snapshots(snaps, tmp)
+            assert [p.read_bytes() for p in paths] == [t.encode("utf-8") for t in texts]
+            expected = []
+            for path in paths:
+                with open(path, encoding="utf-8") as fh:
+                    expected.append(fh.read())
+            assert [s.text for s in ReplayDirectorySource(tmp)] == expected
+        # A live poll of the same bytes gives the same text.
+        assert [observer.decode_snapshot(t.encode("utf-8")) for t in texts] == expected
+
+    def test_shorter_file_leaves_no_tail(self, tmp_path):
+        path = tmp_path / snapshot_filename(T0)
+        observer.write_snapshot_file(path, "a 1 (null) /long/path/x.sh PD g\n" * 50)
+        observer.write_snapshot_file(path, "a 2 (null) /y.sh R g\n")
+        assert path.read_bytes() == b"a 2 (null) /y.sh R g\n"
+
+    def test_short_writes_still_write_whole_files(self, tmp_path, monkeypatch):
+        real_write = os.write
+        sizes = []
+
+        def write_at_most_7(fd, data):
+            sizes.append(len(data))
+            return real_write(fd, bytes(data[:7]))
+
+        text = "a 1 (null) /home/é/x.sh PD g\n" * 20
+        snaps = [Snapshot(T0, text), Snapshot(T0 + timedelta(seconds=30), "")]
+        monkeypatch.setattr(os, "write", write_at_most_7)
+        paths = simulator.write_snapshots(snaps, tmp_path)
+        monkeypatch.undo()
+        assert [p.read_bytes() for p in paths] == [text.encode("utf-8"), b""]
+        assert len(sizes) == -(-len(text.encode("utf-8")) // 7)
+
+    def test_undecodable_replay_file_is_a_source_failure_naming_it(self, tmp_path):
+        good = tmp_path / snapshot_filename(T0)
+        bad = tmp_path / snapshot_filename(T0 + timedelta(seconds=30))
+        good.write_bytes(b"a 1 (null) /x.sh PD g\n")
+        bad.write_bytes(b"a 1 (null) /home/u/caf\xe9.sh R g\n")
+        sink = ListSink()
+        with pytest.raises(SourceFailure) as failure:
+            run_observation(ReplayDirectorySource(tmp_path), sink)
+        assert str(failure.value).startswith(
+            f"{bad}: 'utf-8' codec can't decode byte 0xe9 in position 22"
+        )
+        assert [e.kind for e in sink.events] == [EventKind.CREATED]
+
+    def test_live_output_decodes_as_a_replay_file_does(self):
+        data = b"a 1 (null) /caf\xc3\xa9.sh PD g\r\na 2 (null) /x.sh PD g\r"
+        argv = [sys.executable, "-c", f"import sys; sys.stdout.buffer.write({data!r})"]
+        text = CommandSource._run_subprocess(argv)
+        assert text == "a 1 (null) /café.sh PD g\na 2 (null) /x.sh PD g\n"
+        assert text == observer.decode_snapshot(data)
+
+    def test_undecodable_live_output_is_a_source_failure(self):
+        write = "import sys; sys.stdout.buffer.write(b'caf\\xe9')"
+        command = shlex.join([sys.executable, "-c", write])
+        source = CommandSource(command=command, max_snapshots=1, sleep=lambda s: None)
+        with pytest.raises(SourceFailure, match="^'utf-8' codec can't decode byte 0xe9"):
+            list(source)
 
 
 class _FakeTime:

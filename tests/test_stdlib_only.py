@@ -44,3 +44,42 @@ def test_no_module_calls_csv_writer():
             ):
                 calls.append(f"{path.name}:{node.lineno}: csv.{node.attr}")
     assert calls == []
+
+
+FILE_METHODS = {"open", "read_text", "write_text"}
+
+
+def _is_binary_mode(call: ast.Call, position: int) -> bool:
+    # ``position`` is the mode's: 1 for open(file, mode), 0 for Path.open(mode).
+    mode = call.args[position] if len(call.args) > position else None
+    for keyword in call.keywords:
+        if keyword.arg == "mode":
+            mode = keyword.value
+    return isinstance(mode, ast.Constant) and "b" in mode.value
+
+
+def test_every_text_mode_file_call_names_its_encoding():
+    # What the package reads and writes must not depend on the locale: each
+    # text-mode open(), read_text(), write_text() and text-mode subprocess
+    # call names its encoding. os.open and binary modes deal in bytes.
+    checked = []
+    missing = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            keywords = {keyword.arg for keyword in node.keywords}
+            if isinstance(func, ast.Name) and func.id == "open":
+                text_mode = not _is_binary_mode(node, 1)
+            elif isinstance(func, ast.Attribute) and func.attr in FILE_METHODS:
+                on_os = isinstance(func.value, ast.Name) and func.value.id == "os"
+                text_mode = not on_os and not _is_binary_mode(node, 0)
+            else:
+                text_mode = bool(keywords & {"text", "universal_newlines"})
+            if text_mode:
+                checked.append(f"{path.name}:{node.lineno}")
+                if "encoding" not in keywords:
+                    missing.append(f"{path.name}:{node.lineno}")
+    assert checked
+    assert missing == []

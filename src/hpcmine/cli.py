@@ -36,18 +36,6 @@ def _make_source(args) -> observer.SnapshotSource:
     return observer.CommandSource(command=args.squeue_cmd, interval=args.interval)
 
 
-class _KeepingSink:
-    """Streams events on to another sink and keeps them for the next stage."""
-
-    def __init__(self, sink: observer.EventSink) -> None:
-        self.sink = sink
-        self.events: list[eventlog.JobEvent] = []
-
-    def append(self, event: eventlog.JobEvent) -> None:
-        self.sink.append(event)
-        self.events.append(event)
-
-
 def _read(read, path):
     try:
         return read(path)
@@ -139,22 +127,35 @@ def cmd_observe(args) -> int:
     except FileNotFoundError as exc:
         _err(str(exc))
         return 1
-    with observer.CsvEventSink(args.output) as sink:
-        return _observe(args, source, sink)
+    try:
+        with observer.CsvEventSink(args.output) as sink:
+            return _observe(args, source, sink)
+    except OSError as exc:  # the events file cannot be written
+        _err(str(exc))
+        return 1
 
 
 def cmd_correlate(args) -> int:
     events = _read(eventlog.read_events_csv, args.events_csv)
-    if events is None or _correlate(args, events, args.output) is None:
+    if events is None:
         return 1
-    return 0
+    try:
+        correlated = _correlate(args, events, args.output)
+    except OSError as exc:
+        _err(str(exc))
+        return 1
+    return 0 if correlated is not None else 1
 
 
 def cmd_discover(args) -> int:
     log = _read(eventlog.read_csv, args.cases_csv)
     if log is None:
         return 1
-    _discover(args, log, args.output, args.stats_out)
+    try:
+        _discover(args, log, args.output, args.stats_out)
+    except OSError as exc:
+        _err(str(exc))
+        return 1
     return 0
 
 
@@ -209,25 +210,35 @@ def cmd_pipeline(args) -> int:
     """Observe, correlate, discover and stats in one process, in memory.
 
     Writes the files the separate commands would write, but never reads
-    one of them back.
+    one of them back. The observed events are held in memory and written
+    to ``events.csv`` in one batch once observation ends, also when the
+    source fails; the file is opened first, so an unwritable output fails
+    before any work is done.
     """
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         source = observer.ReplayDirectorySource(args.replay)
     except FileNotFoundError as exc:
         _err(str(exc))
         return 1
-    with observer.CsvEventSink(out / "events.csv") as csv_sink:
-        sink = _KeepingSink(csv_sink)
-        rc = _observe(args, source, sink)
-    if rc != 0:
-        return rc
-    correlated = _correlate(args, sink.events, out / "cases.csv")
-    if correlated is None:
+    out = Path(args.output)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        sink = observer.ListSink()
+        with open(out / "events.csv", "w", encoding="utf-8", newline="") as fh:
+            try:
+                rc = _observe(args, source, sink)
+            finally:
+                eventlog.write_csv(sink.events, fh, eventlog.EVENTS_CSV_HEADER)
+        if rc != 0:
+            return rc
+        correlated = _correlate(args, sink.events, out / "cases.csv")
+        if correlated is None:
+            return 1
+        log, first_deps = correlated
+        _discover(args, log, out / "dfg.dot", out / "edges.csv")
+    except OSError as exc:  # an output cannot be written
+        _err(str(exc))
         return 1
-    log, first_deps = correlated
-    _discover(args, log, out / "dfg.dot", out / "edges.csv")
     _stats(log, first_deps)
     return 0
 

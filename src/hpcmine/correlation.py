@@ -12,7 +12,8 @@ reversed edges only when there is a cycle.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from itertools import repeat
+from operator import add, attrgetter, itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .eventlog import (  # extract_first_dependencies is re-exported
@@ -202,19 +203,44 @@ def assign_cases_implicit(events: Iterable[JobEvent]) -> CaseAssignment:
     return CaseAssignment(cases)
 
 
+# Events stamped per slice by ``apply_cases``.
+STAMP_BLOCK = 256
+
+
 def apply_cases(events: list[JobEvent], assignment: CaseAssignment) -> CaseLog:
     """Attach case ids and produce the sorted event log, consuming ``events``.
 
     Each event of the list is replaced by its copy with the case id, and the
-    list itself is sorted and becomes the log's ``events``: no event is held
-    twice. Pass a copy to keep the original order. On ``UnassignedJob`` the
-    list is left stamped up to the unassigned event and unsorted.
+    list itself is sorted by case, time and job id and becomes the log's
+    ``events``: no event is held twice. Pass a copy to keep the original
+    order. On ``UnassignedJob`` the list is left stamped up to the unassigned
+    event and unsorted.
     """
     cases = assignment.cases
-    for i, event in enumerate(events):
-        case_id = cases.get(event.job_id)
-        if case_id is None:
-            raise UnassignedJob(event.job_id)
-        events[i] = with_case(event, case_id)
-    events.sort(key=attrgetter("case_id", "timestamp", "job_id"))
+    case_of = cases.__getitem__
+    job_id = attrgetter("job_id")
+    head = itemgetter(slice(0, -1))  # every field but ``case_id``, the last
+    new_event = tuple.__new__  # skips the Python-level JobEvent.__new__
+    # One slice at a time, with no Python call per event: replacing the
+    # whole list at once would hold every event twice.
+    for start in range(0, len(events), STAMP_BLOCK):
+        stop = start + STAMP_BLOCK
+        block = events[start:stop]
+        try:
+            case_ids = list(map(case_of, map(job_id, block)))
+        except KeyError:
+            for i, event in enumerate(block, start):
+                case_id = cases.get(event.job_id)
+                if case_id is None:
+                    raise UnassignedJob(event.job_id) from None
+                events[i] = with_case(event, case_id)
+            continue
+        events[start:stop] = map(
+            new_event, repeat(JobEvent), map(add, map(head, block), zip(case_ids))
+        )
+    # Three stable sorts, least significant key first, give the order of the
+    # (case_id, timestamp, job_id) key without a key tuple per event.
+    events.sort(key=job_id)
+    events.sort(key=attrgetter("timestamp"))
+    events.sort(key=attrgetter("case_id"))
     return CaseLog(events)

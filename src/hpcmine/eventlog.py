@@ -5,8 +5,11 @@ emits it with an empty ``case_id`` and correlation fills the case in. It is
 a ``NamedTuple``, so building and copying one costs what a tuple costs. The
 raw events file and the case log are two column layouts of one CSV codec.
 
-The codec has one encoder, ``csv_line``, which every CSV file the package
-writes goes through, and one reader, ``csv.reader``, behind ``read_csv``.
+The codec has one encoding, ``csv_line``'s, which every CSV file the package
+writes is in, and one reader, ``csv.reader``, behind ``read_csv``.
+``CsvEventSink`` streams one ``csv_line`` per event; ``write_csv`` encodes
+a block of events at a time with no Python call per event, and falls back
+to ``csv_line`` for a block that needs quoting. Both write the same bytes.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import enum
 import sys
 from datetime import datetime
+from itertools import islice
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -172,7 +176,8 @@ class CsvEventSink:
     is formatted once per distinct instant, keyed with its ``fold`` (the two
     sides of a DST fold compare equal). The sink remembers only the last
     instant, which serves the observer's and the oracle's time-ordered
-    streams in constant memory; ``write_csv`` keeps every instant it writes.
+    streams in constant memory. ``write_csv`` writes the same bytes for a
+    list of events held in memory.
     """
 
     def __init__(self, destination, header: list[str] = EVENTS_CSV_HEADER) -> None:
@@ -185,7 +190,6 @@ class CsvEventSink:
         self._columns = attrgetter(*(_COLUMNS[name][1] for name in header))
         self._at = header.index("timestamp")
         self._texts: dict[tuple[datetime, int], str] = {}
-        self._keep_texts = False
         self.rows = 0
 
     def append(self, event: JobEvent) -> None:
@@ -194,8 +198,7 @@ class CsvEventSink:
         key = (stamp, stamp.fold)
         text = self._texts.get(key)
         if text is None:
-            if not self._keep_texts:
-                self._texts.clear()
+            self._texts.clear()
             text = self._texts[key] = format_iso(stamp)
         row[self._at] = text
         self._write(csv_line(row))
@@ -212,15 +215,67 @@ class CsvEventSink:
         self.close()
 
 
-def write_csv(log: Iterable[JobEvent], destination) -> int:
-    """Write the case log; returns the number of data rows written."""
-    with CsvEventSink(destination, CSV_HEADER) as sink:
-        # Sorted by case, the log revisits instants: keep them all, which
-        # costs no more than the log held in memory.
-        sink._keep_texts = True
-        for event in log:
-            sink.append(event)
-    return sink.rows
+# Events encoded per block by ``write_csv``: one text and one ``write`` each.
+WRITE_BLOCK = 256
+
+
+class _StampTexts(dict):
+    """Timestamp text by ``(instant, fold)``, formatted on first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple[datetime, int]) -> str:
+        text = self[key] = format_iso(key[0])
+        return text
+
+
+def write_csv(events: Iterable[JobEvent], destination, header: list[str] = CSV_HEADER) -> int:
+    """Write ``events`` under ``header``; returns the number of data rows written.
+
+    The bytes are those of a ``CsvEventSink`` fed the same events. Each block
+    of ``WRITE_BLOCK`` events is encoded column by column and written as one
+    text; a block holding a field that needs quoting is encoded again row by
+    row with ``csv_line``. Every timestamp text is kept for the whole call,
+    which costs no more than the events held in memory.
+    """
+    getters = [attrgetter(_COLUMNS[name][1]) for name in header]
+    at = header.index("timestamp")
+    get_stamp = getters[at]
+    get_fold = attrgetter("fold")
+    texts = _StampTexts()
+    separators = len(header) - 1
+
+    def rows_of(block: list[JobEvent]) -> Iterator[tuple[str, ...]]:
+        columns = [map(get, block) for get in getters]
+        stamps = list(map(get_stamp, block))
+        columns[at] = map(texts.__getitem__, zip(stamps, map(get_fold, stamps)))
+        return zip(*columns)
+
+    own = isinstance(destination, (str, Path))
+    fh = open(destination, "w", encoding="utf-8", newline="") if own else destination
+    try:
+        write = fh.write
+        write(csv_line(header))
+        rows = 0
+        pending = iter(events)
+        while block := list(islice(pending, WRITE_BLOCK)):
+            text = "\n".join(map(",".join, rows_of(block))) + "\n"
+            # Only a field holding a comma, LF, quote or CR needs quoting; a
+            # block has none when its separators and line ends are all there
+            # is. (No row is one empty field: the timestamp is never empty.)
+            if (
+                text.count(",") != len(block) * separators
+                or text.count("\n") != len(block)
+                or '"' in text
+                or "\r" in text
+            ):
+                text = "".join(map(csv_line, rows_of(block)))
+            write(text)
+            rows += len(block)
+    finally:
+        if own:
+            fh.close()
+    return rows
 
 
 def read_csv(source, header: list[str] = CSV_HEADER) -> CaseLog:

@@ -103,6 +103,7 @@ def diff_snapshot(
     is interned, so the jobs of one command share one string.
     """
     events: list[JobEvent] = []
+    new_event = tuple.__new__  # skips the Python-level JobEvent.__new__
     jobs = state.jobs
     active = state.active
     for row in rows:
@@ -115,28 +116,36 @@ def diff_snapshot(
             if row.state != COMPLETED:
                 active[row.job_id] = tracked
             events.append(
-                JobEvent(
-                    row.job_id,
-                    row.account,
-                    row.group,
-                    activity,
-                    row.state,
-                    dep_raw,
-                    EventKind.CREATED,
-                    observed_at,
+                new_event(
+                    JobEvent,
+                    (
+                        row.job_id,
+                        row.account,
+                        row.group,
+                        activity,
+                        row.state,
+                        dep_raw,
+                        EventKind.CREATED,
+                        observed_at,
+                        "",
+                    ),
                 )
             )
         elif tracked.state != row.state:
             events.append(
-                JobEvent(
-                    row.job_id,
-                    row.account,
-                    row.group,
-                    tracked.activity,
-                    row.state,
-                    row.dependency_raw,
-                    EventKind.STATE_CHANGED,
-                    observed_at,
+                new_event(
+                    JobEvent,
+                    (
+                        row.job_id,
+                        row.account,
+                        row.group,
+                        tracked.activity,
+                        row.state,
+                        row.dependency_raw,
+                        EventKind.STATE_CHANGED,
+                        observed_at,
+                        "",
+                    ),
                 )
             )
             if row.state == COMPLETED:
@@ -166,17 +175,22 @@ def finalize_vanished(
         # A job put back by a stale row sits after later-seen jobs in ``active``.
         vanished.sort(key=lambda item: item[1].first_seen)
     events: list[JobEvent] = []
+    new_event = tuple.__new__  # skips the Python-level JobEvent.__new__
     for job_id, tracked in vanished:
         events.append(
-            JobEvent(
-                job_id,
-                tracked.account,
-                tracked.group,
-                tracked.activity,
-                COMPLETED,
-                "(null)",
-                EventKind.SYNTHETIC_COMPLETED,
-                observed_at,
+            new_event(
+                JobEvent,
+                (
+                    job_id,
+                    tracked.account,
+                    tracked.group,
+                    tracked.activity,
+                    COMPLETED,
+                    "(null)",
+                    EventKind.SYNTHETIC_COMPLETED,
+                    observed_at,
+                    "",
+                ),
             )
         )
         tracked.state = COMPLETED
@@ -200,11 +214,11 @@ class EventSink(Protocol):
 
 
 class ListSink:
+    """Keeps every event in ``events``; ``append`` is the list's own."""
+
     def __init__(self) -> None:
         self.events: list[JobEvent] = []
-
-    def append(self, event: JobEvent) -> None:
-        self.events.append(event)
+        self.append = self.events.append
 
 
 SNAPSHOT_FILE_PREFIX = "snapshot_"

@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .correlation import cyclic_jobs, find_root
-from .eventlog import CsvEventSink, EventKind, JobEvent, csv_line
+from .eventlog import EventKind, JobEvent, csv_line, write_csv
 from .observer import Snapshot, is_snapshot_filename, snapshot_filename, write_snapshot_file
 from .snapshots import COMPLETED, COMPLETING, PENDING, RUNNING, SNAPSHOT_HEADER, normalize_command
 
@@ -329,9 +329,7 @@ def write_snapshots(snapshots: list[Snapshot], directory) -> list[Path]:
 def write_oracle(oracle: Oracle, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with CsvEventSink(directory / "oracle_events.csv", ORACLE_EVENTS_HEADER) as sink:
-        for event in oracle.events:
-            sink.append(event)
+    write_csv(oracle.events, directory / "oracle_events.csv", ORACLE_EVENTS_HEADER)
     with open(directory / "true_cases.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write(csv_line(["job_id", "case_label"]))
         fh.writelines(map(csv_line, sorted(oracle.true_cases.items())))
@@ -421,28 +419,10 @@ def load_scenario(source: Path | str) -> ScenarioSpec:
     return spec
 
 
-def serialize_scenario(spec: ScenarioSpec) -> str:
-    lines = [f"seed={spec.seed}", f"interval={spec.snapshot_interval}"]
-    if spec.max_running is not None:
-        lines.append(f"max_running={spec.max_running}")
-    for job in spec.jobs:
-        deps = ",".join(job.dependencies) if job.dependencies else "-"
-        lines.append(
-            f"job {job.job_id} account={job.account} group={job.group}"
-            f" cmd={job.command_path} dur={job.duration} deps={deps} mode={job.mode.value}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _bundled_scenarios():
     from importlib import resources  # only bundled scenarios are package data
 
     return resources.files(__package__) / "scenarios"
-
-
-def bundled_scenario_names() -> list[str]:
-    root = _bundled_scenarios()
-    return sorted(p.name[: -len(".scenario")] for p in root.iterdir() if p.name.endswith(".scenario"))
 
 
 def load_bundled_scenario(name: str) -> ScenarioSpec:

@@ -1,10 +1,31 @@
 import random
 from datetime import timedelta
+from importlib import resources
 
 from hpcmine import observer
 from hpcmine.eventlog import CaseLog, EventKind, JobEvent
 from hpcmine.simulator import SIM_EPOCH, ScenarioSpec, SimJob, SubmitMode
 from hpcmine.snapshots import COMPLETED, COMPLETING, PENDING, RUNNING
+
+
+def bundled_scenario_names():
+    """Names of the scenarios bundled with the package, sorted."""
+    root = resources.files("hpcmine") / "scenarios"
+    return sorted(p.name[: -len(".scenario")] for p in root.iterdir() if p.name.endswith(".scenario"))
+
+
+def serialize_scenario(spec):
+    """Scenario file text that ``simulator.load_scenario`` reads back as ``spec``."""
+    lines = [f"seed={spec.seed}", f"interval={spec.snapshot_interval}"]
+    if spec.max_running is not None:
+        lines.append(f"max_running={spec.max_running}")
+    for job in spec.jobs:
+        deps = ",".join(job.dependencies) if job.dependencies else "-"
+        lines.append(
+            f"job {job.job_id} account={job.account} group={job.group}"
+            f" cmd={job.command_path} dur={job.duration} deps={deps} mode={job.mode.value}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def replay_events(result, synthetic_complete=True):

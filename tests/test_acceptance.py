@@ -4,7 +4,7 @@ import io
 import random
 import time
 
-from conftest import random_case_log, random_scenario, replay_events
+from conftest import bundled_scenario_names, random_case_log, random_scenario, replay_events
 from hpcmine import simulator
 from hpcmine.cli import main
 from hpcmine.correlation import (
@@ -75,7 +75,7 @@ def test_criterion_2_dependency_visibility_decay():
 
 def test_criterion_3_observer_oracle_equivalence():
     start = time.monotonic()
-    specs = [simulator.load_bundled_scenario(n) for n in simulator.bundled_scenario_names()]
+    specs = [simulator.load_bundled_scenario(n) for n in bundled_scenario_names()]
     specs += [random_scenario(seed, max_jobs=20) for seed in range(100)]
     for spec in specs:
         result = simulator.simulate(spec)

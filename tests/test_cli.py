@@ -22,6 +22,18 @@ def tree(directory: Path) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in directory.iterdir()}
 
 
+def assert_write_error(capsys, path, out=None):
+    """The command reported that ``path`` cannot be written, without a traceback.
+
+    With ``out`` given, the command printed that to standard output.
+    """
+    captured = capsys.readouterr()
+    if out is not None:
+        assert captured.out == out
+    assert captured.err.startswith("error: [Errno") and str(path) in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.fixture
 def fig1_replay(tmp_path):
     out = tmp_path / "sim"
@@ -143,6 +155,11 @@ class TestObserve:
         assert main(["observe", "--replay", str(tmp_path / "nope"), "-o", "x.csv"]) == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_unwritable_output_is_an_error(self, tmp_path, capsys, fig1_replay):
+        events = tmp_path / "missing" / "dir" / "e.csv"
+        assert main(["observe", "--replay", str(fig1_replay), "-o", str(events)]) == 1
+        assert_write_error(capsys, events)
+
     def test_nul_line_is_malformed_and_the_events_read_back(self, tmp_path, capsys, caplog):
         replay = tmp_path / "replay"
         replay.mkdir()
@@ -248,6 +265,13 @@ class TestCorrelate:
         with open(cases) as fh:
             assert {row["case_id"] for row in csv.DictReader(fh)} == {"JID21"}
 
+    def test_unwritable_output_is_an_error(self, tmp_path, capsys, fig1_replay):
+        events, _ = run_pipeline_stages(tmp_path, fig1_replay)
+        capsys.readouterr()
+        cases = tmp_path / "missing" / "dir" / "c.csv"
+        assert main(["correlate", str(events), "-o", str(cases)]) == 1
+        assert_write_error(capsys, cases)
+
 
 class TestDiscover:
     def test_dot_contains_workflow_edges(self, tmp_path, fig1_replay):
@@ -283,6 +307,15 @@ class TestDiscover:
         with open(edges) as fh:
             rows = list(csv.DictReader(fh))
         assert rows and set(rows[0]) == {"from", "to", "frequency", "mean_seconds", "median_seconds"}
+
+    @pytest.mark.parametrize("option", ["-o", "--stats-out"])
+    def test_unwritable_output_is_an_error(self, tmp_path, capsys, fig1_replay, option):
+        _, cases = run_pipeline_stages(tmp_path, fig1_replay)
+        capsys.readouterr()
+        missing = tmp_path / "missing" / "dir" / "d.out"
+        argv = ["discover", str(cases), "-o", str(tmp_path / "d.dot"), option, str(missing)]
+        assert main(argv) == 1
+        assert_write_error(capsys, missing)
 
 
 class TestStats:
@@ -337,6 +370,26 @@ class TestPipeline:
             assert main(["pipeline", "--replay", str(fig1_replay), "-o", str(out)]) == 0
         assert (out_a / "dfg.dot").read_text() == (out_b / "dfg.dot").read_text()
         assert (out_a / "cases.csv").read_text() == (out_b / "cases.csv").read_text()
+
+    def test_unwritable_events_file_fails_before_observing(self, tmp_path, capsys, fig1_replay):
+        out = tmp_path / "out"
+        (out / "events.csv").mkdir(parents=True)
+        capsys.readouterr()
+        assert main(["pipeline", "--replay", str(fig1_replay), "-o", str(out)]) == 1
+        assert_write_error(capsys, out / "events.csv", out="")  # no observation summary
+        assert os.listdir(out) == ["events.csv"]
+
+    def test_unwritable_output_directory_is_an_error(self, tmp_path, capsys, fig1_replay):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        assert main(["pipeline", "--replay", str(fig1_replay), "-o", str(out)]) == 1
+        assert_write_error(capsys, out)
+
+    def test_missing_replay_creates_no_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["pipeline", "--replay", str(tmp_path / "nope"), "-o", str(out)]) == 1
+        assert "not found" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_shares_each_stage_option_with_its_stage(self):
         commands = next(

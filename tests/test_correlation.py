@@ -2,6 +2,7 @@ import hashlib
 import logging
 import random
 from datetime import datetime, timedelta, timezone
+from operator import attrgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +13,7 @@ from hpcmine import correlation, simulator
 from hpcmine.correlation import (
     _component_case_id,
     MAX_CASE_ID_LENGTH,
+    STAMP_BLOCK,
     CaseAssignment,
     DependencyGraph,
     UnassignedJob,
@@ -22,7 +24,7 @@ from hpcmine.correlation import (
     cyclic_jobs,
     extract_first_dependencies,
 )
-from hpcmine.eventlog import write_csv
+from hpcmine.eventlog import with_case, write_csv
 from hpcmine.observer import EventKind, JobEvent
 from hpcmine.snapshots import PENDING
 from test_simulator import _specs
@@ -507,6 +509,16 @@ class TestAssignCasesImplicit:
         assert assign_cases_implicit(events).cases == assign_cases_implicit(shuffled).cases
 
 
+def _stamped_and_sorted_per_event(events, assignment):
+    """The case log as ``apply_cases`` built it before it stamped by slices:
+    one copy per event, then one sort on a (case_id, timestamp, job_id) key."""
+    events = list(events)
+    for i, event in enumerate(events):
+        events[i] = with_case(event, assignment.cases[event.job_id])
+    events.sort(key=attrgetter("case_id", "timestamp", "job_id"))
+    return events
+
+
 class TestApplyCases:
     def test_fig7_events_share_case(self):
         events, first_deps = fig7_inputs()
@@ -543,6 +555,49 @@ class TestApplyCases:
         assert raised.value.job_id == "1"
         assert [(e.job_id, e.case_id) for e in events] == [("2", "a"), ("1", ""), ("3", "")]
 
+    def test_unassigned_job_in_the_second_block(self):
+        events = [event(str(i % 7)) for i in range(2 * STAMP_BLOCK + 10)]
+        missing = STAMP_BLOCK + 7
+        events[missing] = event("x")
+        cases = {str(i): f"c{i}" for i in range(7)}
+        with pytest.raises(UnassignedJob) as raised:
+            apply_cases(events, CaseAssignment(cases))
+        assert raised.value.job_id == "x"
+        assert [e.job_id for e in events] == [
+            "x" if i == missing else str(i % 7) for i in range(len(events))
+        ]
+        assert [e.case_id for e in events[:missing]] == [
+            f"c{i % 7}" for i in range(missing)
+        ]
+        assert {e.case_id for e in events[missing:]} == {""}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_per_event_stamp_and_key_sort(self, data):
+        # Logs across slice boundaries with tied timestamps, events tied on
+        # every sort key but their state, and repeated events.
+        pool = data.draw(
+            st.lists(
+                st.builds(
+                    lambda job, offset, state: event(job, offset=offset)._replace(state=state),
+                    st.sampled_from("12345"),
+                    st.sampled_from([0, 0, 30, 60]),
+                    st.sampled_from(["PD", "R", "CG", "CD"]),
+                ),
+                min_size=1,
+                max_size=12,
+            )
+        )
+        length = data.draw(st.sampled_from([0, 1, STAMP_BLOCK, STAMP_BLOCK + 1, 600]))
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        events = [rng.choice(pool) for _ in range(length)]
+        cases = {job: data.draw(st.sampled_from(["a", "b", "c"])) for job in "12345"}
+        expected = _stamped_and_sorted_per_event(events, CaseAssignment(cases))
+        log = apply_cases(events, CaseAssignment(cases))
+        assert log.events is events
+        assert events == expected
+        assert {type(e) for e in events} <= {JobEvent}
+
     def test_simulator_chain_case_counts(self):
         result = simulator.simulate(simulator.load_bundled_scenario("two_chains"))
         events, _ = replay_events(result)
@@ -556,8 +611,7 @@ class TestApplyCases:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_each_event_equals_replace_with_case_id(self, seed):
-        # apply_cases copies events by tuple slicing (eventlog.with_case); a
-        # field added to JobEvent later must not be dropped by that copy.
+        # apply_cases copies events by tuple slicing; a field added to JobEvent later must not be dropped by that copy.
         rng = random.Random(seed)
         events = [e._replace(case_id="") for e in random_case_log(rng, n_cases=6)]
         rng.shuffle(events)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import random_case_log, replay_events
 from hpcmine import simulator
+from hpcmine.simulator import ORACLE_EVENTS_HEADER
 from hpcmine.correlation import (
     apply_cases,
     assign_cases_explicit,
@@ -22,6 +23,7 @@ from hpcmine.eventlog import (
     _COLUMNS,
     CSV_HEADER,
     EVENTS_CSV_HEADER,
+    WRITE_BLOCK,
     BadTimestamp,
     CaseLog,
     EventKind,
@@ -186,6 +188,77 @@ class TestCsvLine:
         line = csv_line(fields)
         assert line == _reference_csv_line(fields)
         assert list(csv.reader(io.StringIO(line, newline=""))) == [fields]
+
+
+@st.composite
+def _block_logs(draw):
+    """A header and a log of a length at or around a block boundary, cycling
+    through a few plain events; at most one event, anywhere, holds a field
+    that needs quoting."""
+    header = draw(st.sampled_from([EVENTS_CSV_HEADER, CSV_HEADER, ORACLE_EVENTS_HEADER]))
+    plain = st.text("ab1 \t.:()\u00e9\u4e2d\U0001f600", max_size=4)
+    start = datetime(2024, 3, 1, tzinfo=timezone.utc)
+    pool = draw(
+        st.lists(
+            st.builds(
+                JobEvent,
+                job_id=plain,
+                account=plain,
+                group=plain,
+                activity=plain,
+                state=st.sampled_from([PENDING, RUNNING, COMPLETED]) | plain,
+                dependency_raw=plain,
+                kind=st.sampled_from(EventKind),
+                timestamp=st.builds(
+                    lambda seconds, zone, fold: (start + timedelta(seconds=seconds))
+                    .astimezone(zone)
+                    .replace(fold=fold),
+                    st.sampled_from([0, 30, 3600, 86400 * 400]),
+                    st.sampled_from(_ZONES),
+                    st.integers(0, 1),
+                ),
+                case_id=plain,
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    length = draw(st.sampled_from([0, 1, WRITE_BLOCK - 1, WRITE_BLOCK, WRITE_BLOCK + 1, 600]))
+    events = [pool[i % len(pool)] for i in range(length)]
+    if events and draw(st.booleans()):
+        at = draw(st.integers(0, length - 1))
+        # A text column of this header, where a field needing quotes shows.
+        columns = [name for name in header if name not in ("timestamp", "event_kind")]
+        field = _COLUMNS[draw(st.sampled_from(columns))][0]
+        text = draw(st.sampled_from([",", '"', "\n", "\r", "a,b", 'x"y', "\r\n", ""]))
+        events[at] = events[at]._replace(**{field: text})
+    return header, events
+
+
+class TestBlockWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(_block_logs())
+    def test_same_bytes_as_the_row_sink(self, header_and_events):
+        header, events = header_and_events
+        streamed = io.StringIO()
+        with CsvEventSink(streamed, header) as sink:
+            for event in events:
+                sink.append(event)
+        written = io.StringIO()
+        assert write_csv(iter(events), written, header) == len(events)
+        # Compared as lists of lines: pytest explains a mismatch of two long
+        # texts with a line diff, which makes each shrinking step slow.
+        lines = written.getvalue().splitlines(keepends=True)
+        assert lines == streamed.getvalue().splitlines(keepends=True)
+        assert lines == _reference_csv_text(events, header).splitlines(keepends=True)
+
+    def test_path_destination_is_closed_and_holds_the_same_bytes(self, tmp_path):
+        at = datetime(2024, 1, 1, tzinfo=timezone.utc)
+        event = JobEvent("1", "a", "g", "x.sh", RUNNING, "(null)", EventKind.CREATED, at, "c")
+        events = [event] * (WRITE_BLOCK + 3)
+        path = tmp_path / "cases.csv"
+        assert write_csv(events, str(path)) == len(events)
+        assert path.read_bytes().decode("utf-8") == _reference_csv_text(events, CSV_HEADER)
 
 
 class TestCsvEncodeMatchesPerColumnEncoder:

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_scenario, replay_events
+from conftest import (
+    bundled_scenario_names,
+    random_scenario,
+    replay_events,
+    serialize_scenario,
+)
 from hpcmine import simulator
 from hpcmine.eventlog import JobEvent
 from hpcmine.observer import EventKind
@@ -23,7 +28,6 @@ from hpcmine.simulator import (
     ValidationError,
     load_bundled_scenario,
     load_scenario,
-    serialize_scenario,
     simulate,
 )
 from hpcmine.snapshots import (
@@ -46,7 +50,7 @@ class TestLoadScenario:
         assert merge.mode == SubmitMode.BATCH
 
     def test_bundled_names(self):
-        names = simulator.bundled_scenario_names()
+        names = bundled_scenario_names()
         assert {"fig1_explicit", "fig1_manual", "two_chains", "fig8_parallel"} <= set(names)
 
     def test_unknown_dependency_target(self):
@@ -226,7 +230,7 @@ class TestSimulate:
                 return super().randrange(*args)
 
         monkeypatch.setattr(simulator.random, "Random", CountingRandom)
-        specs = [load_bundled_scenario(name) for name in simulator.bundled_scenario_names()]
+        specs = [load_bundled_scenario(name) for name in bundled_scenario_names()]
         total = 0
         for spec in specs + [random_scenario(seed) for seed in range(20)]:
             draws.clear()
@@ -253,7 +257,7 @@ class TestSimulate:
 
 class TestOracle:
     def test_observer_reproduces_oracle_on_bundled_scenarios(self):
-        for name in simulator.bundled_scenario_names():
+        for name in bundled_scenario_names():
             result = simulate(load_bundled_scenario(name))
             events, _ = replay_events(result)
             assert events == result.oracle.events, name
@@ -553,7 +557,7 @@ class TestEventDrivenEquivalence:
         # max_running=0 fails validation in both, with the same message.
         assert _outcome(simulate, spec) == _outcome(_reference_simulate, spec)
 
-    @pytest.mark.parametrize("name", simulator.bundled_scenario_names())
+    @pytest.mark.parametrize("name", bundled_scenario_names())
     def test_bundled_scenarios_over_seeds(self, name):
         spec = load_bundled_scenario(name)
         for seed in range(30):

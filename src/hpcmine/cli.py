@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from . import correlation, discovery, eventlog, observer
 
@@ -30,7 +30,7 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _make_source(args) -> observer.SnapshotSource:
+def _make_source(args) -> Iterable[observer.Snapshot]:
     if args.replay is not None:
         return observer.ReplayDirectorySource(args.replay)
     return observer.CommandSource(command=args.squeue_cmd, interval=args.interval)
@@ -42,12 +42,12 @@ def _read(read, path):
     except UnicodeDecodeError as exc:  # its message names no file
         _err(f"{path}: {exc}")
         return None
-    except (OSError, eventlog.EventLogError, ValueError) as exc:
+    except (eventlog.EventLogError, ValueError) as exc:
         _err(str(exc))
         return None
 
 
-def _observe(args, source: observer.SnapshotSource, sink: observer.EventSink) -> int:
+def _observe(args, source: Iterable[observer.Snapshot], sink: observer.EventSink) -> int:
     try:
         summary = observer.run_observation(
             source, sink, synthetic_complete=not args.no_synthetic_complete
@@ -124,38 +124,25 @@ def _stats(log: eventlog.CaseLog, first_deps: dict | None = None) -> None:
 def cmd_observe(args) -> int:
     try:
         source = _make_source(args)
-    except FileNotFoundError as exc:
+    except ValueError as exc:  # a live polling setting
         _err(str(exc))
         return 1
-    try:
-        with observer.CsvEventSink(args.output) as sink:
-            return _observe(args, source, sink)
-    except OSError as exc:  # the events file cannot be written
-        _err(str(exc))
-        return 1
+    with observer.CsvEventSink(args.output) as sink:
+        return _observe(args, source, sink)
 
 
 def cmd_correlate(args) -> int:
     events = _read(eventlog.read_events_csv, args.events_csv)
     if events is None:
         return 1
-    try:
-        correlated = _correlate(args, events, args.output)
-    except OSError as exc:
-        _err(str(exc))
-        return 1
-    return 0 if correlated is not None else 1
+    return 0 if _correlate(args, events, args.output) is not None else 1
 
 
 def cmd_discover(args) -> int:
     log = _read(eventlog.read_csv, args.cases_csv)
     if log is None:
         return 1
-    try:
-        _discover(args, log, args.output, args.stats_out)
-    except OSError as exc:
-        _err(str(exc))
-        return 1
+    _discover(args, log, args.output, args.stats_out)
     return 0
 
 
@@ -188,17 +175,13 @@ def cmd_simulate(args) -> int:
     except UnicodeDecodeError as exc:  # its message names no file
         _err(f"{args.scenario}: {exc}")
         return 1
-    except (simulator.ScenarioError, OSError) as exc:
+    except simulator.ScenarioError as exc:
         _err(str(exc))
         return 1
     result = simulator.simulate(spec)
     out = Path(args.output)
-    try:
-        simulator.write_snapshots(result.snapshots, out / "snapshots")
-        simulator.write_oracle(result.oracle, out)
-    except OSError as exc:
-        _err(str(exc))
-        return 1
+    simulator.write_snapshots(result.snapshots, out / "snapshots")
+    simulator.write_oracle(result.oracle, out)
     print(
         f"snapshots: {len(result.snapshots)}  oracle events: {len(result.oracle.events)}"
         f"  -> {out}"
@@ -215,30 +198,22 @@ def cmd_pipeline(args) -> int:
     source fails; the file is opened first, so an unwritable output fails
     before any work is done.
     """
-    try:
-        source = observer.ReplayDirectorySource(args.replay)
-    except FileNotFoundError as exc:
-        _err(str(exc))
-        return 1
+    source = observer.ReplayDirectorySource(args.replay)
     out = Path(args.output)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        sink = observer.ListSink()
-        with open(out / "events.csv", "w", encoding="utf-8", newline="") as fh:
-            try:
-                rc = _observe(args, source, sink)
-            finally:
-                eventlog.write_csv(sink.events, fh, eventlog.EVENTS_CSV_HEADER)
-        if rc != 0:
-            return rc
-        correlated = _correlate(args, sink.events, out / "cases.csv")
-        if correlated is None:
-            return 1
-        log, first_deps = correlated
-        _discover(args, log, out / "dfg.dot", out / "edges.csv")
-    except OSError as exc:  # an output cannot be written
-        _err(str(exc))
+    out.mkdir(parents=True, exist_ok=True)
+    events: list[eventlog.JobEvent] = []
+    with observer.CsvEventSink(out / "events.csv") as sink:
+        try:
+            rc = _observe(args, source, events)
+        finally:
+            sink.extend(events)
+    if rc != 0:
+        return rc
+    correlated = _correlate(args, events, out / "cases.csv")
+    if correlated is None:
         return 1
+    log, first_deps = correlated
+    _discover(args, log, out / "dfg.dot", out / "edges.csv")
     _stats(log, first_deps)
     return 0
 
@@ -324,9 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except OSError as exc:  # a file that cannot be opened, read or written
+        _err(str(exc))
+        return 1
 
 
 if __name__ == "__main__":

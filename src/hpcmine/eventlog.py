@@ -6,10 +6,10 @@ a ``NamedTuple``, so building and copying one costs what a tuple costs. The
 raw events file and the case log are two column layouts of one CSV codec.
 
 The codec has one encoding, ``csv_line``'s, which every CSV file the package
-writes is in, and one reader, ``csv.reader``, behind ``read_csv``.
-``CsvEventSink`` streams one ``csv_line`` per event; ``write_csv`` encodes
-a block of events at a time with no Python call per event, and falls back
-to ``csv_line`` for a block that needs quoting. Both write the same bytes.
+writes is in, and one reader, ``csv.reader``, behind ``read_csv``. Events
+have one writer, ``CsvEventSink``: it encodes a block of events at a time
+with no Python call per event, and falls back to ``csv_line`` for a block
+that needs quoting. ``write_csv`` is a sink fed a whole iterable.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def csv_line(fields: Sequence[str]) -> str:
 
 
 # CSV column -> (JobEvent field, attribute path of its text, decode). Every
-# path but the timestamp's reads a string, so one attrgetter encodes a row
+# path but the timestamp's reads a string, so one attrgetter encodes a column
 # without a Python call; ``_value_`` is what the enum's ``value`` property
 # returns. A state is its squeue code, written and read back verbatim.
 _COLUMNS = {
@@ -162,61 +162,14 @@ class CaseLog:
     def __iter__(self) -> Iterator[JobEvent]:
         return iter(self.events)
 
-    def accounts(self) -> set[str]:
-        return {e.account for e in self.events}
-
     def job_ids(self) -> set[str]:
         return {e.job_id for e in self.events}
 
 
-class CsvEventSink:
-    """Streams events to CSV as they are produced, one row per ``append``.
-
-    ``header`` must hold a ``"timestamp"`` column. The text of a timestamp
-    is formatted once per distinct instant, keyed with its ``fold`` (the two
-    sides of a DST fold compare equal). The sink remembers only the last
-    instant, which serves the observer's and the oracle's time-ordered
-    streams in constant memory. ``write_csv`` writes the same bytes for a
-    list of events held in memory.
-    """
-
-    def __init__(self, destination, header: list[str] = EVENTS_CSV_HEADER) -> None:
-        self._own = isinstance(destination, (str, Path))
-        self._fh = (
-            open(destination, "w", encoding="utf-8", newline="") if self._own else destination
-        )
-        self._write = self._fh.write
-        self._write(csv_line(header))
-        self._columns = attrgetter(*(_COLUMNS[name][1] for name in header))
-        self._at = header.index("timestamp")
-        self._texts: dict[tuple[datetime, int], str] = {}
-        self.rows = 0
-
-    def append(self, event: JobEvent) -> None:
-        row = list(self._columns(event))
-        stamp = row[self._at]
-        key = (stamp, stamp.fold)
-        text = self._texts.get(key)
-        if text is None:
-            self._texts.clear()
-            text = self._texts[key] = format_iso(stamp)
-        row[self._at] = text
-        self._write(csv_line(row))
-        self.rows += 1
-
-    def close(self) -> None:
-        if self._own:
-            self._fh.close()
-
-    def __enter__(self) -> "CsvEventSink":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-# Events encoded per block by ``write_csv``: one text and one ``write`` each.
+# Events encoded per block by ``CsvEventSink.extend``: one text and one ``write`` each.
 WRITE_BLOCK = 256
+
+_get_fold = attrgetter("fold")
 
 
 class _StampTexts(dict):
@@ -229,57 +182,95 @@ class _StampTexts(dict):
         return text
 
 
-def write_csv(events: Iterable[JobEvent], destination, header: list[str] = CSV_HEADER) -> int:
-    """Write ``events`` under ``header``; returns the number of data rows written.
+class CsvEventSink:
+    """The one event writer: writes events under ``header`` a block at a time.
 
-    The bytes are those of a ``CsvEventSink`` fed the same events. Each block
-    of ``WRITE_BLOCK`` events is encoded column by column and written as one
-    text; a block holding a field that needs quoting is encoded again row by
-    row with ``csv_line``. Every timestamp text is kept for the whole call,
-    which costs no more than the events held in memory.
+    ``append`` holds events while they share one timestamp object, as the
+    events of one poll do, and writes them as one block when the next poll's
+    first event arrives or on ``close``, also when an exception is on its way
+    out. ``extend`` writes ``WRITE_BLOCK`` events per block. A block is
+    encoded column by column with no Python call per event, and again row by
+    row with ``csv_line`` if a field needs quoting. ``header`` must hold a
+    ``"timestamp"`` column. ``rows`` counts the data rows written.
     """
-    getters = [attrgetter(_COLUMNS[name][1]) for name in header]
-    at = header.index("timestamp")
-    get_stamp = getters[at]
-    get_fold = attrgetter("fold")
-    texts = _StampTexts()
-    separators = len(header) - 1
 
-    def rows_of(block: list[JobEvent]) -> Iterator[tuple[str, ...]]:
-        columns = [map(get, block) for get in getters]
-        stamps = list(map(get_stamp, block))
-        columns[at] = map(texts.__getitem__, zip(stamps, map(get_fold, stamps)))
-        return zip(*columns)
+    def __init__(self, destination, header: list[str] = EVENTS_CSV_HEADER) -> None:
+        self._getters = [attrgetter(_COLUMNS[name][1]) for name in header]
+        self._at = header.index("timestamp")
+        self._separators = len(header) - 1
+        self._own = isinstance(destination, (str, Path))
+        self._fh = (
+            open(destination, "w", encoding="utf-8", newline="") if self._own else destination
+        )
+        self._write = self._fh.write
+        self._write(csv_line(header))
+        self._held: list[JobEvent] = []
+        self.rows = 0
 
-    own = isinstance(destination, (str, Path))
-    fh = open(destination, "w", encoding="utf-8", newline="") if own else destination
-    try:
-        write = fh.write
-        write(csv_line(header))
-        rows = 0
+    def append(self, event: JobEvent) -> None:
+        if self._held and event.timestamp is not self._held[0].timestamp:
+            self._flush()
+        self._held.append(event)
+
+    def extend(self, events: Iterable[JobEvent]) -> None:
+        self._flush()
+        # Timestamp texts are kept for the call, which costs no more than
+        # the events a caller holds in memory.
+        texts = _StampTexts()
         pending = iter(events)
         while block := list(islice(pending, WRITE_BLOCK)):
-            text = "\n".join(map(",".join, rows_of(block))) + "\n"
-            # Only a field holding a comma, LF, quote or CR needs quoting; a
-            # block has none when its separators and line ends are all there
-            # is. (No row is one empty field: the timestamp is never empty.)
-            if (
-                text.count(",") != len(block) * separators
-                or text.count("\n") != len(block)
-                or '"' in text
-                or "\r" in text
-            ):
-                text = "".join(map(csv_line, rows_of(block)))
-            write(text)
-            rows += len(block)
-    finally:
-        if own:
-            fh.close()
-    return rows
+            self._write_block(block, texts)
+
+    def _flush(self) -> None:
+        if self._held:
+            # Taken before writing, so a failed write is not tried again on close.
+            block, self._held = self._held, []
+            self._write_block(block, _StampTexts())
+
+    def _rows(self, block: list[JobEvent], texts: _StampTexts) -> Iterator[tuple[str, ...]]:
+        columns = [map(get, block) for get in self._getters]
+        stamps = list(map(self._getters[self._at], block))
+        columns[self._at] = map(texts.__getitem__, zip(stamps, map(_get_fold, stamps)))
+        return zip(*columns)
+
+    def _write_block(self, block: list[JobEvent], texts: _StampTexts) -> None:
+        text = "\n".join(map(",".join, self._rows(block, texts))) + "\n"
+        # Only a field holding a comma, LF, quote or CR needs quoting; a block
+        # has none when its separators and line ends are all there is. (No
+        # row is one empty field: the timestamp is never empty.)
+        if (
+            text.count(",") != len(block) * self._separators
+            or text.count("\n") != len(block)
+            or '"' in text
+            or "\r" in text
+        ):
+            text = "".join(map(csv_line, self._rows(block, texts)))
+        self._write(text)
+        self.rows += len(block)
+
+    def close(self) -> None:
+        try:
+            self._flush()
+        finally:
+            if self._own:
+                self._fh.close()
+
+    def __enter__(self) -> "CsvEventSink":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def write_csv(events: Iterable[JobEvent], destination, header: list[str] = CSV_HEADER) -> int:
+    """Write ``events`` under ``header`` through a ``CsvEventSink``; returns the rows written."""
+    with CsvEventSink(destination, header) as sink:
+        sink.extend(events)
+    return sink.rows
 
 
 def read_csv(source, header: list[str] = CSV_HEADER) -> CaseLog:
-    """Read a file written by ``write_csv`` with the same header."""
+    """Read a file written by ``write_csv`` or a ``CsvEventSink`` with the same header."""
     # Each decoded column keeps a memo of the texts seen in this call: every
     # event of a snapshot shares one timestamp, and states and kinds are few.
     decoded = [
@@ -371,7 +362,7 @@ def compute_stats(log: CaseLog, first_deps: Mapping[str, DependencySpec]) -> Log
     if not log.events:
         return LogStats(0, 0, 0, 0.0, 0.0, None)
     jobs = log.job_ids()
-    accounts = log.accounts()
+    accounts = {e.account for e in log.events}
     job_account = {e.job_id: e.account for e in log.events}
     explicit_jobs = {
         j for j in jobs if not first_deps.get(j, DependencySpec()).is_empty

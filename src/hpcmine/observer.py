@@ -205,20 +205,11 @@ class Snapshot(NamedTuple):
     text: str
 
 
-class SnapshotSource(Protocol):
-    def __iter__(self) -> Iterator[Snapshot]: ...
-
-
 class EventSink(Protocol):
+    """Where ``run_observation`` puts events: a plain list or a ``CsvEventSink``,
+    which writes each poll's events when the next poll's arrive or on close."""
+
     def append(self, event: JobEvent) -> None: ...
-
-
-class ListSink:
-    """Keeps every event in ``events``; ``append`` is the list's own."""
-
-    def __init__(self) -> None:
-        self.events: list[JobEvent] = []
-        self.append = self.events.append
 
 
 SNAPSHOT_FILE_PREFIX = "snapshot_"
@@ -313,7 +304,9 @@ class CommandSource:
     and the grid restarts from there; missed polls are not made up.
 
     The runner and clocks are injectable so tests never need a cluster.
-    Iteration ends when max_snapshots is reached or the runner raises.
+    Iteration ends when max_snapshots is reached or the runner raises. An
+    interval that is not a positive finite number, or a command that does
+    not split into words, is a ``ValueError`` here, before any poll.
     """
 
     def __init__(
@@ -328,7 +321,14 @@ class CommandSource:
     ) -> None:
         import shlex  # only live polling splits a command
 
-        self.argv = shlex.split(command)
+        if not 0 < interval < float("inf"):
+            raise ValueError(f"polling interval must be positive and finite, not {interval}")
+        try:
+            self.argv = shlex.split(command)
+        except ValueError as exc:
+            raise ValueError(f"cannot split polling command {command!r}: {exc}") from None
+        if not self.argv:
+            raise ValueError(f"empty polling command {command!r}")
         self.interval = interval
         self.runner = runner or self._run_subprocess
         self.clock = clock or (lambda: datetime.now(timezone.utc).replace(microsecond=0))
@@ -389,7 +389,8 @@ def run_observation(
     """Drive the observation loop over a snapshot source.
 
     Snapshots must arrive in nondecreasing observation-time order. Events
-    already appended to the sink survive a source failure. A ``state`` passed
+    already appended to the sink survive a source failure; a ``CsvEventSink``
+    writes the last poll's when it is closed. A ``state`` passed
     in is continued and updated in place. Malformed snapshot lines are
     skipped, logged and counted in the summary.
     """

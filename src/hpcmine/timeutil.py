@@ -1,5 +1,6 @@
 """Timestamp helpers (UTC, second resolution), uncached: a writer that formats
-one instant many times keeps its own memo, as ``eventlog.CsvEventSink`` does."""
+one instant many times keeps its own memo, as ``eventlog.CsvEventSink`` does
+for each poll and each ``extend``."""
 
 from __future__ import annotations
 

@@ -30,11 +30,11 @@ def serialize_scenario(spec):
 
 def replay_events(result, synthetic_complete=True):
     """Run the observer over a simulation's snapshot stream."""
-    sink = observer.ListSink()
+    events = []
     summary = observer.run_observation(
-        result.snapshots, sink, synthetic_complete=synthetic_complete
+        result.snapshots, events, synthetic_complete=synthetic_complete
     )
-    return sink.events, summary
+    return events, summary
 
 
 def random_scenario(seed, max_jobs=20):

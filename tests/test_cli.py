@@ -1,10 +1,12 @@
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ import pytest
 import hpcmine
 from hpcmine import observer
 from hpcmine.cli import SQUEUE_CMD_ENV, build_parser, main
-from hpcmine.eventlog import CSV_HEADER, CsvEventSink
+from hpcmine.eventlog import CSV_HEADER, EVENTS_CSV_HEADER, CsvEventSink, write_csv
 from hpcmine.simulator import load_bundled_scenario, simulate
 from hpcmine.snapshots import SNAPSHOT_HEADER
 from test_correlation import event
@@ -20,6 +22,13 @@ from test_correlation import event
 
 def tree(directory: Path) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def assert_events_file(path: Path, events):
+    """``path`` holds the bytes ``write_csv`` writes for ``events`` as a raw events file."""
+    buffer = io.StringIO()
+    write_csv(events, buffer, EVENTS_CSV_HEADER)
+    assert path.read_bytes() == buffer.getvalue().encode("utf-8")
 
 
 def assert_write_error(capsys, path, out=None):
@@ -108,10 +117,10 @@ class TestSimulate:
         assert tree(snapshots) == {**tree(fresh / "snapshots"), **kept}
         for name in ["oracle_events.csv", "true_cases.csv"]:
             assert (used / name).read_bytes() == (fresh / name).read_bytes()
-        sink = observer.ListSink()
-        observer.run_observation(observer.ReplayDirectorySource(snapshots), sink)
+        events = []
+        observer.run_observation(observer.ReplayDirectorySource(snapshots), events)
         oracle = simulate(load_bundled_scenario("fig1_explicit")).oracle
-        assert sink.events == oracle.events
+        assert events == oracle.events
 
     def test_unwritable_output_is_an_error(self, tmp_path, capsys):
         stale = tmp_path / "out" / "snapshots" / "snapshot_x.txt"
@@ -227,6 +236,91 @@ class TestObserve:
             argv += ["--squeue-cmd", flag]
         assert main(argv) == 0
         assert [source.argv for source in sources] == [polled]
+
+    @pytest.mark.parametrize(
+        "argv, env, message",
+        [
+            (["--interval", "0"], None, "polling interval must be positive and finite, not 0.0"),
+            (["--interval=-5"], None, "polling interval must be positive and finite, not -5.0"),
+            (["--interval", "nan"], None, "polling interval must be positive and finite, not nan"),
+            (["--interval", "inf"], None, "polling interval must be positive and finite, not inf"),
+            (["--squeue-cmd", 'squeue -o "%a'], None, "No closing quotation"),
+            (["--squeue-cmd", ""], None, "empty polling command ''"),
+            (["--squeue-cmd", " \t"], None, "empty polling command ' \\t'"),
+            ([], "  ", "empty polling command '  '"),
+        ],
+        ids=["zero", "negative", "nan", "inf", "unbalanced-quote", "empty", "blank", "blank-env"],
+    )
+    def test_bad_live_setting_is_an_error_before_the_events_file(
+        self, tmp_path, monkeypatch, capsys, argv, env, message
+    ):
+        if env is None:
+            monkeypatch.delenv(SQUEUE_CMD_ENV, raising=False)
+        else:
+            monkeypatch.setenv(SQUEUE_CMD_ENV, env)
+        events = tmp_path / "events.csv"
+        assert main(["observe", "--live", "-o", str(events), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not events.exists()
+
+    def test_replay_ignores_the_live_settings(self, tmp_path, monkeypatch, fig1_replay):
+        monkeypatch.setenv(SQUEUE_CMD_ENV, " ")
+        events = tmp_path / "events.csv"
+        argv = ["observe", "--replay", str(fig1_replay), "-o", str(events), "--interval", "nan"]
+        assert main(argv) == 0
+        assert main(argv + ["--squeue-cmd", '"']) == 0
+
+    def test_interrupted_live_run_writes_every_row(self, tmp_path, monkeypatch, capsys):
+        t0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
+        texts = [
+            "a 1 (null) /x.sh PD g\na 2 afterok:1 /y.sh PD g",
+            "a 1 (null) /x.sh R g\na 2 afterok:1 /y.sh PD g",
+            "a 2 afterok:1 /y.sh R g",  # job 1 completes, job 2 starts
+        ]
+        polls = [observer.Snapshot(t0 + timedelta(seconds=30 * i), t) for i, t in enumerate(texts)]
+
+        class ThreePolls(observer.CommandSource):
+            def __init__(self, command, interval):
+                pending = iter(texts)
+                times = iter(at for at, _ in polls)
+
+                def run(argv):
+                    text = next(pending, None)
+                    if text is None:
+                        raise KeyboardInterrupt  # Ctrl-C during the fourth poll
+                    return text
+
+                super().__init__(
+                    command, interval, runner=run, clock=lambda: next(times, None),
+                    sleep=lambda seconds: None,
+                )
+
+        monkeypatch.setattr(observer, "CommandSource", ThreePolls)
+        events = tmp_path / "events.csv"
+        assert main(["observe", "--live", "-o", str(events)]) == 0
+        expected = []
+        observer.run_observation(polls, expected)
+        assert capsys.readouterr().out == f"snapshots: 3  events: {len(expected)}\n"
+        # The last poll's two rows are written when the sink closes.
+        assert [e.timestamp for e in expected].count(polls[2].observed_at) == 2
+        assert_events_file(events, expected)
+
+    def test_undecodable_second_replay_file_keeps_the_first_polls_rows(self, tmp_path, capsys):
+        replay = tmp_path / "replay"
+        replay.mkdir()
+        t0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
+        first, second = (observer.snapshot_filename(t0 + timedelta(seconds=s)) for s in (0, 30))
+        (replay / first).write_bytes(b"a 1 (null) /x.sh PD g\na 2 (null) /y.sh R g\n")
+        (replay / second).write_bytes(b"a 1 (null) /caf\xe9.sh R g\n")
+        events = tmp_path / "events.csv"
+        assert main(["observe", "--replay", str(replay), "-o", str(events)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {replay / second}: 'utf-8' codec")
+        expected = []
+        with pytest.raises(observer.SourceFailure):
+            observer.run_observation(observer.ReplayDirectorySource(replay), expected)
+        assert len(expected) == 2
+        assert_events_file(events, expected)
 
 
 class TestCorrelate:

@@ -277,16 +277,36 @@ class TestCsvEncodeMatchesPerColumnEncoder:
 
     def test_stream_memo_stays_bounded(self):
         # A live observation writes time-ordered events for as long as it
-        # runs: the sink keeps one timestamp text, not one per instant.
+        # runs: the sink holds one timestamp's events, not the stream.
         t0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
-        sink = CsvEventSink(io.StringIO())
+        buffer = io.StringIO()
+        sink = CsvEventSink(buffer)
         for i in range(10_000):
             at = t0 + timedelta(seconds=i)
             event = JobEvent("1", "a", "g", "x.sh", RUNNING, "(null)", EventKind.CREATED, at)
             sink.append(event)
             sink.append(event)
-            assert len(sink._texts) == 1
+            assert sink.rows == 2 * i  # every earlier instant is written
+        sink.close()
         assert sink.rows == 20_000
+        assert buffer.getvalue().count("\n") == 20_001
+
+    def test_close_writes_the_held_poll_when_an_exception_leaves(self, tmp_path):
+        at = datetime(2024, 1, 1, tzinfo=timezone.utc)
+        event = JobEvent("1", "a", "g", "x.sh", RUNNING, "(null)", EventKind.CREATED, at)
+        path = tmp_path / "events.csv"
+        with pytest.raises(KeyError):
+            with CsvEventSink(path) as sink:
+                sink.append(event)
+                raise KeyError("poll")
+        assert read_events_csv(path) == [event]
+
+    @pytest.mark.parametrize("header", [["job_id"], ["job_id", "nonesuch", "timestamp"]])
+    def test_bad_header_opens_no_file(self, tmp_path, header):
+        path = tmp_path / "events.csv"
+        with pytest.raises((ValueError, KeyError)):
+            CsvEventSink(path, header)
+        assert not path.exists()
 
 
 class TestDstFold:

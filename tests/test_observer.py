@@ -19,7 +19,6 @@ from hpcmine.observer import (
     CsvEventSink,
     EventKind,
     JobEvent,
-    ListSink,
     ObserverState,
     OutOfOrderSnapshot,
     ReplayDirectorySource,
@@ -455,10 +454,10 @@ class TestObservationMatchesTimedRows:
     @given(_snapshot_streams(), st.booleans())
     @example(_crafted_observation(), True)
     def test_same_events_and_malformed_count(self, stream, synthetic_complete):
-        sink = ListSink()
+        sink = []
         summary = run_observation(stream, sink, synthetic_complete=synthetic_complete)
         events, malformed = _timed_observation(stream, synthetic_complete)
-        assert sink.events == events
+        assert sink == events
         assert summary.malformed == malformed
         assert (summary.snapshots, summary.events) == (len(stream), len(events))
 
@@ -472,12 +471,12 @@ class TestRunObservation:
         ]
 
     def test_identical_snapshots_create_once(self):
-        sink = ListSink()
+        sink = []
         summary = run_observation(self.snapshot_pair(), sink)
         assert summary.snapshots == 2
         assert summary.malformed == 0
-        assert len(sink.events) == 3
-        assert all(e.kind == EventKind.CREATED for e in sink.events)
+        assert len(sink) == 3
+        assert all(e.kind == EventKind.CREATED for e in sink)
 
     def test_equal_activities_are_one_string(self):
         # Each new job's command is split afresh; its activity is interned.
@@ -488,23 +487,23 @@ class TestRunObservation:
                 "a 3 (null) /y/run.sh --n 2 PD g\na 4 (null) /z/prep.sh PD g",
             ),
         ]
-        sink = ListSink()
+        sink = []
         run_observation(snaps, sink)
         by_text = {}
-        for event in sink.events:
+        for event in sink:
             by_text.setdefault(event.activity, set()).add(id(event.activity))
         assert sorted(by_text) == ["prep.sh", "run.sh"]
         assert all(len(ids) == 1 for ids in by_text.values())
 
     def test_empty_source(self):
-        sink = ListSink()
+        sink = []
         summary = run_observation([], sink)
         assert (summary.snapshots, summary.events) == (0, 0)
 
     def test_out_of_order_snapshot_rejected(self):
         snaps = [Snapshot(T0, ""), Snapshot(T0 - timedelta(seconds=1), "")]
         with pytest.raises(OutOfOrderSnapshot):
-            run_observation(snaps, ListSink())
+            run_observation(snaps, [])
 
     def test_determinism(self):
         result = simulator.simulate(simulator.load_bundled_scenario("two_chains"))
@@ -528,12 +527,12 @@ class TestRunObservation:
         paths = simulator.write_snapshots(result.snapshots, tmp_path)
         paths[1].write_text(paths[1].read_text() + "\nacc1 99 (null) PD\n")
         clean, _ = replay_events(result)
-        sink = ListSink()
+        sink = []
         with caplog.at_level("WARNING", logger="hpcmine.snapshots"):
             summary = run_observation(ReplayDirectorySource(tmp_path), sink)
         assert summary.malformed == 1
         assert len(caplog.records) == 1
-        assert sink.events == clean
+        assert sink == clean
 
     def test_second_pass_over_a_replay_emits_the_same_events(self, tmp_path):
         # The parser keeps the previous snapshot's lines across calls; a new
@@ -543,9 +542,9 @@ class TestRunObservation:
         paths[1].write_text(paths[1].read_text() + "\nacc1 99 (null) PD\n")
         passes = []
         for _ in range(2):
-            sink = ListSink()
+            sink = []
             summary = run_observation(ReplayDirectorySource(tmp_path), sink)
-            passes.append((sink.events, summary.snapshots, summary.malformed))
+            passes.append((sink, summary.snapshots, summary.malformed))
         assert passes[0] == passes[1]
         assert passes[0][2] == 1
 
@@ -556,9 +555,9 @@ class TestRunObservation:
         at = [T0 + timedelta(seconds=30 * i) for i in range(k + 1)]
         snaps = [Snapshot(t, "a 1 (null) /x.sh PD g") for t in at[:k]]
         snaps.append(Snapshot(at[k], "a 1 (null) /x.sh R g"))
-        sink = ListSink()
+        sink = []
         run_observation(snaps, sink)
-        assert [(e.kind, e.timestamp) for e in sink.events] == [
+        assert [(e.kind, e.timestamp) for e in sink] == [
             (EventKind.CREATED, at[0]),
             (EventKind.STATE_CHANGED, at[k]),
         ]
@@ -570,9 +569,9 @@ class TestRunObservation:
             Snapshot(T0, "a 4 afterok:2:3 /x.sh PD g"),
             Snapshot(t1, "a 4 afterok:99 /x.sh PD g"),
         ]
-        sink = ListSink()
+        sink = []
         run_observation(snaps, sink)
-        assert extract_first_dependencies(sink.events)["4"].targets() == ["2", "3"]
+        assert extract_first_dependencies(sink)["4"].targets() == ["2", "3"]
 
 
 class TestSources:
@@ -648,10 +647,10 @@ class TestSources:
             max_snapshots=2,
             monotonic=lambda: 0.0,  # the command takes no time
         )
-        sink = ListSink()
+        sink = []
         summary = run_observation(source, sink)
         assert summary.snapshots == 2
-        kinds = [e.kind for e in sink.events]
+        kinds = [e.kind for e in sink]
         assert kinds == [EventKind.CREATED, EventKind.STATE_CHANGED]
         assert slept == [30]
 
@@ -708,13 +707,13 @@ class TestSnapshotFiles:
         bad = tmp_path / snapshot_filename(T0 + timedelta(seconds=30))
         good.write_bytes(b"a 1 (null) /x.sh PD g\n")
         bad.write_bytes(b"a 1 (null) /home/u/caf\xe9.sh R g\n")
-        sink = ListSink()
+        sink = []
         with pytest.raises(SourceFailure) as failure:
             run_observation(ReplayDirectorySource(tmp_path), sink)
         assert str(failure.value).startswith(
             f"{bad}: 'utf-8' codec can't decode byte 0xe9 in position 22"
         )
-        assert [e.kind for e in sink.events] == [EventKind.CREATED]
+        assert [e.kind for e in sink] == [EventKind.CREATED]
 
     def test_live_output_decodes_as_a_replay_file_does(self):
         data = b"a 1 (null) /caf\xc3\xa9.sh PD g\r\na 2 (null) /x.sh PD g\r"
@@ -797,8 +796,8 @@ class TestEventsCsv:
         result = simulator.simulate(simulator.load_bundled_scenario("fig1_explicit"))
         events, _ = replay_events(result)
         buffer = io.StringIO()
-        sink = CsvEventSink(buffer)
-        for event in events:
-            sink.append(event)
+        with CsvEventSink(buffer) as sink:
+            for event in events:
+                sink.append(event)
         buffer.seek(0)
         assert read_events_csv(buffer) == events

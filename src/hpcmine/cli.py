@@ -72,11 +72,14 @@ def _correlate(
         first_deps = correlation.extract_first_dependencies(events)
         graph = correlation.build_dependency_graph(events, first_deps)
         assignment = correlation.assign_cases_explicit(graph, hash_ids=args.hash_case_ids)
-        if len(set(assignment.cases.values())) == len(assignment.cases) > 1:
+        # A target never observed has a case but holds no event.
+        case_ids = [assignment.cases[job] for job in graph.vertices - graph.external]
+        if len(set(case_ids)) == len(case_ids) > 1:
             _warn("no explicit interdependencies found: every event belongs to a different case")
     else:
         assignment = correlation.assign_cases_implicit(events)
-        if len(set(assignment.cases.values())) == 1 and len(assignment.cases) > 1:
+        case_ids = list(assignment.cases.values())
+        if len(set(case_ids)) == 1 and len(case_ids) > 1:
             _warn("single account-group combination: every event belongs to the same case")
     try:
         log = correlation.apply_cases(events, assignment)
@@ -84,7 +87,7 @@ def _correlate(
         _err(str(exc))
         return None
     rows = eventlog.write_csv(log, output)
-    print(f"cases: {len(set(assignment.cases.values()))}  rows: {rows}")
+    print(f"cases: {len(set(case_ids))}  rows: {rows}")
     return log, first_deps
 
 
@@ -103,14 +106,8 @@ def _discover(args, log: eventlog.CaseLog, output, stats_out) -> None:
     else:
         sys.stdout.write(dot)
     if stats_out:
-        with open(stats_out, "w", encoding="utf-8", newline="") as fh:
-            header = ["from", "to", "frequency", "mean_seconds", "median_seconds"]
-            fh.write(eventlog.csv_line(header))
-            for (a, b), stats in sorted(dfg.edges.items()):
-                if stats.frequency < args.min_edge_freq:
-                    continue
-                row = [a, b, str(stats.frequency), f"{stats.mean:.1f}", f"{stats.median:.1f}"]
-                fh.write(eventlog.csv_line(row))
+        edges = discovery.export_edges_csv(dfg, min_edge_freq=args.min_edge_freq)
+        Path(stats_out).write_text(edges, encoding="utf-8", newline="")
 
 
 def _stats(log: eventlog.CaseLog, first_deps: dict | None = None) -> None:

@@ -16,7 +16,7 @@ from datetime import datetime
 from operator import itemgetter
 from typing import NamedTuple
 
-from .eventlog import CaseLog, EventKind
+from .eventlog import CaseLog, EventKind, csv_line
 from .snapshots import COMPLETED, COMPLETING, PENDING, RUNNING
 
 # How far along its lifecycle each squeue state code is; a suspended job
@@ -71,17 +71,11 @@ class EdgeStats:
 class Dfg:
     __slots__ = ("activities", "edges", "start_activities", "end_activities")
 
-    def __init__(
-        self,
-        activities: Counter | None = None,
-        edges: dict[tuple[str, str], EdgeStats] | None = None,
-        start_activities: Counter | None = None,
-        end_activities: Counter | None = None,
-    ) -> None:
-        self.activities = Counter() if activities is None else activities
-        self.edges = {} if edges is None else edges
-        self.start_activities = Counter() if start_activities is None else start_activities
-        self.end_activities = Counter() if end_activities is None else end_activities
+    def __init__(self) -> None:
+        self.activities: Counter = Counter()
+        self.edges: dict[tuple[str, str], EdgeStats] = {}
+        self.start_activities: Counter = Counter()
+        self.end_activities: Counter = Counter()
 
     @property
     def is_empty(self) -> bool:
@@ -241,3 +235,12 @@ def export_dot(
             lines.append(f"  {_dot_quote(a)} -> {_dot_quote(b)} [{', '.join(attrs)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def export_edges_csv(dfg: Dfg, *, min_edge_freq: int = 1) -> str:
+    """Per-edge statistics as CSV text in edge order, seconds to one decimal."""
+    rows = [["from", "to", "frequency", "mean_seconds", "median_seconds"]]
+    for (a, b), stats in sorted(dfg.edges.items()):
+        if stats.frequency >= min_edge_freq:
+            rows.append([a, b, str(stats.frequency), f"{stats.mean:.1f}", f"{stats.median:.1f}"])
+    return "".join(map(csv_line, rows))

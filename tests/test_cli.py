@@ -359,6 +359,19 @@ class TestCorrelate:
         with open(cases) as fh:
             assert {row["case_id"] for row in csv.DictReader(fh)} == {"JID21"}
 
+    @pytest.mark.parametrize("jobs,warns", [("56", True), ("5", False)],
+                             ids=["two-jobs", "one-job"])
+    def test_unobserved_target_is_not_counted(self, tmp_path, capsys, jobs, warns):
+        # Job 5 depends on job 99, which is never observed: 99 has a case id but no event.
+        events, cases = tmp_path / "events.csv", tmp_path / "cases.csv"
+        with CsvEventSink(events) as sink:
+            for job_id in jobs:
+                sink.append(event(job_id, dep="afterok:99" if job_id == "5" else "(null)"))
+        assert main(["correlate", str(events), "-o", str(cases)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"cases: {len(jobs)}  rows: {len(jobs)}\n"
+        assert ("every event belongs to a different case" in captured.err) is warns
+
     def test_unwritable_output_is_an_error(self, tmp_path, capsys, fig1_replay):
         events, _ = run_pipeline_stages(tmp_path, fig1_replay)
         capsys.readouterr()

@@ -2,12 +2,12 @@ import hashlib
 import logging
 import random
 from datetime import datetime, timedelta, timezone
-from operator import attrgetter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import spec
 from conftest import random_case_log, replay_events
 from hpcmine import correlation, simulator
 from hpcmine.correlation import (
@@ -24,7 +24,7 @@ from hpcmine.correlation import (
     cyclic_jobs,
     extract_first_dependencies,
 )
-from hpcmine.eventlog import with_case, write_csv
+from hpcmine.eventlog import write_csv
 from hpcmine.observer import EventKind, JobEvent
 from hpcmine.snapshots import PENDING
 from test_simulator import _specs
@@ -298,112 +298,8 @@ class TestReverseOrderChain:
         assert len(set(assign_cases_explicit(graph).cases.values())) == 1
 
 
-# The per-edge cycle check that one Kahn pass (correlation.cyclic_jobs)
-# replaced, and the component walk and the oracle partition that one
-# union-find (correlation.find_root) replaced, copied verbatim apart from
-# their names; the walk returns its case map itself. The tests below compare
-# the current code against them.
-
-_reference_logger = logging.getLogger(__name__)
-
-
-class _ReferenceGraph:
-    def __init__(self, vertices):
-        self.vertices = set(vertices)
-        self.edges = set()
-        self.dropped_edges = []
-        self.successors = {}
-
-    def add_edge(self, source: str, target: str) -> bool:
-        """Add an edge unless it would close a cycle (then drop and report)."""
-        if (source, target) in self.edges:
-            return True
-        if self._reaches(target, source):
-            _reference_logger.warning(
-                "dependency edge %s -> %s would close a cycle; dropped", source, target
-            )
-            self.dropped_edges.append((source, target))
-            return False
-        self.vertices.add(source)
-        self.vertices.add(target)
-        self.edges.add((source, target))
-        self.successors.setdefault(source, []).append(target)
-        return True
-
-    def _reaches(self, start: str, goal: str) -> bool:
-        if start == goal:
-            return True
-        successors = self.successors
-        stack = [start]
-        seen = {start}
-        while stack:
-            node = stack.pop()
-            for nxt in successors.get(node, ()):
-                if nxt == goal:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
-
-
-def _reference_assign_cases_explicit(graph, hash_ids=False):
-    neighbors: dict[str, list[str]] = {v: [] for v in graph.vertices}
-    for a, b in graph.edges:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    cases: dict[str, str] = {}
-    seen: set[str] = set()
-    used: dict[str, int] = {}
-    for vertex in sorted(graph.vertices):
-        if vertex in seen:
-            continue
-        component = []
-        stack = [vertex]
-        seen.add(vertex)
-        while stack:
-            node = stack.pop()
-            component.append(node)
-            for nxt in neighbors[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        case_id = _component_case_id(component, hash_ids)
-        # Concatenated ids can collide across components ({1,4} and {41}
-        # both read "JID41"); suffix repeats so distinct components never
-        # share a case id.
-        count = used.get(case_id, 0) + 1
-        used[case_id] = count
-        if count > 1:
-            case_id = f"{case_id}-{count}"
-        for member in component:
-            cases[member] = case_id
-    return cases
-
-
-def _reference_true_cases(spec):
-    """Partition jobs by weak connectivity of the logical dependency graph."""
-    parent = {job.job_id: job.job_id for job in spec.jobs}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for job in spec.jobs:
-        for dep in job.dependencies:
-            parent[find(job.job_id)] = find(dep)
-    labels: dict[str, str] = {}
-    for job in spec.jobs:
-        root = find(job.job_id)
-        labels[job.job_id] = f"case-{root}"
-    return labels
-
-
 # Numeric ids whose concatenations collide ({1, 4} and {41} both read
-# "JID41"), beside non-numeric ones. No two numeric ids read as the same
-# number: the old walk ordered such ties by set iteration order.
+# "JID41"), beside non-numeric ones.
 _IDS = ["1", "4", "41", "14", "11", "114", "141", "411", "a", "b", "1a", "7_*"]
 
 
@@ -433,36 +329,18 @@ def _events_for(vertices, edges):
 
 
 class TestUnionFindMatchesReference:
-    @settings(max_examples=400, deadline=None)
-    @given(st.sets(st.sampled_from(_IDS)), _edge_sequences())
-    @example({"41"}, [("1", "4")])
-    @example({"114"}, [("4", "11"), ("41", "1"), ("14", "1"), ("1", "41")])
-    def test_graph_and_explicit_cases(self, isolated, edges):
-        # The old add_edge left out the ends of a dropped self-loop, so every
-        # endpoint is seeded as a vertex, as build_dependency_graph does.
-        vertices = sorted(set(isolated).union(*edges))
-        events = _events_for(vertices, edges)
-        graph = build_dependency_graph(events, extract_first_dependencies(events))
-        reference = _ReferenceGraph(vertices)
-        for source, target in edges:
-            reference.add_edge(source, target)
-        assert graph.vertices == reference.vertices
-        assert graph.edges | set(graph.dropped_edges) == (
-            reference.edges | set(reference.dropped_edges)
-        )
-        # An edge the old check dropped closed a cycle, so both its ends are
-        # on one; what is kept is acyclic.
-        assert set(reference.dropped_edges) <= set(graph.dropped_edges)
-        assert cyclic_jobs(graph.edges) == set()
-        for hash_ids in (False, True):
-            assert assign_cases_explicit(graph, hash_ids).cases == (
-                _reference_assign_cases_explicit(reference, hash_ids)
-            )
-
     @settings(max_examples=300, deadline=None)
     @given(_specs())
-    def test_true_cases(self, spec):
-        assert spec.true_cases() == _reference_true_cases(spec)
+    def test_true_cases(self, scenario):
+        # One label per weak component of the declared dependencies, naming a member.
+        edges = {(dep, job.job_id) for job in scenario.jobs for dep in job.dependencies}
+        undirected = edges | {(b, a) for a, b in edges}
+        labels = scenario.true_cases()
+        assert list(labels) == [job.job_id for job in scenario.jobs]
+        for job_id, label in labels.items():
+            members = spec.reachable(job_id, undirected) | {job_id}
+            assert {j for j in labels if labels[j] == label} == members
+            assert label.removeprefix("case-") in members
 
 
 class TestOrderInvariance:
@@ -507,16 +385,6 @@ class TestAssignCasesImplicit:
         events = [event(str(i), group=f"g{i % 2}") for i in range(6)]
         shuffled = list(reversed(events))
         assert assign_cases_implicit(events).cases == assign_cases_implicit(shuffled).cases
-
-
-def _stamped_and_sorted_per_event(events, assignment):
-    """The case log as ``apply_cases`` built it before it stamped by slices:
-    one copy per event, then one sort on a (case_id, timestamp, job_id) key."""
-    events = list(events)
-    for i, event in enumerate(events):
-        events[i] = with_case(event, assignment.cases[event.job_id])
-    events.sort(key=attrgetter("case_id", "timestamp", "job_id"))
-    return events
 
 
 class TestApplyCases:
@@ -570,33 +438,6 @@ class TestApplyCases:
             f"c{i % 7}" for i in range(missing)
         ]
         assert {e.case_id for e in events[missing:]} == {""}
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_matches_per_event_stamp_and_key_sort(self, data):
-        # Logs across slice boundaries with tied timestamps, events tied on
-        # every sort key but their state, and repeated events.
-        pool = data.draw(
-            st.lists(
-                st.builds(
-                    lambda job, offset, state: event(job, offset=offset)._replace(state=state),
-                    st.sampled_from("12345"),
-                    st.sampled_from([0, 0, 30, 60]),
-                    st.sampled_from(["PD", "R", "CG", "CD"]),
-                ),
-                min_size=1,
-                max_size=12,
-            )
-        )
-        length = data.draw(st.sampled_from([0, 1, STAMP_BLOCK, STAMP_BLOCK + 1, 600]))
-        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-        events = [rng.choice(pool) for _ in range(length)]
-        cases = {job: data.draw(st.sampled_from(["a", "b", "c"])) for job in "12345"}
-        expected = _stamped_and_sorted_per_event(events, CaseAssignment(cases))
-        log = apply_cases(events, CaseAssignment(cases))
-        assert log.events is events
-        assert events == expected
-        assert {type(e) for e in events} <= {JobEvent}
 
     def test_simulator_chain_case_counts(self):
         result = simulator.simulate(simulator.load_bundled_scenario("two_chains"))

@@ -1,11 +1,10 @@
-import logging
 import random
 import re
 import statistics
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_case_log, replay_events
@@ -18,7 +17,6 @@ from hpcmine.correlation import (
     extract_first_dependencies,
 )
 from hpcmine.discovery import (
-    _STATE_RANK,
     MILESTONES,
     Dfg,
     DurationMode,
@@ -32,7 +30,7 @@ from hpcmine.discovery import (
     project_case_traces,
 )
 from hpcmine.eventlog import CaseLog, EventKind, JobEvent
-from hpcmine.snapshots import COMPLETED, COMPLETING, PENDING, RUNNING
+from hpcmine.snapshots import COMPLETED, PENDING, RUNNING
 
 T0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
@@ -137,89 +135,6 @@ class TestProjectCaseTraces:
         assert activities[0] == "pre-processing.sh"
         assert activities[-1] == "merge.sh"
         assert sorted(activities[1:3]) == ["parallel-job1.sh", "parallel-job2.sh"]
-
-
-def _reference_project(log, milestone):
-    """``project_case_traces`` as it was before the one-pass fold.
-
-    It groups the events by case and job, sorts each job's events by time
-    (stably) and scans them for the anchor and the completion. Returns the
-    traces and the number of jobs dropped.
-    """
-    threshold = _STATE_RANK[milestone]
-    per_case = {}
-    for event in log.events:
-        per_case.setdefault(event.case_id, {}).setdefault(event.job_id, []).append(event)
-    traces = []
-    dropped = 0
-    for case_id in sorted(per_case):
-        entries = []
-        for job_id, events in per_case[case_id].items():
-            events.sort(key=lambda e: e.timestamp)
-            anchor = next(
-                (e for e in events if _STATE_RANK.get(e.state, -1) >= threshold), None
-            )
-            if anchor is None:
-                dropped += 1
-                continue
-            completed = next(
-                (
-                    e.timestamp
-                    for e in events
-                    if e.kind == EventKind.SYNTHETIC_COMPLETED or e.state == COMPLETED
-                ),
-                None,
-            )
-            entries.append((anchor.timestamp, job_id, anchor.activity, completed))
-        entries.sort(key=lambda item: (item[0], item[1]))
-        traces.append(
-            Trace(case_id, tuple(TraceStep(a, at, done) for at, _, a, done in entries))
-        )
-    return traces, dropped
-
-
-# Events of a few jobs in a few cases, in any order, on a coarse clock so
-# that times tie; each event names its own activity, so the test sees which
-# of two tied events anchors a job.
-_unsorted_events = st.lists(
-    st.builds(
-        case_event,
-        st.sampled_from(["c1", "c2", "c3"]),
-        st.sampled_from(["1", "2", "10", "x"]),
-        st.sampled_from(["A", "B", "C"]),
-        st.sampled_from(["PD", "R", "S", "CG", "CD", "F", "pd"]),
-        st.sampled_from(list(EventKind)),
-        st.integers(min_value=0, max_value=4).map(lambda i: 30 * i),
-    ),
-    max_size=40,
-)
-
-
-class _Messages(logging.Handler):
-    def __init__(self):
-        super().__init__()
-        self.messages = []
-
-    def emit(self, record):
-        self.messages.append(record.getMessage())
-
-
-class TestOnePassProjection:
-    @settings(max_examples=300, deadline=None)
-    @given(_unsorted_events, st.sampled_from(sorted(MILESTONES)))
-    def test_matches_grouped_and_sorted_reference(self, events, name):
-        milestone = MILESTONES[name]
-        expected, dropped = _reference_project(CaseLog(list(events)), milestone)
-        handler = _Messages()
-        logger = logging.getLogger("hpcmine.discovery")
-        logger.addHandler(handler)
-        try:
-            traces = project_case_traces(CaseLog(events), milestone=milestone)
-        finally:
-            logger.removeHandler(handler)
-        assert traces == expected
-        warning = f"{dropped} job(s) never reached milestone {name}; dropped"
-        assert handler.messages == ([warning] if dropped else [])
 
 
 class TestDiscoverDfg:

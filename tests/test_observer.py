@@ -3,9 +3,7 @@ import os
 import shlex
 import sys
 import tempfile
-from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
-from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,29 +16,18 @@ from hpcmine.observer import (
     CommandSource,
     CsvEventSink,
     EventKind,
-    JobEvent,
     ObserverState,
     OutOfOrderSnapshot,
     ReplayDirectorySource,
     Snapshot,
     SourceFailure,
-    TrackedJob,
     diff_snapshot,
     finalize_vanished,
     read_events_csv,
     run_observation,
     snapshot_filename,
 )
-from hpcmine.snapshots import (
-    COMPLETED,
-    COMPLETING,
-    PENDING,
-    RUNNING,
-    JobRow,
-    MalformedRow,
-    normalize_command,
-    parse_snapshot,
-)
+from hpcmine.snapshots import COMPLETED, COMPLETING, PENDING, RUNNING, JobRow
 from hpcmine.timeutil import parse_basic
 
 T0 = datetime(2023, 5, 1, 12, 0, 0, tzinfo=timezone.utc)
@@ -177,289 +164,6 @@ class TestFinalizeVanished:
         assert state.jobs["1"].state == PENDING
         finalize_vanished(state, [], T0 + timedelta(seconds=30))
         assert state.jobs["1"].state == COMPLETED
-
-
-# The copy-and-replace diff and finalisation the in-place observer replaced.
-# They are the reference the equivalence property below compares against.
-
-
-@dataclass(frozen=True)
-class _ReferenceJob:
-    state: str
-    account: str
-    group: str
-    activity: str
-    first_seen_at: datetime
-    last_seen_at: datetime
-
-
-def _reference_diff(jobs, rows, observed_at):
-    events = []
-    jobs = dict(jobs)
-    for r in rows:
-        tracked = jobs.get(r.job_id)
-        if tracked is None:
-            activity = normalize_command(r.command_path)
-            dep_raw = r.dependency_raw if r.state == PENDING else observer.LATE_DEPENDENCY
-            jobs[r.job_id] = _ReferenceJob(
-                r.state, r.account, r.group, activity, observed_at, observed_at
-            )
-            events.append(
-                JobEvent(
-                    r.job_id, r.account, r.group, activity, r.state, dep_raw,
-                    EventKind.CREATED, observed_at,
-                )
-            )
-        else:
-            if tracked.state != r.state:
-                events.append(
-                    JobEvent(
-                        r.job_id, r.account, r.group, tracked.activity, r.state,
-                        r.dependency_raw, EventKind.STATE_CHANGED, observed_at,
-                    )
-                )
-            jobs[r.job_id] = replace(tracked, state=r.state, last_seen_at=observed_at)
-    return events, jobs
-
-
-def _reference_finalize(jobs, rows, observed_at):
-    present = {r.job_id for r in rows}
-    events = []
-    new_jobs = dict(jobs)
-    for job_id, tracked in jobs.items():
-        if job_id in present or tracked.state == COMPLETED:
-            continue
-        events.append(
-            JobEvent(
-                job_id, tracked.account, tracked.group, tracked.activity, COMPLETED,
-                "(null)", EventKind.SYNTHETIC_COMPLETED, observed_at,
-            )
-        )
-        new_jobs[job_id] = replace(tracked, state=COMPLETED, last_seen_at=observed_at)
-    return events, new_jobs
-
-
-# A snapshot is a list of (job id, state code, account, dependency) rows.
-# Few ids and many snapshots make jobs vanish, reappear and finish by a CD row.
-_snapshot_rows = st.lists(
-    st.tuples(
-        st.sampled_from("123456"),
-        st.sampled_from(["PD", "R", "CG", "CD", "S", "F"]),
-        st.sampled_from(["a", "b"]),
-        st.sampled_from(["(null)", "afterok:1"]),
-    ),
-    max_size=8,
-)
-
-# Job 1 finishes by a CD row; 2 and 3 vanish together; 2 and 4 reappear;
-# a stale row of the finished job 1 reopens it behind later-seen jobs.
-_CRAFTED_STREAM = [
-    [(job_id, code, "a", "(null)") for job_id, code in snapshot]
-    for snapshot in [
-        [("1", "R"), ("2", "PD"), ("3", "PD")],
-        [("1", "CD"), ("2", "PD"), ("4", "R")],
-        [("4", "R")],
-        [("2", "R")],
-        [("4", "CG"), ("1", "R"), ("5", "PD")],
-        [],
-    ]
-]
-
-
-class TestInPlaceMatchesReference:
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(_snapshot_rows, max_size=12), st.booleans())
-    @example(_CRAFTED_STREAM, True)
-    def test_same_events_in_same_order(self, stream, synthetic_complete):
-        state = ObserverState()
-        reference = {}
-        for i, snapshot in enumerate(stream):
-            at = T0 + timedelta(seconds=30 * i)
-            rows = [
-                row(job_id, code, dep=dep, account=account)
-                for job_id, code, account, dep in snapshot
-            ]
-            events = diff_snapshot(state, rows, at)
-            expected, reference = _reference_diff(reference, rows, at)
-            if synthetic_complete:
-                events += finalize_vanished(state, rows, at)
-                vanished, reference = _reference_finalize(reference, rows, at)
-                expected += vanished
-            assert events == expected
-            assert list(state.jobs) == list(reference)
-            assert all(state.jobs[j].state == reference[j].state for j in reference)
-            assert state.active.keys() == {
-                j for j, tracked in state.jobs.items() if tracked.state != COMPLETED
-            }
-            assert all(state.active[j] is state.jobs[j] for j in state.active)
-
-
-# The parse, diff and vanish steps as they were while each row carried its
-# observation time, and the loop that drove them: the reference the whole
-# observation must match.
-
-
-class _TimedRow(NamedTuple):
-    account: str
-    job_id: str
-    dependency_raw: str
-    command_path: str
-    state: str
-    group: str
-    observed_at: datetime
-
-
-def _timed_parse(text, observed_at, errors, previous):
-    """Rows of ``text`` and the good lines to reuse in the next call."""
-    current = {}
-    rows = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        fields = previous.get(line)
-        if fields is None:
-            tokens = line.split()
-            if not tokens or tokens[:2] == ["ACCOUNT", "JOBID"]:
-                continue
-            if len(tokens) < 6 or "\0" in line:
-                errors.append(MalformedRow(line_number, line))
-                continue
-            fields = (
-                tokens[0],
-                tokens[1],
-                tokens[2],
-                " ".join(tokens[3:-2]),
-                tokens[-2],
-                tokens[-1],
-            )
-        current[line] = fields
-        rows.append(_TimedRow(*fields, observed_at))
-    return rows, current
-
-
-def _timed_diff(state, rows):
-    events = []
-    for r in rows:
-        tracked = state.jobs.get(r.job_id)
-        if tracked is None:
-            activity = normalize_command(r.command_path)
-            dep_raw = r.dependency_raw if r.state == PENDING else observer.LATE_DEPENDENCY
-            tracked = TrackedJob(r.state, r.account, r.group, activity, len(state.jobs))
-            state.jobs[r.job_id] = tracked
-            if r.state != COMPLETED:
-                state.active[r.job_id] = tracked
-            events.append(
-                JobEvent(
-                    r.job_id, r.account, r.group, activity, r.state, dep_raw,
-                    EventKind.CREATED, r.observed_at,
-                )
-            )
-        elif tracked.state != r.state:
-            events.append(
-                JobEvent(
-                    r.job_id, r.account, r.group, tracked.activity, r.state,
-                    r.dependency_raw, EventKind.STATE_CHANGED, r.observed_at,
-                )
-            )
-            if r.state == COMPLETED:
-                del state.active[r.job_id]
-            elif tracked.state == COMPLETED:
-                state.active[r.job_id] = tracked
-            tracked.state = r.state
-    return events
-
-
-def _timed_finalize(state, rows, observed_at):
-    present = {r.job_id for r in rows}
-    vanished = [(j, t) for j, t in state.active.items() if j not in present]
-    vanished.sort(key=lambda item: item[1].first_seen)
-    events = []
-    for job_id, tracked in vanished:
-        events.append(
-            JobEvent(
-                job_id, tracked.account, tracked.group, tracked.activity, COMPLETED,
-                "(null)", EventKind.SYNTHETIC_COMPLETED, observed_at,
-            )
-        )
-        tracked.state = COMPLETED
-        del state.active[job_id]
-    return events
-
-
-def _timed_observation(snapshots, synthetic_complete):
-    """The events and the malformed-line count of one observation."""
-    state = ObserverState()
-    events, errors, previous = [], [], {}
-    for snapshot in snapshots:
-        rows, previous = _timed_parse(snapshot.text, snapshot.observed_at, errors, previous)
-        events += _timed_diff(state, rows)
-        if synthetic_complete:
-            events += _timed_finalize(state, rows, snapshot.observed_at)
-    return events, len(errors)
-
-
-# Lines for jobs 1-3: each in several states, one with its dependency changed
-# in place, one re-spaced (another line, the same fields); and noise lines.
-_POOL = [
-    f"a {job_id} {dep} /x/{job_id}.sh --n 2 {code} g"
-    for job_id in "123"
-    for dep, code in [
-        ("(null)", "PD"), ("(null)", "R"), ("(null)", "CG"), ("(null)", "CD"),
-        ("(null)", "F"), ("afterok:1", "PD"),
-    ]
-] + [
-    "a  1 (null)\t/x/1.sh --n 2 PD g",
-    "ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP",
-    "ACCOUNT JOBID DEPENDENCY COMMAND STATE GROUP",
-    "ACCOUNT 7 (null) /x/7.sh R g",
-    "ACCOUNT",
-    "",
-    "   ",
-    "a 9 PD g",
-    "broken line",
-]
-
-
-@st.composite
-def _snapshot_streams(draw):
-    """Snapshots drawn from a few pool lines, so consecutive ones overlap."""
-    lines = draw(st.lists(st.sampled_from(_POOL), min_size=1, max_size=6))
-    texts = draw(st.lists(st.lists(st.sampled_from(lines), max_size=8), max_size=10))
-    gaps = draw(st.lists(st.sampled_from([0, 30, 45]), min_size=len(texts), max_size=len(texts)))
-    at = T0
-    stream = []
-    for text, gap in zip(texts, gaps):
-        at += timedelta(seconds=gap)
-        stream.append(Snapshot(at, "\n".join(text)))
-    return stream
-
-
-def _crafted_observation():
-    job1, job2 = "a 1 (null) /x.sh PD g", "a 2 afterok:1 /y.sh PD g"
-    texts = [
-        ["ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP", job1, job2, "", "broken line"],
-        [job1, job2],  # unchanged
-        [job1.replace("PD", "R"), job2, job2],  # changed in place; a duplicate
-        [job1.replace("PD", "R"), job1.replace("PD", "CG")],  # one id, two states
-        [],  # both vanish
-        [job2],  # a stale row reopens job 2
-        [job2, "a 9 PD g"],
-    ]
-    return [
-        Snapshot(T0 + timedelta(seconds=30 * i), "\n".join(text))
-        for i, text in enumerate(texts)
-    ]
-
-
-class TestObservationMatchesTimedRows:
-    @settings(max_examples=300, deadline=None)
-    @given(_snapshot_streams(), st.booleans())
-    @example(_crafted_observation(), True)
-    def test_same_events_and_malformed_count(self, stream, synthetic_complete):
-        sink = []
-        summary = run_observation(stream, sink, synthetic_complete=synthetic_complete)
-        events, malformed = _timed_observation(stream, synthetic_complete)
-        assert sink == events
-        assert summary.malformed == malformed
-        assert (summary.snapshots, summary.events) == (len(stream), len(events))
 
 
 class TestRunObservation:

@@ -1,11 +1,12 @@
 import sys
-from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import spec
+from test_spec import NOISE
 from hpcmine import observer, simulator, snapshots
 from hpcmine.snapshots import (
     COMPLETED,
@@ -134,47 +135,6 @@ class TestParseSnapshot:
             assert row.state == PENDING
 
 
-# The frozen-dataclass row and parser as they were before ``JobRow`` became a
-# named tuple, kept as the reference the current parser must match; a line
-# whose first two words are ACCOUNT JOBID is the header and is skipped. A
-# reference row still carries the observation time, which a ``JobRow`` leaves
-# to its snapshot.
-@dataclass(frozen=True)
-class _ReferenceRow:
-    account: str
-    job_id: str
-    dependency_raw: str
-    command_path: str
-    state: str
-    group: str
-    observed_at: datetime
-
-
-def _reference_parse(text, observed_at, errors):
-    rows = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if tokens[:2] == ["ACCOUNT", "JOBID"]:
-            continue
-        if len(tokens) < 6 or "\0" in line:
-            errors.append(MalformedRow(line_number, line))
-            continue
-        rows.append(
-            _ReferenceRow(
-                account=tokens[0],
-                job_id=tokens[1],
-                dependency_raw=tokens[2],
-                command_path=" ".join(tokens[3:-2]),
-                state=tokens[-2],
-                group=tokens[-1],
-                observed_at=observed_at,
-            )
-        )
-    return rows
-
-
 def _join(tokens, separators, pad):
     body = "".join(token + sep for token, sep in zip(tokens, separators))
     return pad + body.rstrip(" \t") + pad
@@ -208,14 +168,10 @@ _line = st.one_of(
 )
 
 
-def _assert_parses_as_reference(text, observed_at):
-    errors, expected_errors = [], []
+def _assert_parses_as_spec(text, observed_at):
+    errors = []
     rows = parse_snapshot(text, observed_at, errors)
-    expected = _reference_parse(text, observed_at, expected_errors)
-    assert [tuple(r) + (observed_at,) for r in rows] == [
-        tuple(getattr(r, f.name) for f in fields(r)) for r in expected
-    ]
-    assert errors == expected_errors
+    assert (rows, errors) == spec.parse(text)
     assert all(type(row) is JobRow for row in rows)
     # Known and unknown codes alike: one shared string per code, in every call;
     # so too for every other column but the command.
@@ -223,31 +179,18 @@ def _assert_parses_as_reference(text, observed_at):
 
 
 def _kept_lines(text):
-    """The good data lines of ``text``, mapped to their fields but the time."""
-    kept = {}
-    for line in text.splitlines():
-        for row in _reference_parse(line, T0, []):
-            kept[line] = tuple(getattr(row, f.name) for f in fields(row))[:-1]
-    return kept
-
-
-@st.composite
-def _line_pools(draw):
-    """Lines for a run of snapshots: jobs, the same jobs changed, and noise."""
-    jobs = draw(st.lists(_data_tokens, min_size=1, max_size=4))
-    pool = [" ".join(tokens) for tokens in jobs]
-    # Each job again in a state drawn anew (known, unknown or the same).
-    pool += [" ".join(tokens[:-2] + [draw(_code), tokens[-1]]) for tokens in jobs]
-    pool += ["ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP", "", "  ", "broken line"]
-    pool += ["ACCOUNT JOBID DEPENDENCY COMMAND STATE GROUP", "ACCOUNT JOBID"]
-    pool += draw(st.lists(_line, max_size=4))
-    return pool
+    """The good data lines of ``text``, mapped to their fields."""
+    return {line: row for line in text.splitlines() for row in spec.parse(line)[0]}
 
 
 @st.composite
 def _snapshot_runs(draw, streams=1):
-    """``streams`` runs of snapshot texts, all drawn from one pool of lines."""
-    pool = draw(_line_pools())
+    """``streams`` runs of snapshot texts from one pool of lines: jobs, the same
+    jobs in a state drawn anew (known, unknown or the same), and noise."""
+    jobs = draw(st.lists(_data_tokens, min_size=1, max_size=4))
+    pool = [" ".join(tokens) for tokens in jobs]
+    pool += [" ".join(tokens[:-2] + [draw(_code), tokens[-1]]) for tokens in jobs]
+    pool += NOISE + draw(st.lists(_line, max_size=4))
     text = st.lists(st.sampled_from(pool), max_size=12).map("\n".join)
     return [draw(st.lists(text, min_size=1, max_size=6)) for _ in range(streams)]
 
@@ -260,12 +203,12 @@ class TestParserMatchesReference:
     @example("ACCOUNT 1 (null) /x.sh R g\nACCOUNT\nACCOUNT JOBID DEPENDENCY COMMAND ST")
     @example("ACCOUNT JOBID DEPENDENCY COMMAND STATE GROUP\nu1 7 (null) /x.sh PENDING g")
     def test_same_fields_and_errors(self, text):
-        _assert_parses_as_reference(text, T0)
+        _assert_parses_as_spec(text, T0)
 
     @given(_snapshot_runs())
     def test_each_call_of_a_run_matches(self, runs):
         for tick, text in enumerate(runs[0]):
-            _assert_parses_as_reference(text, T0 + timedelta(seconds=30 * tick))
+            _assert_parses_as_spec(text, T0 + timedelta(seconds=30 * tick))
 
     @given(_snapshot_runs(streams=2))
     def test_two_streams_parsed_alternately(self, runs):
@@ -274,7 +217,7 @@ class TestParserMatchesReference:
             at = T0 + timedelta(seconds=30 * tick)
             for run in (first, second):
                 if tick < len(run):
-                    _assert_parses_as_reference(run[tick], at)
+                    _assert_parses_as_spec(run[tick], at)
 
     @given(_snapshot_runs())
     def test_keeps_only_the_last_calls_good_lines(self, runs):
@@ -313,8 +256,9 @@ class TestParserMatchesReference:
         assert changed == first._replace(state=COMPLETING)
 
     def test_same_field_names_in_same_order(self):
-        assert JobRow._fields + ("observed_at",) == tuple(
-            f.name for f in fields(_ReferenceRow)
+        # The order of the columns, which ``spec.parse`` gives its rows in.
+        assert JobRow._fields == (
+            "account", "job_id", "dependency_raw", "command_path", "state", "group"
         )
 
     def test_known_codes_parse_to_shared_instances(self):

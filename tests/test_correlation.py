@@ -329,6 +329,23 @@ def _events_for(vertices, edges):
 
 
 class TestUnionFindMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sets(st.sampled_from(_IDS)), _edge_sequences())
+    @example({"41"}, [("1", "4")])
+    @example({"114"}, [("4", "11"), ("41", "1"), ("14", "1"), ("1", "41")])
+    def test_graph_and_explicit_cases(self, isolated, edges):
+        vertices = sorted(set(isolated).union(*edges))
+        events = _events_for(vertices, edges)
+        graph = build_dependency_graph(events, extract_first_dependencies(events))
+        assert (graph.vertices, graph.edges, graph.external, graph.dropped_edges) == (
+            spec.dependency_graph(events)
+        )
+        assert cyclic_jobs(graph.edges) == set()
+        for hash_ids in (False, True):
+            assert assign_cases_explicit(graph, hash_ids).cases == (
+                spec.explicit_cases(events, hash_ids)
+            )
+
     @settings(max_examples=300, deadline=None)
     @given(_specs())
     def test_true_cases(self, scenario):
@@ -438,6 +455,33 @@ class TestApplyCases:
             f"c{i % 7}" for i in range(missing)
         ]
         assert {e.case_id for e in events[missing:]} == {""}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_per_event_stamp_and_key_sort(self, data):
+        # Logs across slice boundaries with tied timestamps, events tied on
+        # every sort key but their state, and repeated events.
+        pool = data.draw(
+            st.lists(
+                st.builds(
+                    lambda job, offset, state: event(job, offset=offset)._replace(state=state),
+                    st.sampled_from("12345"),
+                    st.sampled_from([0, 0, 30, 60]),
+                    st.sampled_from(["PD", "R", "CG", "CD"]),
+                ),
+                min_size=1,
+                max_size=12,
+            )
+        )
+        length = data.draw(st.sampled_from([0, 1, STAMP_BLOCK, STAMP_BLOCK + 1, 600]))
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        events = [rng.choice(pool) for _ in range(length)]
+        cases = {job: data.draw(st.sampled_from(["a", "b", "c"])) for job in "12345"}
+        expected = spec.case_log(events, cases)
+        log = apply_cases(events, CaseAssignment(cases))
+        assert log.events is events
+        assert events == expected
+        assert {type(e) for e in events} <= {JobEvent}
 
     def test_simulator_chain_case_counts(self):
         result = simulator.simulate(simulator.load_bundled_scenario("two_chains"))

@@ -1,12 +1,14 @@
+import logging
 import random
 import re
 import statistics
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spec
 from conftest import random_case_log, replay_events
 from hpcmine import simulator
 from hpcmine.correlation import (
@@ -135,6 +137,50 @@ class TestProjectCaseTraces:
         assert activities[0] == "pre-processing.sh"
         assert activities[-1] == "merge.sh"
         assert sorted(activities[1:3]) == ["parallel-job1.sh", "parallel-job2.sh"]
+
+
+# Events of a few jobs in a few cases, in any order, on a coarse clock so
+# that times tie; each event names its own activity, so the test sees which
+# of two tied events anchors a job.
+_unsorted_events = st.lists(
+    st.builds(
+        case_event,
+        st.sampled_from(["c1", "c2", "c3"]),
+        st.sampled_from(["1", "2", "10", "x"]),
+        st.sampled_from(["A", "B", "C"]),
+        st.sampled_from(["PD", "R", "S", "CG", "CD", "F", "pd"]),
+        st.sampled_from(list(EventKind)),
+        st.integers(min_value=0, max_value=4).map(lambda i: 30 * i),
+    ),
+    max_size=40,
+)
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+class TestOnePassProjection:
+    @settings(max_examples=300, deadline=None)
+    @given(_unsorted_events, st.sampled_from(sorted(MILESTONES)))
+    def test_matches_grouped_and_sorted_reference(self, events, name):
+        milestone = MILESTONES[name]
+        expected, dropped = spec.traces(events, milestone)
+        handler = _Messages()
+        logger = logging.getLogger("hpcmine.discovery")
+        logger.addHandler(handler)
+        try:
+            traces = project_case_traces(CaseLog(events), milestone=milestone)
+        finally:
+            logger.removeHandler(handler)
+        assert traces == expected
+        warning = f"{dropped} job(s) never reached milestone {name}; dropped"
+        assert handler.messages == ([warning] if dropped else [])
 
 
 class TestDiscoverDfg:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import spec
 from conftest import random_case_log, replay_events
 from hpcmine import simulator
+from hpcmine.simulator import ORACLE_EVENTS_HEADER
 from hpcmine.correlation import (
     apply_cases,
     assign_cases_explicit,
@@ -110,7 +111,76 @@ class TestCsvLine:
         assert list(csv.reader(io.StringIO(line, newline=""))) == [fields]
 
 
+_ZONES = [
+    timezone.utc,
+    timezone(timedelta(hours=5, minutes=30)),
+    timezone(timedelta(hours=-8)),
+]
+
+
+@st.composite
+def _block_logs(draw):
+    """A header and a log of a length at or around a block boundary, cycling
+    through a few plain events; at most one event, anywhere, holds a field
+    that needs quoting."""
+    header = draw(st.sampled_from([EVENTS_CSV_HEADER, CSV_HEADER, ORACLE_EVENTS_HEADER]))
+    plain = st.text("ab1 \t.:()\u00e9\u4e2d\U0001f600", max_size=4)
+    start = datetime(2024, 3, 1, tzinfo=timezone.utc)
+    pool = draw(
+        st.lists(
+            st.builds(
+                JobEvent,
+                job_id=plain,
+                account=plain,
+                group=plain,
+                activity=plain,
+                state=st.sampled_from([PENDING, RUNNING, COMPLETED]) | plain,
+                dependency_raw=plain,
+                kind=st.sampled_from(EventKind),
+                timestamp=st.builds(
+                    lambda seconds, zone, fold: (start + timedelta(seconds=seconds))
+                    .astimezone(zone)
+                    .replace(fold=fold),
+                    st.sampled_from([0, 30, 3600, 86400 * 400]),
+                    st.sampled_from(_ZONES),
+                    st.integers(0, 1),
+                ),
+                case_id=plain,
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    length = draw(st.sampled_from([0, 1, WRITE_BLOCK - 1, WRITE_BLOCK, WRITE_BLOCK + 1, 600]))
+    events = [pool[i % len(pool)] for i in range(length)]
+    if events and draw(st.booleans()):
+        at = draw(st.integers(0, length - 1))
+        # A text column of this header, where a field needing quotes shows.
+        columns = [name for name in header if name not in ("timestamp", "event_kind")]
+        column = draw(st.sampled_from(columns))
+        field = "state" if column == "lifecycle" else column
+        text = draw(st.sampled_from([",", '"', "\n", "\r", "a,b", 'x"y', "\r\n", ""]))
+        events[at] = events[at]._replace(**{field: text})
+    return header, events
+
+
 class TestBlockWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(_block_logs())
+    def test_same_bytes_as_the_row_sink(self, header_and_events):
+        header, events = header_and_events
+        streamed = io.StringIO()
+        with CsvEventSink(streamed, header) as sink:
+            for event in events:
+                sink.append(event)
+        written = io.StringIO()
+        assert write_csv(iter(events), written, header) == len(events)
+        # Compared as lists of lines: pytest explains a mismatch of two long
+        # texts with a line diff, which makes each shrinking step slow.
+        lines = written.getvalue().splitlines(keepends=True)
+        assert lines == streamed.getvalue().splitlines(keepends=True)
+        assert lines == spec.csv_text(events, header).splitlines(keepends=True)
+
     def test_path_destination_is_closed_and_holds_the_same_bytes(self, tmp_path):
         at = datetime(2024, 1, 1, tzinfo=timezone.utc)
         event = JobEvent("1", "a", "g", "x.sh", RUNNING, "(null)", EventKind.CREATED, at, "c")
@@ -120,7 +190,58 @@ class TestBlockWriter:
         assert path.read_bytes().decode("utf-8") == spec.csv_text(events, CSV_HEADER)
 
 
+@st.composite
+def _hostile_events(draw):
+    """Events with hostile text, unknown state codes, and timestamps drawn
+    from a few instants in any order and zone, so instants repeat out of order."""
+    instants = draw(
+        st.lists(
+            st.datetimes(
+                min_value=datetime(1971, 1, 1),
+                max_value=datetime(2100, 1, 1),
+                timezones=st.just(timezone.utc),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    text = st.text(',"\n\r \tab1\u00e9\u4e2d\U0001f600', max_size=6)
+    state = st.sampled_from([PENDING, RUNNING, COMPLETED]) | text
+    event = st.builds(
+        JobEvent,
+        job_id=text,
+        account=text,
+        group=text,
+        activity=text,
+        state=state,
+        dependency_raw=text,
+        kind=st.sampled_from(EventKind),
+        # The same instant in another zone, or the same wall clock there.
+        timestamp=st.builds(
+            lambda at, zone, convert: at.astimezone(zone) if convert else at.replace(tzinfo=zone),
+            st.sampled_from(instants),
+            st.sampled_from(_ZONES),
+            st.booleans(),
+        ),
+        case_id=text,
+    )
+    return draw(st.lists(event, max_size=20))
+
+
 class TestCsvEncodeMatchesPerColumnEncoder:
+    @settings(max_examples=200, deadline=None)
+    @given(_hostile_events())
+    def test_same_bytes(self, events):
+        for header in (EVENTS_CSV_HEADER, CSV_HEADER):
+            buffer = io.StringIO()
+            with CsvEventSink(buffer, header) as sink:
+                for event in events:
+                    sink.append(event)
+            assert buffer.getvalue() == spec.csv_text(events, header)
+        buffer = io.StringIO()
+        assert write_csv(events, buffer) == len(events)
+        assert buffer.getvalue() == spec.csv_text(events, CSV_HEADER)
+
     def test_stream_memo_stays_bounded(self):
         # A live observation writes time-ordered events for as long as it
         # runs: the sink holds one timestamp's events, not the stream.

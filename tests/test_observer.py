@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import spec
 from conftest import replay_events
 from hpcmine import observer, simulator
 from hpcmine.correlation import extract_first_dependencies
@@ -164,6 +165,131 @@ class TestFinalizeVanished:
         assert state.jobs["1"].state == PENDING
         finalize_vanished(state, [], T0 + timedelta(seconds=30))
         assert state.jobs["1"].state == COMPLETED
+
+
+# A snapshot is a list of (job id, state code, account, dependency) rows.
+# Few ids and many snapshots make jobs vanish, reappear and finish by a CD row.
+_snapshot_rows = st.lists(
+    st.tuples(
+        st.sampled_from("123456"),
+        st.sampled_from(["PD", "R", "CG", "CD", "S", "F"]),
+        st.sampled_from(["a", "b"]),
+        st.sampled_from(["(null)", "afterok:1"]),
+    ),
+    max_size=8,
+)
+
+# Job 1 finishes by a CD row; 2 and 3 vanish together; 2 and 4 reappear;
+# a stale row of the finished job 1 reopens it behind later-seen jobs.
+_CRAFTED_STREAM = [
+    [(job_id, code, "a", "(null)") for job_id, code in snapshot]
+    for snapshot in [
+        [("1", "R"), ("2", "PD"), ("3", "PD")],
+        [("1", "CD"), ("2", "PD"), ("4", "R")],
+        [("4", "R")],
+        [("2", "R")],
+        [("4", "CG"), ("1", "R"), ("5", "PD")],
+        [],
+    ]
+]
+
+
+class TestInPlaceMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_snapshot_rows, max_size=12), st.booleans())
+    @example(_CRAFTED_STREAM, True)
+    def test_same_events_in_same_order(self, stream, synthetic_complete):
+        times = [T0 + timedelta(seconds=30 * i) for i in range(len(stream))]
+        texts = [
+            "\n".join(f"{account} {job_id} {dep} /x/run.sh {code} g"
+                      for job_id, code, account, dep in snapshot)
+            for snapshot in stream
+        ]
+        expected, _ = spec.observe(zip(times, texts), synthetic_complete)
+        state = ObserverState()
+        states = {}  # each job's state after the poll, in first-seen order
+        for at, snapshot in zip(times, stream):
+            rows = [
+                row(job_id, code, dep=dep, account=account)
+                for job_id, code, account, dep in snapshot
+            ]
+            events = diff_snapshot(state, rows, at)
+            if synthetic_complete:
+                events += finalize_vanished(state, rows, at)
+            assert events == [e for e in expected if e.timestamp == at]
+            states.update((e.job_id, e.state) for e in events)
+            assert list(state.jobs) == list(states)
+            assert all(state.jobs[j].state == states[j] for j in states)
+            assert state.active.keys() == {
+                j for j, tracked in state.jobs.items() if tracked.state != COMPLETED
+            }
+            assert all(state.active[j] is state.jobs[j] for j in state.active)
+
+
+# Lines for jobs 1-3: each in several states, one with its dependency changed
+# in place, one re-spaced (another line, the same fields); and noise lines.
+_POOL = [
+    f"a {job_id} {dep} /x/{job_id}.sh --n 2 {code} g"
+    for job_id in "123"
+    for dep, code in [
+        ("(null)", "PD"), ("(null)", "R"), ("(null)", "CG"), ("(null)", "CD"),
+        ("(null)", "F"), ("afterok:1", "PD"),
+    ]
+] + [
+    "a  1 (null)\t/x/1.sh --n 2 PD g",
+    "ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP",
+    "ACCOUNT JOBID DEPENDENCY COMMAND STATE GROUP",
+    "ACCOUNT 7 (null) /x/7.sh R g",
+    "ACCOUNT",
+    "",
+    "   ",
+    "a 9 PD g",
+    "broken line",
+]
+
+
+@st.composite
+def _snapshot_streams(draw):
+    """Snapshots drawn from a few pool lines, so consecutive ones overlap."""
+    lines = draw(st.lists(st.sampled_from(_POOL), min_size=1, max_size=6))
+    texts = draw(st.lists(st.lists(st.sampled_from(lines), max_size=8), max_size=10))
+    gaps = draw(st.lists(st.sampled_from([0, 30, 45]), min_size=len(texts), max_size=len(texts)))
+    at = T0
+    stream = []
+    for text, gap in zip(texts, gaps):
+        at += timedelta(seconds=gap)
+        stream.append(Snapshot(at, "\n".join(text)))
+    return stream
+
+
+def _crafted_observation():
+    job1, job2 = "a 1 (null) /x.sh PD g", "a 2 afterok:1 /y.sh PD g"
+    texts = [
+        ["ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP", job1, job2, "", "broken line"],
+        [job1, job2],  # unchanged
+        [job1.replace("PD", "R"), job2, job2],  # changed in place; a duplicate
+        [job1.replace("PD", "R"), job1.replace("PD", "CG")],  # one id, two states
+        [],  # both vanish
+        [job2],  # a stale row reopens job 2
+        [job2, "a 9 PD g"],
+    ]
+    return [
+        Snapshot(T0 + timedelta(seconds=30 * i), "\n".join(text))
+        for i, text in enumerate(texts)
+    ]
+
+
+class TestObservationMatchesTimedRows:
+    @settings(max_examples=300, deadline=None)
+    @given(_snapshot_streams(), st.booleans())
+    @example(_crafted_observation(), True)
+    def test_same_events_and_malformed_count(self, stream, synthetic_complete):
+        sink = []
+        summary = run_observation(stream, sink, synthetic_complete=synthetic_complete)
+        events, malformed = spec.observe(stream, synthetic_complete)
+        assert sink == events
+        assert summary.malformed == malformed
+        assert (summary.snapshots, summary.events) == (len(stream), len(events))
 
 
 class TestRunObservation:

@@ -9,6 +9,8 @@ event so downstream models get terminal timestamps. ``diff_snapshot`` and
 the events they register. Every event of a round is stamped with the
 snapshot's observation time, which both take as an argument: a parsed row
 carries no time, so an unchanged line can be the same row in every round.
+When the rows say what changed since the round before, as ``parse_snapshot``'s
+do on a large queue, both visit only that.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .snapshots import (
     PENDING,
     JobRow,
     MalformedRow,
+    SnapshotRows,
     normalize_command,
     parse_snapshot,
 )
@@ -75,9 +78,15 @@ class ObserverState:
     the same records for the jobs not yet COMPLETED, so a round's cost grows
     with the queue and not with the history. A job leaves ``active`` when it
     completes and returns when a stale row shows it in another state.
+
+    The state also remembers the rows of the last round that both
+    ``diff_snapshot`` and ``finalize_vanished`` saw, with no diff since, so
+    that a round whose ``SnapshotRows`` continue them only visits what
+    changed. A deep copy or an unpickled state holds rows that no parse
+    continues, so its next round takes the full path.
     """
 
-    __slots__ = ("jobs", "active")
+    __slots__ = ("jobs", "active", "_settled", "_diffed", "_continued")
 
     def __init__(
         self,
@@ -86,6 +95,9 @@ class ObserverState:
     ) -> None:
         self.jobs = {} if jobs is None else jobs
         self.active = {} if active is None else active
+        self._diffed: list[JobRow] | None = None  # the rows of the last diff
+        self._continued = False  # whether that diff took the continued path
+        self._settled: list[JobRow] | None = None  # rows diffed, then finalized
 
 
 def diff_snapshot(
@@ -94,19 +106,29 @@ def diff_snapshot(
     """Register events for one snapshot, observed at ``observed_at``.
 
     Updates ``state`` in place and returns the events, each stamped with
-    ``observed_at``. An unchanged row costs one lookup and one state
-    comparison, so a call is O(rows).
+    ``observed_at``, in row order. An unchanged row costs one lookup and one
+    state comparison, so a call is O(rows). When ``rows`` is a
+    ``SnapshotRows`` that continues the rows this state last diffed and
+    finalized, only its fresh rows are visited, so the call is O(fresh): every
+    other row repeats its job's line, and so its job's state, from that poll.
 
     A creation event carries the job's dependency column as first seen. The
     column is only trustworthy while the job is PENDING, so a job first seen
     in a later state carries the "(late)" marker instead. A new job's activity
     is interned, so the jobs of one command share one string.
     """
+    continued = (
+        type(rows) is SnapshotRows
+        and rows.continues is not None
+        and rows.continues is state._settled is state._diffed  # no diff since
+    )
+    state._diffed = rows
+    state._continued = continued
     events: list[JobEvent] = []
     new_event = tuple.__new__  # skips the Python-level JobEvent.__new__
     jobs = state.jobs
     active = state.active
-    for row in rows:
+    for row in rows.fresh if continued else rows:
         tracked = jobs.get(row.job_id)
         if tracked is None:
             activity = sys.intern(normalize_command(row.command_path))
@@ -165,14 +187,31 @@ def finalize_vanished(
     O(rows + active). Finished jobs stay in ``state.jobs`` (marked
     completed) so they are not re-created if a stale row reappears. The
     completions come out in first-seen order.
+
+    After ``diff_snapshot`` took the continued path for the same ``rows``,
+    every active job but those of the departed rows is in the snapshot, since
+    the previous poll was finalized: the candidates are then the departed
+    rows' jobs that no fresh row carries, and the call is O(fresh + departed).
     """
     active = state.active
-    present = {row.job_id for row in rows}
-    vanished = [
-        (job_id, tracked) for job_id, tracked in active.items() if job_id not in present
-    ]
+    diffed = rows is state._diffed
+    if diffed and state._continued:
+        present = {row.job_id for row in rows.fresh}
+        vanished = [
+            (row.job_id, tracked)
+            for row in rows.departed
+            if row.job_id not in present
+            and (tracked := active.get(row.job_id)) is not None
+        ]
+    else:
+        present = {row.job_id for row in rows}
+        vanished = [
+            (job_id, tracked) for job_id, tracked in active.items() if job_id not in present
+        ]
+    state._settled = rows if diffed else None
     if len(vanished) > 1:
-        # A job put back by a stale row sits after later-seen jobs in ``active``.
+        # A job put back by a stale row sits after later-seen jobs in ``active``,
+        # and departed rows come in the previous snapshot's order.
         vanished.sort(key=lambda item: item[1].first_seen)
     events: list[JobEvent] = []
     new_event = tuple.__new__  # skips the Python-level JobEvent.__new__
@@ -388,7 +427,9 @@ def run_observation(
 ) -> ObservationSummary:
     """Drive the observation loop over a snapshot source.
 
-    Snapshots must arrive in nondecreasing observation-time order. Events
+    Snapshots must arrive in nondecreasing observation-time order. Each
+    observation time is taken in UTC, so polls are ordered and events stamped
+    by instant, also when the caller's clock runs through a DST fold. Events
     already appended to the sink survive a source failure; a ``CsvEventSink``
     writes the last poll's when it is closed. A ``state`` passed
     in is continued and updated in place. Malformed snapshot lines are
@@ -411,17 +452,18 @@ def run_observation(
 
             logging.getLogger(__name__).info("observation interrupted; stopping")
             break
-        if last_at is not None and snapshot.observed_at < last_at:
-            raise OutOfOrderSnapshot(
-                f"snapshot at {snapshot.observed_at} after {last_at}"
-            )
-        last_at = snapshot.observed_at
-        rows = parse_snapshot(snapshot.text, snapshot.observed_at, errors)
+        # In UTC, times compare and subtract as instants, also across a DST
+        # fold; a UTC time is returned as is, so a poll's events share it.
+        observed_at = snapshot.observed_at.astimezone(timezone.utc)
+        if last_at is not None and observed_at < last_at:
+            raise OutOfOrderSnapshot(f"snapshot at {observed_at} after {last_at}")
+        last_at = observed_at
+        rows = parse_snapshot(snapshot.text, observed_at, errors)
         malformed += len(errors)
         errors.clear()
-        new_events = diff_snapshot(state, rows, snapshot.observed_at)
+        new_events = diff_snapshot(state, rows, observed_at)
         if synthetic_complete:
-            new_events.extend(finalize_vanished(state, rows, snapshot.observed_at))
+            new_events.extend(finalize_vanished(state, rows, observed_at))
         for event in new_events:
             sink.append(event)
         events += len(new_events)

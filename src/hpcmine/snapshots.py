@@ -15,9 +15,11 @@ A row holds only what its line says; the observation time belongs to the
 snapshot. Between two polls most lines of a queue come back unchanged, so
 ``parse_snapshot`` keeps the previous call's good data lines with their rows,
 returns the same row for a line it has just seen and splits only the others.
-What it keeps is bounded by one snapshot. A split line's account, job id,
-DEPENDENCY and group are interned like its state, so a job's rows, events and
-observer record share one string per column however often its line changes.
+On a large queue its result also names the fresh and the departed rows, so
+the observer can skip the rest. What it keeps is bounded by two snapshots. A
+split line's account, job id, DEPENDENCY and group are interned like its
+state, so a job's rows, events and observer record share one string per
+column however often its line changes.
 
 ``parse_dependency_spec`` splits a DEPENDENCY value into clauses, each a
 condition tag and its target job ids. Only the targets are read downstream:
@@ -145,9 +147,31 @@ def normalize_command(command_path: str) -> str:
     return name or UNKNOWN_COMMAND
 
 
+class SnapshotRows(list):
+    """Every good row of a snapshot, as ``parse_snapshot`` returns it when it
+    keeps its books, with what changed since the call it continues.
+
+    ``fresh`` holds the rows the call split, one per line, in file order: of
+    the lines the previous call did not return, and of any it did that appear
+    twice. ``departed`` holds the previous call's rows whose line is gone.
+    ``continues`` is the previous call's result when both calls kept their
+    books and neither shows a job id on two different lines, else None. Then
+    every row but the fresh ones is the previous call's row of the same line,
+    so its job's state has not changed.
+    """
+
+    __slots__ = ("fresh", "departed", "continues", "_job_ids")
+
+
+# Below this many good lines in the previous call, ``parse_snapshot`` returns
+# a plain list: on a small queue most lines change between polls, and
+# tracking them costs more than the diff it saves.
+_MIN_TRACKED_LINES = 64
+
 # Each good data line of the previous ``parse_snapshot`` call, mapped to its
-# row. Replaced by every call.
+# row, and that call's result if it kept its books. Replaced by every call.
 _previous_lines: dict[str, JobRow] = {}
+_previous_rows: SnapshotRows | None = None
 
 
 def parse_snapshot(
@@ -169,15 +193,31 @@ def parse_snapshot(
     only on its line, so interleaving calls for different streams gives the
     same rows, only more slowly. Header, blank and malformed lines are never
     kept, so a malformed line is reported every time it appears.
+
+    When the previous call had at least ``_MIN_TRACKED_LINES`` good lines, the
+    result is a ``SnapshotRows``, which also names the fresh and departed rows,
+    so that ``diff_snapshot`` and ``finalize_vanished`` can skip the rest.
+    Finding them costs one dict operation per fresh or departed row.
     """
-    global _previous_lines
+    global _previous_lines, _previous_rows
     previous = _previous_lines
-    current: dict[str, JobRow] = {}
+    continued = _previous_rows
+    # Replaced first: a call that raises leaves whole lines and nothing to continue.
+    _previous_lines = current = {}
+    _previous_rows = None
     new_row = tuple.__new__  # skips the Python-level JobRow.__new__
     intern = sys.intern
-    rows: list[JobRow] = []
+    tracked = len(previous) >= _MIN_TRACKED_LINES
+    if tracked:
+        rows: list[JobRow] = SnapshotRows()
+        kept = previous.pop  # what is left in ``previous`` has departed
+        split: dict[str, JobRow] = {}  # the fresh lines, in file order
+    else:
+        rows = []
+        kept = previous.get
+        split = current
     for line_number, line in enumerate(text.splitlines(), start=1):
-        row = previous.get(line)
+        row = kept(line, None)
         if row is None:
             tokens = line.split()
             if not tokens or tokens[:2] == _HEADER_START:
@@ -206,7 +246,50 @@ def parse_snapshot(
                     intern(tokens[-1]),
                 ),
             )
-        current[line] = row
+            split[line] = row
+        else:
+            current[line] = row
         rows.append(row)
-    _previous_lines = current
+    if tracked:
+        current.update(split)
+        departed = list(previous.values())
+        _keep_books(rows, list(split.values()), departed, continued, len(current))
+        _previous_rows = rows
     return rows
+
+
+def _keep_books(
+    rows: SnapshotRows,
+    fresh: list[JobRow],
+    departed: list[JobRow],
+    continued: SnapshotRows | None,
+    lines: int,
+) -> None:
+    """Fill in ``rows``'s change lists and whether it continues ``continued``.
+
+    ``_job_ids`` holds the job ids of ``rows`` when no job id has two
+    different lines in it, else None. It is carried over from ``continued``'s
+    set in O(fresh + departed); only after a break in the chain is it built
+    anew. ``lines`` counts the distinct lines of ``rows``.
+    """
+    rows.fresh = fresh
+    rows.departed = departed
+    rows.continues = None
+    job_ids = None
+    if continued is not None:
+        job_ids = continued._job_ids
+        # Each result is continued at most once, and holds no older result.
+        continued._job_ids = continued.continues = None
+    if job_ids is None:
+        job_ids = {row.job_id for row in rows}
+        rows._job_ids = job_ids if len(job_ids) == lines else None
+        return
+    for row in departed:  # a job of ``continued`` has one line: this one
+        job_ids.remove(row.job_id)
+    for row in fresh:
+        if row.job_id in job_ids:  # also on a line that stayed, or a fresh one
+            rows._job_ids = None
+            return
+        job_ids.add(row.job_id)
+    rows._job_ids = job_ids
+    rows.continues = continued

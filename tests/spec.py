@@ -38,8 +38,12 @@ def parse(text):
 
 def observe(snapshots, synthetic_complete=True):
     """The events of ``(observed_at, text)`` snapshots and the malformed-line count:
-    a snapshot's rows' events in row order, then those of the jobs it lacks."""
-    polls = [(at, *parse(text)) for at, text in snapshots]
+    a snapshot's rows' events in row order, then those of the jobs it lacks. Events
+    are stamped with their snapshot's time in UTC. ``synthetic_complete`` is one
+    flag, or a flag per snapshot, as a resumed observation may set it anew."""
+    polls = [(at.astimezone(timezone.utc), *parse(text)) for at, text in snapshots]
+    if not isinstance(synthetic_complete, list):
+        synthetic_complete = [synthetic_complete] * len(polls)
     sightings = {}  # job id -> {poll: [(position, row)]}, in first-seen order
     for poll, (_, rows, _) in enumerate(polls):
         for position, row in enumerate(rows):
@@ -72,7 +76,7 @@ def job_events(job_id, seen, times, rank, synthetic_complete):
                 state = row_state
                 out.append(((poll, 0, position), JobEvent(
                     job_id, row_account, row_group, name, state, row_dep, CHANGED, times[poll])))
-        if synthetic_complete and poll not in seen and state != COMPLETED:
+        if synthetic_complete[poll] and poll not in seen and state != COMPLETED:
             state = COMPLETED
             out.append(((poll, 1, rank), JobEvent(
                 job_id, account, group, name, COMPLETED, "(null)", SYNTHETIC, times[poll])))

@@ -4,6 +4,7 @@ import shlex
 import sys
 import tempfile
 from datetime import datetime, timedelta, timezone
+from zoneinfo import ZoneInfo
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 import spec
 from conftest import replay_events
 from hpcmine import observer, simulator
-from hpcmine.correlation import extract_first_dependencies
+from hpcmine.correlation import apply_cases, assign_cases_implicit, extract_first_dependencies
+from hpcmine.discovery import discover_dfg, project_case_traces
 from hpcmine.observer import (
     CommandSource,
     CsvEventSink,
@@ -402,6 +404,44 @@ class TestRunObservation:
         sink = []
         run_observation(snaps, sink)
         assert extract_first_dependencies(sink)["4"].targets() == ["2", "3"]
+
+
+NEW_YORK = ZoneInfo("America/New_York")
+
+
+class TestObservationTimesInUtc:
+    # On 2023-11-05 New York's wall clock runs 01:00-02:00 twice, EDT then EST.
+
+    def test_clock_going_back_through_a_dst_fold_is_in_order(self):
+        # 01:10 EST comes 20 minutes after 01:50 EDT.
+        polls = [
+            Snapshot(datetime(2023, 11, 5, 1, 50, tzinfo=NEW_YORK), "a 1 (null) /x PD g"),
+            Snapshot(datetime(2023, 11, 5, 1, 10, fold=1, tzinfo=NEW_YORK), "a 1 (null) /x R g"),
+        ]
+        sink = []
+        run_observation(polls, sink)
+        assert [(e.state, e.timestamp) for e in sink] == [
+            (PENDING, datetime(2023, 11, 5, 5, 50, tzinfo=timezone.utc)),
+            (RUNNING, datetime(2023, 11, 5, 6, 10, tzinfo=timezone.utc)),
+        ]
+        assert all(e.timestamp.tzinfo is timezone.utc for e in sink)
+
+    def test_fold_durations_agree_in_memory_and_through_the_file(self):
+        # 01:30 EDT and 01:30 EST are an hour apart, though equal on the wall clock.
+        polls = [
+            Snapshot(datetime(2023, 11, 5, 1, 30, tzinfo=NEW_YORK), "a 1 (null) /a.sh R g"),
+            Snapshot(datetime(2023, 11, 5, 1, 30, fold=1, tzinfo=NEW_YORK), "a 2 (null) /b.sh R g"),
+        ]
+        in_memory = []
+        run_observation(polls, in_memory)
+        written = io.StringIO()
+        with CsvEventSink(written) as sink:
+            run_observation(polls, sink)
+        through_file = read_events_csv(io.StringIO(written.getvalue()))
+        for events in (in_memory, through_file):
+            log = apply_cases(events, assign_cases_implicit(events))
+            dfg = discover_dfg(project_case_traces(log))
+            assert dfg.edges[("a.sh", "b.sh")].durations == [3600.0]
 
 
 class TestSources:

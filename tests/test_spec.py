@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spec
-from hpcmine import cli, correlation, discovery, observer
+from hpcmine import cli, correlation, discovery, observer, snapshots
 from hpcmine.correlation import STAMP_BLOCK, CaseAssignment, apply_cases
 from hpcmine.eventlog import CSV_HEADER, EVENTS_CSV_HEADER, WRITE_BLOCK, CaseLog, CsvEventSink
 from hpcmine.eventlog import EventKind, JobEvent, compute_stats, read_csv, read_events_csv
@@ -34,14 +34,16 @@ NOISE = [
     "ACCOUNT JOBID", "ACCOUNT", "", "  \t", "broken line", "a 9 PD g", "a 5 (null) /x/\0.sh R g",
 ]
 T0 = datetime(2024, 3, 1, 12, 0, tzinfo=timezone.utc)
-# Poll times in one zone, rising both on the wall clock and as instants. In
-# New York they cross the DST fold of 2023-11-05, where 01:30 comes twice.
+BACKLOG = snapshots._MIN_TRACKED_LINES
+# Poll times in one zone, rising as instants. In New York they cross the DST
+# fold of 2023-11-05, where 01:30 comes twice and the wall clock goes back from
+# 01:50 EDT to 01:10 EST.
 TIMES = [
     [T0 + timedelta(seconds=30 * i) for i in range(6)],
     [(T0 + timedelta(seconds=30 * i)).astimezone(timezone(timedelta(hours=5, minutes=30)))
      for i in range(6)],
     [(datetime(2023, 11, 5, 4, 59, tzinfo=timezone.utc) + timedelta(minutes=m))
-     .astimezone(ZoneInfo("America/New_York")) for m in (0, 31, 91, 106, 131)],
+     .astimezone(ZoneInfo("America/New_York")) for m in (0, 31, 51, 71, 91, 131)],
 ]
 _submission = st.tuples(  # ACCOUNT, COMMAND, GROUP and the separator
     st.sampled_from(["a", "b", "ACCOUNT", "x,y"]),
@@ -52,11 +54,20 @@ _submission = st.tuples(  # ACCOUNT, COMMAND, GROUP and the separator
 _states = st.lists(st.sampled_from(["PD", "R", "CG", "CD", "S", "F", "pd"]), max_size=3)
 
 
+def backlog(poll):
+    """Poll ``poll``'s stable backlog, enough lines for the parser to track what
+    changed, as on a busy queue: jobs 1000 + poll on, PENDING but the first,
+    RUNNING. Each poll one backlog job leaves, one starts and one arrives."""
+    jobs = range(1000 + poll, 1000 + poll + BACKLOG)
+    return [f"b {job} (null) /q/wait.sh {'PD' if job > jobs[0] else 'R'} q" for job in jobs]
+
+
 @st.composite
-def streams(draw):
+def streams(draw, padded=st.booleans()):
     """Snapshots from a small pool of lines, so that jobs change state, leave and
     come back, repeat and are first seen late. Each submission has a PENDING line;
-    an id may be submitted twice; targets are submitted ids or ids never seen."""
+    an id may be submitted twice; targets are submitted ids or ids never seen.
+    A padded stream puts the drawn lines at one place in each poll's backlog."""
     ids = draw(st.lists(st.sampled_from(JOBS), min_size=3, max_size=8))
     target = st.builds(add, st.sampled_from(ids + UNSEEN), st.sampled_from(["", "+5", "(x)"]))
     dependency = st.sampled_from(["(null)", "singleton"]) | st.lists(
@@ -68,11 +79,14 @@ def streams(draw):
         words = [account, job_id, draw(dependency), command]
         pool += [separator.join([*words, state, group]) for state in ["PD", *draw(_states)]]
     pool += draw(st.lists(st.sampled_from(NOISE), max_size=2))
-    lines = st.lists(st.sampled_from(pool), max_size=8)
-    texts = draw(st.lists(lines.map("\n".join), min_size=2, max_size=7))
+    texts = draw(st.lists(st.lists(st.sampled_from(pool), max_size=8), min_size=2, max_size=7))
+    if draw(padded):
+        at = draw(st.integers(0, BACKLOG))
+        texts = [[*backlog(i)[:at], *lines, *backlog(i)[at:]] for i, lines in enumerate(texts)]
     times = draw(st.sampled_from(TIMES))
     ticks = draw(st.lists(st.integers(0, len(times) - 1), min_size=len(texts), max_size=len(texts)))
-    return [observer.Snapshot(times[tick], text) for tick, text in zip(sorted(ticks), texts)]
+    return [observer.Snapshot(times[tick], "\n".join(lines))
+            for tick, lines in zip(sorted(ticks), texts)]
 
 
 # The options of observe, correlate and discover, as command-line arguments.
@@ -150,14 +164,14 @@ def assert_dfg(dfg, want):
     assert (dfg.activities, dfg.start_activities, dfg.end_activities, durations) == want
 
 
-# {1, 4} and {41} both read "JID41". The second and third polls are both at
-# 01:30 in New York. Jobs 1 and 4 vanish in first-seen order.
+# {1, 4} and {41} both read "JID41". The polls are at 01:30 EDT, 01:50 EDT,
+# 01:10 EST and 01:30 EST in New York. Jobs 1 and 4 vanish in first-seen order.
 _VANISH_ORDER = _stream(
     ["a 1 (null) /x/a.sh R g", "a 4 afterok:1 /x/b.sh PD g", "a 41 (null) /x/c.sh CD g"],
     ["a 1 (null) /x/a.sh CD g", "a 4 afterok:1 /x/b.sh PD g"],
     ["a 4 afterok:1 /x/b.sh R g", "a 1 (null) /x/a.sh R g"],  # a stale row reopens job 1
     [],
-    times=TIMES[2],
+    times=TIMES[2][1:],
 )
 # Job 5 is downstream of the cycle of 1 and 4; 100_1 has the account ACCOUNT
 # and depends on 99, which is never seen.
@@ -224,8 +238,7 @@ def test_pipeline_matches_spec(stream, options):
         with CsvEventSink(files / "events.csv") as sink:
             observer.run_observation(stream, sink, synthetic_complete=synthetic_complete)
         assert (files / "events.csv").read_bytes() == events_csv
-        in_utc = [e._replace(timestamp=e.timestamp.astimezone(timezone.utc)) for e in events]
-        assert read_events_csv(files / "events.csv") == in_utc
+        assert read_events_csv(files / "events.csv") == events
 
         def stages():
             cases, edges = str(files / "cases.csv"), str(files / "edges.csv")
@@ -238,7 +251,66 @@ def test_pipeline_matches_spec(stream, options):
                 parsed = _PARSER.parse_args(argv)
                 assert parsed.func(parsed) == 0
 
-        assert outputs(files, stages) == expected(in_utc, args)[1]
+        assert outputs(files, stages) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(streams(padded=st.just(True)), streams(padded=st.just(True)))
+def test_two_states_parsed_alternately_match_spec(first, second):
+    # Each parse continues the other stream's, so neither state may skip rows.
+    runs = [(stream, observer.ObserverState(), []) for stream in (first, second)]
+    for tick in range(max(len(first), len(second))):
+        for stream, state, observed in runs:
+            if tick < len(stream):
+                at = stream[tick].observed_at.astimezone(timezone.utc)
+                rows = observer.parse_snapshot(stream[tick].text, at, [])
+                observed += observer.diff_snapshot(state, rows, at)
+                observed += observer.finalize_vanished(state, rows, at)
+    for stream, _, observed in runs:
+        assert observed == spec.observe(stream)[0]
+
+
+# Three polls of the backlog alone: the second run, without synthetic
+# completion, leaves job 1000 active after it leaves; the third must complete it.
+_BACKLOG = _stream(backlog(0), backlog(1), backlog(2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(streams(), st.lists(st.integers(1, 6), max_size=3),
+       st.lists(st.booleans(), min_size=4, max_size=4),
+       st.lists(st.booleans(), min_size=4, max_size=4))
+@example(_BACKLOG, [1, 2], [True, False, True, True], [False] * 4)
+def test_resumed_observation_matches_spec(stream, cuts, synthetic, foreign):
+    # The state goes on where a run stopped, maybe with the other synthetic
+    # completion setting, and maybe after a parse of another snapshot.
+    bounds = [0, *sorted({cut for cut in cuts if cut < len(stream)}), len(stream)]
+    observed, state, flags = [], None, []
+    for start, stop, synthetic_complete, another in zip(bounds, bounds[1:], synthetic, foreign):
+        if start and another:
+            observer.parse_snapshot(stream[stop - 1].text, stream[start].observed_at)
+        state = observer.run_observation(
+            stream[start:stop], observed, synthetic_complete=synthetic_complete, state=state
+        ).state
+        flags += [synthetic_complete] * (stop - start)
+    assert observed == spec.observe(stream, flags)[0]
+
+
+def test_a_list_diffed_in_between_ends_the_continued_path():
+    # Jobs changed by a plain list after the last finalized poll must be diffed
+    # against the next poll's rows, as for a state fed only plain lists.
+    at, text = _BACKLOG[0]
+    running = [row._replace(state=RUNNING) for row in observer.parse_snapshot(text, at)]
+    runs = []
+    for copy in (list, lambda rows: rows):
+        state, events = observer.ObserverState(), []
+        for rows in (copy(observer.parse_snapshot(text, at)), running,
+                     copy(observer.parse_snapshot(text, at))):
+            events += observer.diff_snapshot(state, rows, at)
+            if rows is not running:
+                events += observer.finalize_vanished(state, rows, at)
+        runs.append(events)
+    assert runs[1] == runs[0]
+    assert sum(e.state == PENDING for e in runs[0]) == 2 * (BACKLOG - 1)
 
 
 _HOSTILE = ',"\n\r \tab1\x0b\x85é中\U0001f600'

@@ -81,20 +81,13 @@ class DependencyGraph:
 
     __slots__ = ("vertices", "edges", "external", "dropped_edges", "parent")
 
-    def __init__(
-        self,
-        vertices: set[str] | None = None,
-        edges: set[tuple[str, str]] | None = None,
-        external: set[str] | None = None,
-        dropped_edges: list[tuple[str, str]] | None = None,
-        parent: dict[str, str] | None = None,
-    ) -> None:
-        self.vertices = set() if vertices is None else vertices
-        self.edges = set() if edges is None else edges
-        self.external = set() if external is None else external
-        self.dropped_edges = [] if dropped_edges is None else dropped_edges
+    def __init__(self) -> None:
+        self.vertices: set[str] = set()
+        self.edges: set[tuple[str, str]] = set()
+        self.external: set[str] = set()
+        self.dropped_edges: list[tuple[str, str]] = []
         # Union-find over the weak components of every added edge (see ``find_root``).
-        self.parent = {} if parent is None else parent
+        self.parent: dict[str, str] = {}
 
     def add_edge(self, source: str, target: str) -> None:
         """Record the edge and join its ends' components."""
@@ -164,6 +157,21 @@ def _component_case_id(component: Iterable[str], hash_ids: bool) -> str:
     return case_id
 
 
+def _numbered(names: Iterable[str]) -> list[str]:
+    """Each name in turn, or, if an earlier one took it, itself with the least
+    suffix ``-2``, ``-3``, ... that none took, so no two are the same."""
+    taken: set[str] = set()
+    out = []
+    for name in names:
+        unique, n = name, 1
+        while unique in taken:
+            n += 1
+            unique = f"{name}-{n}"
+        taken.add(unique)
+        out.append(unique)
+    return out
+
+
 def assign_cases_explicit(graph: DependencyGraph, hash_ids: bool = False) -> CaseAssignment:
     """One case per weakly-connected component of the dependency graph.
 
@@ -172,35 +180,28 @@ def assign_cases_explicit(graph: DependencyGraph, hash_ids: bool = False) -> Cas
     ids are numeric; the others sort lexicographically after them. An id
     longer than ``MAX_CASE_ID_LENGTH``, or any id when ``hash_ids`` is set,
     is ``JID`` and 16 hex digits of the SHA-256 of the ordered ids.
+    Concatenations can collide ({1, 4} and {41} both read "JID41"): taking
+    components in the string order of their least member, one whose id an
+    earlier one took gets the least free suffix ("JID41-2").
     """
-    # Components in the string order of their least member; the collision
-    # suffixes below depend on that order.
     components: dict[str, list[str]] = {}
     for vertex in sorted(graph.vertices):
         components.setdefault(find_root(graph.parent, vertex), []).append(vertex)
-    cases: dict[str, str] = {}
-    used: dict[str, int] = {}
-    for component in components.values():
-        case_id = _component_case_id(component, hash_ids)
-        # Concatenated ids can collide across components ({1,4} and {41}
-        # both read "JID41"); suffix repeats so distinct components never
-        # share a case id.
-        count = used.get(case_id, 0) + 1
-        used[case_id] = count
-        if count > 1:
-            case_id = f"{case_id}-{count}"
-        for member in component:
-            cases[member] = case_id
-    return CaseAssignment(cases)
+    names = _numbered(_component_case_id(c, hash_ids) for c in components.values())
+    return CaseAssignment(
+        {member: name for c, name in zip(components.values(), names) for member in c}
+    )
 
 
 def assign_cases_implicit(events: Iterable[JobEvent]) -> CaseAssignment:
-    """One case per unique ACCOUNT-GROUP combination; empty group reads "default"."""
-    cases: dict[str, str] = {}
-    for event in events:
-        group = event.group or DEFAULT_GROUP
-        cases[event.job_id] = f"{event.account}-{group}"
-    return CaseAssignment(cases)
+    """One case per ACCOUNT-GROUP combination of each job's last event; an empty
+    group reads "default". Combinations whose ``account-group`` texts collide
+    (``p``, ``a-b`` and ``p-a``, ``b``) are told apart as explicit ids are,
+    taken in sorted order."""
+    combination = {e.job_id: (e.account, e.group or DEFAULT_GROUP) for e in events}
+    distinct = sorted(set(combination.values()))
+    name_of = dict(zip(distinct, _numbered(f"{a}-{g}" for a, g in distinct)))
+    return CaseAssignment({job_id: name_of[c] for job_id, c in combination.items()})
 
 
 # Events stamped per slice by ``apply_cases``.

@@ -45,8 +45,8 @@ class Trace(NamedTuple):
 class EdgeStats:
     __slots__ = ("durations",)
 
-    def __init__(self, durations: list[float] | None = None) -> None:
-        self.durations = [] if durations is None else durations
+    def __init__(self) -> None:
+        self.durations: list[float] = []
 
     @property
     def frequency(self) -> int:

@@ -298,7 +298,7 @@ def read_csv(source, header: list[str] = CSV_HEADER) -> CaseLog:
         events = []
         for row_number, row in rows:
             if len(row) != len(header):
-                raise SchemaMismatch(row)
+                raise MalformedCsv(row_number, f"{len(row)} fields, expected {len(header)}")
             for i, name, decode, memo in decoded:
                 text = row[i]
                 value = memo.get(text)

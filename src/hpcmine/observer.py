@@ -80,23 +80,18 @@ class ObserverState:
     completes and returns when a stale row shows it in another state.
 
     The state also remembers the rows of the last round that both
-    ``diff_snapshot`` and ``finalize_vanished`` saw, with no diff since, so
-    that a round whose ``SnapshotRows`` continue them only visits what
-    changed. A deep copy or an unpickled state holds rows that no parse
-    continues, so its next round takes the full path.
+    ``diff_snapshot`` and ``finalize_vanished`` saw, until a diff takes the
+    full path, so that a round whose ``SnapshotRows`` continue them only
+    visits what changed. A deep copy or an unpickled state holds rows that no
+    parse continues, so its next round takes the full path.
     """
 
-    __slots__ = ("jobs", "active", "_settled", "_diffed", "_continued")
+    __slots__ = ("jobs", "active", "_settled", "_diffed")
 
-    def __init__(
-        self,
-        jobs: dict[str, TrackedJob] | None = None,
-        active: dict[str, TrackedJob] | None = None,
-    ) -> None:
-        self.jobs = {} if jobs is None else jobs
-        self.active = {} if active is None else active
+    def __init__(self) -> None:
+        self.jobs: dict[str, TrackedJob] = {}
+        self.active: dict[str, TrackedJob] = {}
         self._diffed: list[JobRow] | None = None  # the rows of the last diff
-        self._continued = False  # whether that diff took the continued path
         self._settled: list[JobRow] | None = None  # rows diffed, then finalized
 
 
@@ -117,13 +112,11 @@ def diff_snapshot(
     in a later state carries the "(late)" marker instead. A new job's activity
     is interned, so the jobs of one command share one string.
     """
-    continued = (
-        type(rows) is SnapshotRows
-        and rows.continues is not None
-        and rows.continues is state._settled is state._diffed  # no diff since
-    )
+    # The rows this state last diffed and then finalized, with no full diff since.
+    continued = type(rows) is SnapshotRows and rows.continues is state._settled is not None
     state._diffed = rows
-    state._continued = continued
+    if not continued:
+        state._settled = None
     events: list[JobEvent] = []
     new_event = tuple.__new__  # skips the Python-level JobEvent.__new__
     jobs = state.jobs
@@ -195,7 +188,7 @@ def finalize_vanished(
     """
     active = state.active
     diffed = rows is state._diffed
-    if diffed and state._continued:
+    if diffed and type(rows) is SnapshotRows and rows.continues is state._settled is not None:
         present = {row.job_id for row in rows.fresh}
         vanished = [
             (row.job_id, tracked)

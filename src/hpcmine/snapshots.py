@@ -181,6 +181,8 @@ def parse_snapshot(
 ) -> list[JobRow]:
     """Parse one snapshot into job rows, in file order.
 
+    Lines end at LF only, so a command holding a form feed or U+2028 stays on
+    its line; ``observer.decode_snapshot`` reads CR LF and a lone CR as LF.
     The header line (first two words ``ACCOUNT JOBID``) is skipped, so a job
     whose account is ``ACCOUNT`` is still a row. Data lines with fewer
     than 6 columns or holding a NUL are reported via ``errors`` (and the
@@ -216,7 +218,7 @@ def parse_snapshot(
         rows = []
         kept = previous.get
         split = current
-    for line_number, line in enumerate(text.splitlines(), start=1):
+    for line_number, line in enumerate(text.split("\n"), start=1):
         row = kept(line, None)
         if row is None:
             tokens = line.split()

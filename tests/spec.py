@@ -1,4 +1,5 @@
-"""The hpcmine pipeline written for clarity, not speed: the tests' one referee.
+"""The hpcmine pipeline, and the simulator that feeds it, written for clarity,
+not speed: the tests' one referee.
 
 Each stage is worked out from its whole input, with no cache and no state kept
 between calls. Only record types and state codes come from the package, so a
@@ -8,11 +9,13 @@ bug in a shared helper cannot hide in both.
 import csv
 import hashlib
 import io
+import math
+import random
 import re
 import statistics
 from collections import Counter
-from datetime import timezone
-from itertools import pairwise
+from datetime import datetime, timedelta, timezone
+from itertools import count, pairwise
 
 from hpcmine.discovery import Trace, TraceStep
 from hpcmine.eventlog import EventKind, JobEvent, LogStats
@@ -21,11 +24,67 @@ from hpcmine.snapshots import COMPLETED, COMPLETING, PENDING, RUNNING
 CREATED, CHANGED, SYNTHETIC = EventKind
 
 
+EPOCH = datetime(2024, 1, 1, tzinfo=timezone.utc)
+HEADER = "ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP"
+GONE = "gone"
+
+
+def simulate(scenario):
+    """The (observed_at, text) snapshots of a valid scenario, one per tick of its interval
+    from EPOCH until every job has left the queue: the header, then each queued job's line
+    in scenario order. A PENDING batch job shows the dependencies that have not left as
+    ``afterok:a:b``; any other job shows ``(null)``. On each tick, in turn: a job COMPLETING
+    since an earlier tick leaves; a RUNNING job whose ceil(duration / interval) ticks are
+    up starts COMPLETING; batch jobs are submitted on tick 0, a manual one once each of its
+    dependencies started COMPLETING on an earlier tick; then, while fewer than
+    ``max_running`` run, one job PENDING since an earlier tick starts if its batch
+    dependencies have all left: the only one, or a ``randrange`` draw among them in
+    scenario order. It RUNS, or starts COMPLETING if its duration is 0 ticks."""
+    rng, interval = random.Random(scenario.seed), scenario.snapshot_interval
+    limit = math.inf if scenario.max_running is None else scenario.max_running
+    jobs = {job.job_id: job for job in scenario.jobs}
+    batch = {job_id for job_id, job in jobs.items() if job.mode.value == "batch"}
+    run_ticks = {job_id: math.ceil(job.duration / interval) for job_id, job in jobs.items()}
+    state, since, snapshots = {}, {}, []  # job id -> its state, and the tick it got there
+    for tick in count():
+        for job_id in jobs:
+            if state.get(job_id) == COMPLETING and since[job_id] < tick:
+                state[job_id], since[job_id] = GONE, tick
+        for job_id in jobs:
+            if state.get(job_id) == RUNNING and tick - since[job_id] >= run_ticks[job_id]:
+                state[job_id], since[job_id] = COMPLETING, tick
+        for job_id, job in jobs.items():
+            if job_id not in state and (tick == 0 if job_id in batch else all(
+                    state.get(d) == GONE or state.get(d) == COMPLETING and since[d] < tick
+                    for d in job.dependencies)):
+                state[job_id], since[job_id] = PENDING, tick
+        free = [job_id for job_id, job in jobs.items()
+                if state.get(job_id) == PENDING and since[job_id] < tick
+                and (job_id not in batch or all(state.get(d) == GONE for d in job.dependencies))]
+        if free and list(state.values()).count(RUNNING) < limit:
+            job_id = free[0] if len(free) == 1 else free[rng.randrange(len(free))]
+            state[job_id] = RUNNING if run_ticks[job_id] else COMPLETING
+            since[job_id] = tick
+        lines = [HEADER]
+        for job_id, job in jobs.items():
+            if state.get(job_id) in (PENDING, RUNNING, COMPLETING):
+                waiting = [d for d in job.dependencies if state.get(d) != GONE]
+                shown = "(null)"
+                if waiting and state[job_id] == PENDING and job_id in batch:
+                    shown = "afterok:" + ":".join(waiting)
+                lines.append(f"{job.account} {job_id} {shown} {job.command_path} "
+                             f"{state[job_id]} {job.group}")
+        snapshots.append((EPOCH + timedelta(seconds=tick * interval), "\n".join(lines) + "\n"))
+        if all(state.get(job_id) == GONE for job_id in jobs):
+            return snapshots
+
+
 def parse(text):
     """A snapshot's rows, ACCOUNT JOBID DEPENDENCY COMMAND... ST GROUP, and its
-    malformed (number, line) pairs: fewer words, or a NUL. ``ACCOUNT JOBID`` heads a header."""
+    malformed (number, line) pairs: fewer words, or a NUL. ``ACCOUNT JOBID`` heads a header.
+    Lines end at LF only."""
     rows, malformed = [], []
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(text.split("\n"), start=1):
         words = line.split()
         if not words or words[:2] == ["ACCOUNT", "JOBID"]:
             continue
@@ -118,6 +177,17 @@ def reachable(start, edges):
     return found
 
 
+def component(vertex, edges):
+    """The vertices joined to ``vertex`` by ``edges`` in either direction, itself included."""
+    return reachable(vertex, edges | {(b, a) for a, b in edges}) | {vertex}
+
+
+def cycle_jobs(edges):
+    """The jobs on a cycle of ``edges`` or downstream of one."""
+    on_cycle = {job for edge in edges for job in edge if job in reachable(job, edges)}
+    return on_cycle.union(*(reachable(job, edges) for job in on_cycle))
+
+
 def dependency_graph(events):
     """(vertices, edges, external, dropped); edge (a, b) means b declared a. Targets never
     observed are external. Edges between jobs on, or after and before, cycles drop."""
@@ -126,39 +196,48 @@ def dependency_graph(events):
                 for _, targets in found for target in targets]
     edges = {(target, job) for target, job in declared if target in observed}
     external = {target for target, _ in declared if target not in observed}
-    reach = {job: reachable(job, edges) for job in observed}
-    on_cycle = {job for job in observed if job in reach[job]}
-    between = {job for job in observed
-               if reach[job] & on_cycle and any(job in reach[c] for c in on_cycle)}
+    between = cycle_jobs(edges) & cycle_jobs({(b, a) for a, b in edges})
     dropped = sorted((a, b) for a, b in edges if a in between and b in between)
     return observed | external, edges - set(dropped), external, dropped
 
 
+def numbered(names):
+    """Each name in turn, or, if an earlier one took it, itself with the least
+    suffix "-2", "-3"... that none took."""
+    taken = []
+    for name in names:
+        suffixed = (f"{name}-{n}" for n in count(2))
+        taken.append(next(n for n in suffixed if n not in taken) if name in taken else name)
+    return taken
+
+
 def explicit_cases(events, hash_ids=False):
-    """One case per weak component of all declared edges, dropped or not: ``JID`` and
-    the ASCII-digit ids in descending numeric order, then the rest; hashed over 64
-    characters or with ``hash_ids``. By least member, a repeated id gets "-2", "-3"..."""
+    """One case per weak component of all declared edges, dropped or not, by least
+    member: ``JID`` and the ASCII-digit ids in descending numeric order, then the rest;
+    hashed over 64 characters or with ``hash_ids``; then ``numbered``."""
     vertices, edges, _, dropped = dependency_graph(events)
-    undirected = edges | set(dropped) | {(b, a) for a, b in edges | set(dropped)}
-    cases, taken = {}, Counter()
+    components = []
     for vertex in sorted(vertices):
-        if vertex in cases:
-            continue
-        component = reachable(vertex, undirected) | {vertex}
-        numeric = [j for j in sorted(component) if j.isascii() and j.isdigit()]
-        ordered = sorted(numeric, key=int, reverse=True) + sorted(component - set(numeric))
+        if not any(vertex in c for c in components):
+            components.append(component(vertex, edges | set(dropped)))
+    names = []
+    for members in components:
+        numeric = [j for j in sorted(members) if j.isascii() and j.isdigit()]
+        ordered = sorted(numeric, key=int, reverse=True) + sorted(members - set(numeric))
         name = "JID" + "".join(ordered)
         if hash_ids or len(name) > 64:
             name = "JID" + hashlib.sha256(",".join(ordered).encode()).hexdigest()[:16]
-        taken[name] += 1
-        for member in component:
-            cases[member] = name if taken[name] == 1 else f"{name}-{taken[name]}"
-    return cases
+        names.append(name)
+    return {job: name for members, name in zip(components, numbered(names)) for job in members}
 
 
 def implicit_cases(events):
-    """A job's case is ``account-group`` of its last event; an empty group reads "default"."""
-    return {e.job_id: f"{e.account}-{e.group or 'default'}" for e in events}
+    """A job's case is the account and group of its last event, an empty group read as
+    "default": ``account-group``, ``numbered`` in the sorted order of the pairs."""
+    pair = {e.job_id: (e.account, e.group or "default") for e in events}
+    pairs = sorted(set(pair.values()))
+    names = dict(zip(pairs, numbered(f"{account}-{group}" for account, group in pairs)))
+    return {job: names[p] for job, p in pair.items()}
 
 
 def case_log(events, cases):

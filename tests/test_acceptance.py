@@ -92,7 +92,8 @@ def test_criterion_4_explicit_partition_equals_union_find():
     for _ in range(1000):
         n = rng.randint(1, 50)
         vertices = [str(i) for i in range(n)]
-        graph = DependencyGraph(vertices=set(vertices))
+        graph = DependencyGraph()
+        graph.vertices |= set(vertices)
         parent = {v: v for v in vertices}
 
         def find(x):

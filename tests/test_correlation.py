@@ -27,7 +27,7 @@ from hpcmine.correlation import (
 from hpcmine.eventlog import write_csv
 from hpcmine.observer import EventKind, JobEvent
 from hpcmine.snapshots import PENDING
-from test_simulator import _specs
+from test_simulator import _assert_true_cases, _specs
 
 T0 = datetime(2023, 5, 1, tzinfo=timezone.utc)
 
@@ -169,9 +169,20 @@ class TestAssignCasesExplicit:
         assert set(assignment.cases.values()) == {"JID111098"}
 
     def test_singleton_component(self):
-        graph = DependencyGraph(vertices={"42"})
+        graph = DependencyGraph()
+        graph.vertices.add("42")
         assignment = assign_cases_explicit(graph)
         assert assignment.cases == {"42": "JID42"}
+
+    def test_a_suffixed_id_is_never_taken_twice(self):
+        # {1, 4} and {41} both read "JID41", so {41} takes "JID41-2", which is
+        # also what {41-2} reads: it takes the next free suffix.
+        graph = DependencyGraph()
+        graph.add_edge("1", "4")
+        graph.vertices |= {"41", "41-2"}
+        assert assign_cases_explicit(graph).cases == {
+            "1": "JID41", "4": "JID41", "41": "JID41-2", "41-2": "JID41-2-2"
+        }
 
     def test_hashed_ids_are_stable_and_short(self):
         graph = DependencyGraph()
@@ -195,27 +206,16 @@ class TestAssignCasesExplicit:
             n = rng.randint(1, 30)
             vertices = [str(i) for i in range(n)]
             edges = set()
-            graph = DependencyGraph(vertices=set(vertices))
-            parent = {v: v for v in vertices}
-
-            def find(x):
-                while parent[x] != x:
-                    x = parent[x]
-                return x
-
+            graph = DependencyGraph()
+            graph.vertices |= set(vertices)
             for _ in range(rng.randint(0, 2 * n)):
-                a, b = rng.sample(vertices, 2) if n > 1 else (vertices[0], vertices[0])
-                if a == b:
-                    continue
-                graph.add_edge(a, b)
-                parent[find(a)] = find(b)
-                edges.add((a, b))
-            assignment = assign_cases_explicit(graph)
+                if n > 1:
+                    a, b = rng.sample(vertices, 2)
+                    graph.add_edge(a, b)
+                    edges.add((a, b))
+            cases = assign_cases_explicit(graph).cases
             for a in vertices:
-                for b in vertices:
-                    assert (assignment.cases[a] == assignment.cases[b]) == (
-                        find(a) == find(b)
-                    )
+                assert {b for b in vertices if cases[b] == cases[a]} == spec.component(a, edges)
 
     def test_tied_numeric_ids_order_as_strings(self):
         # "001", "01" and "1" read as one number; members then keep string order.
@@ -299,8 +299,8 @@ class TestReverseOrderChain:
 
 
 # Numeric ids whose concatenations collide ({1, 4} and {41} both read
-# "JID41"), beside non-numeric ones.
-_IDS = ["1", "4", "41", "14", "11", "114", "141", "411", "a", "b", "1a", "7_*"]
+# "JID41", and "41-2" reads as the second's suffixed id), beside non-numeric ones.
+_IDS = ["1", "4", "41", "41-2", "14", "11", "114", "141", "411", "a", "b", "1a", "7_*"]
 
 
 @st.composite
@@ -349,15 +349,7 @@ class TestUnionFindMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(_specs())
     def test_true_cases(self, scenario):
-        # One label per weak component of the declared dependencies, naming a member.
-        edges = {(dep, job.job_id) for job in scenario.jobs for dep in job.dependencies}
-        undirected = edges | {(b, a) for a, b in edges}
-        labels = scenario.true_cases()
-        assert list(labels) == [job.job_id for job in scenario.jobs]
-        for job_id, label in labels.items():
-            members = spec.reachable(job_id, undirected) | {job_id}
-            assert {j for j in labels if labels[j] == label} == members
-            assert label.removeprefix("case-") in members
+        _assert_true_cases(scenario, scenario.true_cases())
 
 
 class TestOrderInvariance:
@@ -393,6 +385,15 @@ class TestAssignCasesImplicit:
         events = [event("1", group="g1"), event("2", group="g2")]
         assignment = assign_cases_implicit(events)
         assert assignment.cases["1"] != assignment.cases["2"]
+
+    def test_hyphenated_names_never_collide(self):
+        # ("p", "a-b") and ("p-a", "b") both read "p-a-b"; the pair that sorts
+        # first keeps it, and an empty group is the same case as "default".
+        events = [event("1", account="p-a", group="b"), event("2", account="p", group="a-b"),
+                  event("3", account="p-a", group=""), event("4", account="p-a", group="default")]
+        assert assign_cases_implicit(events).cases == {
+            "1": "p-a-b-2", "2": "p-a-b", "3": "p-a-default", "4": "p-a-default"
+        }
 
     def test_empty_group_reads_default(self):
         assignment = assign_cases_implicit([event("1", account="acc", group="")])

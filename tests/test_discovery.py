@@ -1,4 +1,3 @@
-import logging
 import random
 import re
 import statistics
@@ -33,6 +32,7 @@ from hpcmine.discovery import (
 )
 from hpcmine.eventlog import CaseLog, EventKind, JobEvent
 from hpcmine.snapshots import COMPLETED, PENDING, RUNNING
+from test_spec import logged
 
 T0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
@@ -156,31 +156,17 @@ _unsorted_events = st.lists(
 )
 
 
-class _Messages(logging.Handler):
-    def __init__(self):
-        super().__init__()
-        self.messages = []
-
-    def emit(self, record):
-        self.messages.append(record.getMessage())
-
-
 class TestOnePassProjection:
     @settings(max_examples=300, deadline=None)
     @given(_unsorted_events, st.sampled_from(sorted(MILESTONES)))
     def test_matches_grouped_and_sorted_reference(self, events, name):
         milestone = MILESTONES[name]
         expected, dropped = spec.traces(events, milestone)
-        handler = _Messages()
-        logger = logging.getLogger("hpcmine.discovery")
-        logger.addHandler(handler)
-        try:
+        with logged("hpcmine.discovery") as messages:
             traces = project_case_traces(CaseLog(events), milestone=milestone)
-        finally:
-            logger.removeHandler(handler)
         assert traces == expected
         warning = f"{dropped} job(s) never reached milestone {name}; dropped"
-        assert handler.messages == ([warning] if dropped else [])
+        assert messages == ([warning] if dropped else [])
 
 
 class TestDiscoverDfg:
@@ -229,7 +215,8 @@ class TestEdgeStats:
     # raise OverflowError alike.
     @given(st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1))
     def test_mean_and_median_equal_the_statistics_module(self, durations):
-        stats = EdgeStats(list(durations))
+        stats = EdgeStats()
+        stats.durations += durations
         assert stats.mean == statistics.fmean(durations)
         assert stats.median == statistics.median(durations)
         assert stats.durations == durations

@@ -27,6 +27,7 @@ from hpcmine.eventlog import (
     CaseLog,
     EventKind,
     JobEvent,
+    MalformedCsv,
     SchemaMismatch,
     CsvEventSink,
     compute_stats,
@@ -441,6 +442,8 @@ def _read_outcome(read, text, header):
         return ("BadTimestamp", exc.row_number, exc.value)
     except SchemaMismatch as exc:
         return ("SchemaMismatch", exc.header)
+    except MalformedCsv as exc:
+        return ("MalformedCsv", exc.row_number, str(exc))
 
 
 class TestReadCsvMatchesPerRowDecode:
@@ -507,7 +510,7 @@ class TestReadCsvMatchesPerRowDecode:
         if len(cells) == len(CSV_HEADER):
             expected = ("BadTimestamp", 3, cells[CSV_HEADER.index("timestamp")])
         else:
-            expected = ("SchemaMismatch", cells)
+            expected = ("MalformedCsv", 3, "malformed CSV in row 3: 4 fields, expected 9")
         assert _read_outcome(read_csv, text, CSV_HEADER) == expected
 
 

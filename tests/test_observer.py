@@ -32,6 +32,7 @@ from hpcmine.observer import (
 )
 from hpcmine.snapshots import COMPLETED, COMPLETING, PENDING, RUNNING, JobRow
 from hpcmine.timeutil import parse_basic
+from test_spec import REPORT_PHASES, THRESHOLDS, tracked_from
 
 T0 = datetime(2023, 5, 1, 12, 0, 0, tzinfo=timezone.utc)
 
@@ -282,12 +283,13 @@ def _crafted_observation():
 
 
 class TestObservationMatchesTimedRows:
-    @settings(max_examples=300, deadline=None)
-    @given(_snapshot_streams(), st.booleans())
-    @example(_crafted_observation(), True)
-    def test_same_events_and_malformed_count(self, stream, synthetic_complete):
+    @settings(max_examples=300, deadline=None, phases=REPORT_PHASES)
+    @given(_snapshot_streams(), st.booleans(), THRESHOLDS)
+    @example(_crafted_observation(), True, 1)
+    def test_same_events_and_malformed_count(self, stream, synthetic_complete, threshold):
         sink = []
-        summary = run_observation(stream, sink, synthetic_complete=synthetic_complete)
+        with tracked_from(threshold):
+            summary = run_observation(stream, sink, synthetic_complete=synthetic_complete)
         events, malformed = spec.observe(stream, synthetic_complete)
         assert sink == events
         assert summary.malformed == malformed

@@ -1,12 +1,11 @@
 import csv
-import math
 import random
-from datetime import datetime, timedelta
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import spec as referee
 from conftest import (
     bundled_scenario_names,
     random_scenario,
@@ -23,7 +22,6 @@ from hpcmine.simulator import (
     ParseError,
     ScenarioSpec,
     SimJob,
-    SimulationResult,
     SubmitMode,
     ValidationError,
     load_bundled_scenario,
@@ -36,7 +34,6 @@ from hpcmine.snapshots import (
     PENDING,
     RUNNING,
     SNAPSHOT_HEADER,
-    normalize_command,
     parse_snapshot,
 )
 
@@ -154,9 +151,13 @@ class TestLoadScenario:
             for i, deps in enumerate(targets, start=1)
         )
         spec = ScenarioSpec(jobs=jobs)
-        assert _cycle_error(ScenarioSpec._check_acyclic, spec) == _cycle_error(
-            _reference_check_acyclic, spec
-        )
+        cyclic = referee.cycle_jobs(_edges(spec))
+        try:
+            spec.validate()
+        except InvalidScenario as exc:
+            assert str(exc) == f"dependency cycle among {sorted(cyclic)}"
+        else:
+            assert not cyclic
 
 
 class TestSimulate:
@@ -306,214 +307,27 @@ class TestOracle:
             assert states == [PENDING, RUNNING, COMPLETING, COMPLETED]
 
 
-# The tick-scan simulator the event-driven loop replaced: every tick walks
-# all jobs in each step. It is the reference the equivalence tests below
-# compare against. Only the names differ, and it reads ``_MAX_TICKS`` from
-# the module so that patching the limit applies to both.
+def _edges(spec):
+    """The declared dependencies, as (target, dependent) pairs."""
+    return {(dep, job.job_id) for job in spec.jobs for dep in job.dependencies}
 
 
-class _ReferenceRun:
-    __slots__ = (
-        "job",
-        "index",
-        "status",
-        "submit_tick",
-        "start_tick",
-        "cg_tick",
-        "running_ticks",
-    )
-
-    def __init__(self, job: SimJob, index: int) -> None:
-        self.job = job
-        self.index = index
-        self.status = "unsubmitted"
-        self.submit_tick: int | None = None
-        self.start_tick: int | None = None
-        self.cg_tick: int | None = None
-        self.running_ticks = 0
-
-    def completed_by(self, tick: int) -> bool:
-        # A job counts as complete from the tick after its completing tick.
-        return self.cg_tick is not None and self.cg_tick < tick
-
-    def event(self, kind, state, at, dependency="(null)") -> JobEvent:
-        job = self.job
-        activity = normalize_command(job.command_path)
-        return JobEvent(
-            job.job_id, job.account, job.group, activity, state, dependency, kind, at
-        )
+def _assert_true_cases(spec, labels):
+    """One label per weak component of the declared dependencies, naming a member."""
+    assert list(labels) == [job.job_id for job in spec.jobs]
+    for job_id, label in labels.items():
+        members = referee.component(job_id, _edges(spec))
+        assert {j for j in labels if labels[j] == label} == members
+        assert label.removeprefix("case-") in members
 
 
-def _reference_simulate(spec: ScenarioSpec) -> SimulationResult:
-    """Run a scenario; returns the snapshot stream and the ground truth."""
-    spec.validate()
-    rng = random.Random(spec.seed)
-    interval = spec.snapshot_interval
-    runs = [_ReferenceRun(job, i) for i, job in enumerate(spec.jobs)]
-    by_id = {run.job.job_id: run for run in runs}
-    for run in runs:
-        run.running_ticks = math.ceil(run.job.duration / interval)
-
-    def time_of(tick: int) -> datetime:
-        return SIM_EPOCH + timedelta(seconds=tick * interval)
-
-    snapshots: list[tuple[datetime, str]] = []
-    oracle_events: list[JobEvent] = []
-    submit_order: dict[str, int] = {}
-
-    tick = 0
-    while tick < simulator._MAX_TICKS:
-        row_events: list[tuple[int, JobEvent]] = []
-        vanish_events: list[tuple[int, JobEvent]] = []
-
-        # 1. Jobs past their completing tick leave the queue.
-        for run in runs:
-            if run.status == "completing" and run.completed_by(tick):
-                run.status = "gone"
-                vanish_events.append(
-                    (
-                        submit_order[run.job.job_id],
-                        run.event(EventKind.SYNTHETIC_COMPLETED, COMPLETED, time_of(tick)),
-                    )
-                )
-
-        # 2. Running jobs that used up their duration enter completing.
-        for run in runs:
-            if (
-                run.status == "running"
-                and run.start_tick is not None
-                and tick - run.start_tick >= run.running_ticks
-            ):
-                run.status = "completing"
-                run.cg_tick = tick
-                row_events.append(
-                    (run.index, run.event(EventKind.STATE_CHANGED, COMPLETING, time_of(tick)))
-                )
-
-        # 3. Submission: batch at tick 0; manual one snapshot after all
-        #    logical predecessors completed.
-        for run in runs:
-            if run.status != "unsubmitted":
-                continue
-            if run.job.mode == SubmitMode.BATCH:
-                ready = tick == 0
-            else:
-                preds = [by_id[d] for d in run.job.dependencies]
-                ready = all(p.cg_tick is not None for p in preds) and tick >= (
-                    max((p.cg_tick for p in preds), default=-1) + 1
-                )
-            if ready:
-                run.status = "pending"
-                run.submit_tick = tick
-                submit_order[run.job.job_id] = len(submit_order)
-                dependency = _reference_dependency(run, by_id, tick)
-                row_events.append(
-                    (run.index, run.event(EventKind.CREATED, PENDING, time_of(tick), dependency))
-                )
-
-        # 4. Start at most one eligible pending job (seeded shuffle breaks
-        #    ties, staggering parallel branches).
-        running_count = sum(1 for run in runs if run.status == "running")
-        eligible = []
-        for run in runs:
-            if run.status != "pending" or run.submit_tick is None or tick <= run.submit_tick:
-                continue
-            if run.job.mode == SubmitMode.BATCH and not all(
-                by_id[d].completed_by(tick) for d in run.job.dependencies
-            ):
-                continue
-            if spec.max_running is not None and running_count >= spec.max_running:
-                continue
-            eligible.append(run)
-        if eligible:
-            chosen = eligible[0] if len(eligible) == 1 else eligible[rng.randrange(len(eligible))]
-            chosen.start_tick = tick
-            if chosen.running_ticks == 0:
-                chosen.status = "completing"
-                chosen.cg_tick = tick
-                row_events.append(
-                    (chosen.index, chosen.event(EventKind.STATE_CHANGED, COMPLETING, time_of(tick)))
-                )
-            else:
-                chosen.status = "running"
-                row_events.append(
-                    (chosen.index, chosen.event(EventKind.STATE_CHANGED, RUNNING, time_of(tick)))
-                )
-
-        # Oracle ordering mirrors the observer: per snapshot, row-order diff
-        # events first, then synthetic completions in first-seen order.
-        oracle_events.extend(event for _, event in sorted(row_events, key=lambda x: x[0]))
-        oracle_events.extend(event for _, event in sorted(vanish_events, key=lambda x: x[0]))
-
-        snapshots.append((time_of(tick), _reference_render_snapshot(runs, by_id, tick)))
-
-        if all(run.status == "gone" for run in runs):
-            break
-        tick += 1
-    else:
-        raise InvalidScenario("simulation did not terminate")
-
-    oracle = Oracle(events=oracle_events, true_cases=spec.true_cases())
-    return SimulationResult(snapshots=snapshots, oracle=oracle)
-
-
-def _reference_render_snapshot(runs, by_id, tick: int) -> str:
-    lines = [SNAPSHOT_HEADER]
-    for run in runs:
-        if run.status == "pending":
-            code = PENDING
-        elif run.status == "running":
-            code = RUNNING
-        elif run.status == "completing":
-            code = COMPLETING
-        else:
-            continue
-        dependency = "(null)"
-        if run.status == "pending":
-            dependency = _reference_dependency(run, by_id, tick)
-        job = run.job
-        lines.append(
-            f"{job.account} {job.job_id} {dependency} {job.command_path} {code} {job.group}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _reference_dependency(run, by_id, tick: int) -> str:
-    if run.job.mode == SubmitMode.BATCH:
-        remaining = [d for d in run.job.dependencies if not by_id[d].completed_by(tick)]
-        if remaining:
-            return "afterok:" + ":".join(remaining)
-    return "(null)"
-
-
-def _reference_check_acyclic(spec: ScenarioSpec) -> None:
-    # The rescan cycle check that Kahn's algorithm replaced.
-    deps = {job.job_id: set(job.dependencies) for job in spec.jobs}
-    resolved: set[str] = set()
-    while deps:
-        ready = [j for j, d in deps.items() if d <= resolved]
-        if not ready:
-            raise InvalidScenario(f"dependency cycle among {sorted(deps)}")
-        for j in ready:
-            resolved.add(j)
-            del deps[j]
-
-
-def _cycle_error(check, spec):
-    try:
-        check(spec)
-    except InvalidScenario as exc:
-        return str(exc)
-    return None
-
-
-def _outcome(run, spec):
-    """A simulation's snapshots, oracle events and true cases, or its error."""
-    try:
-        result = run(spec)
-    except InvalidScenario as exc:
-        return ("raised", str(exc))
-    return (result.snapshots, result.oracle.events, result.oracle.true_cases)
+def _assert_matches_spec(spec):
+    """The snapshots are the specification's, the oracle events are what it observes
+    in them, and the true cases are its components."""
+    result = simulate(spec)
+    assert result.snapshots == referee.simulate(spec)
+    assert result.oracle.events == referee.observe(result.snapshots)[0]
+    _assert_true_cases(spec, result.oracle.true_cases)
 
 
 @st.composite
@@ -554,19 +368,21 @@ class TestEventDrivenEquivalence:
     @settings(max_examples=400, deadline=None)
     @given(_specs())
     def test_matches_tick_scan(self, spec):
-        # max_running=0 fails validation in both, with the same message.
-        assert _outcome(simulate, spec) == _outcome(_reference_simulate, spec)
+        if spec.max_running == 0:
+            with pytest.raises(InvalidScenario, match="^max_running must be at least 1$"):
+                simulate(spec)
+        else:
+            _assert_matches_spec(spec)
 
     @pytest.mark.parametrize("name", bundled_scenario_names())
     def test_bundled_scenarios_over_seeds(self, name):
         spec = load_bundled_scenario(name)
         for seed in range(30):
-            seeded = spec._replace(seed=seed)
-            assert _outcome(simulate, seeded) == _outcome(_reference_simulate, seeded), seed
+            _assert_matches_spec(spec._replace(seed=seed))
 
     def test_empty_spec(self):
         spec = ScenarioSpec(jobs=())
-        assert _outcome(simulate, spec) == _outcome(_reference_simulate, spec)
+        _assert_matches_spec(spec)
         assert simulate(spec).snapshots == [(SIM_EPOCH, SNAPSHOT_HEADER + "\n")]
 
     def test_does_not_terminate(self, monkeypatch):

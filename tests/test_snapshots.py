@@ -44,6 +44,15 @@ class TestParseSnapshot:
     def test_empty_text(self):
         assert parse_snapshot("", T0) == []
 
+    # Each ends a line for str.splitlines(), and splits words for str.split().
+    @pytest.mark.parametrize("mark", list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_a_line_ends_only_at_lf(self, mark):
+        text = f"acc 7 (null) /x/a{mark}b.sh R grp\n"
+        errors = []
+        rows = parse_snapshot(text, T0, errors)
+        assert (rows, errors) == ([("acc", "7", "(null)", "/x/a b.sh", RUNNING, "grp")], [])
+        assert (rows, errors) == spec.parse(text)
+
     def test_header_skipped(self):
         text = "ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP\na 1 (null) /x.sh R g\n"
         rows = parse_snapshot(text, T0)
@@ -180,7 +189,7 @@ def _assert_parses_as_spec(text, observed_at):
 
 def _kept_lines(text):
     """The good data lines of ``text``, mapped to their fields."""
-    return {line: row for line in text.splitlines() for row in spec.parse(line)[0]}
+    return {line: row for line in text.split("\n") for row in spec.parse(line)[0]}
 
 
 @st.composite

@@ -22,7 +22,6 @@ from .eventlog import (  # extract_first_dependencies is re-exported
     extract_first_dependencies,
     with_case,
 )
-from .snapshots import DependencySpec
 
 DEFAULT_GROUP = "default"
 
@@ -102,7 +101,7 @@ class CaseAssignment(NamedTuple):
 
 
 def build_dependency_graph(
-    events: Iterable[JobEvent], first_deps: Mapping[str, DependencySpec]
+    events: Iterable[JobEvent], first_deps: Mapping[str, tuple[str, ...]]
 ) -> DependencyGraph:
     """Build the declared-dependency DAG over the observed jobs.
 
@@ -114,10 +113,10 @@ def build_dependency_graph(
     graph = DependencyGraph()
     observed = {event.job_id for event in events}
     graph.vertices |= observed
-    for job_id, spec in first_deps.items():
+    for job_id, targets in first_deps.items():
         if job_id not in graph.vertices:
             continue
-        for target in spec.targets():
+        for target in targets:
             if target in observed:
                 graph.add_edge(target, job_id)
             else:

@@ -22,7 +22,7 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .snapshots import DependencySpec, parse_dependency_spec
+from .snapshots import dependency_targets
 from .timeutil import format_iso, parse_iso
 
 # Marker for jobs first observed past PENDING, whose dependency view is gone.
@@ -324,20 +324,26 @@ def read_events_csv(source) -> list[JobEvent]:
     return read_csv(source, EVENTS_CSV_HEADER).events
 
 
-def extract_first_dependencies(events: Iterable[JobEvent]) -> dict[str, DependencySpec]:
-    """Recover each job's first-sight dependency view from its creation event.
+def extract_first_dependencies(events: Iterable[JobEvent]) -> dict[str, tuple[str, ...]]:
+    """Map each job that declares a dependency at first sight to its targets.
+
+    A job is in the map when its first event is a creation that shows its
+    DEPENDENCY column (not ``(late)``) and the column declares something
+    (see ``snapshots.dependency_targets``); the targets may be ().
 
     Works on the observer's event stream and on a case log alike: both keep
     each job's events in time order, so a job's first event is its creation.
     """
-    first_deps: dict[str, DependencySpec] = {}
+    seen: set[str] = set()
+    first_deps: dict[str, tuple[str, ...]] = {}
     for event in events:
-        if event.job_id in first_deps:
+        if event.job_id in seen:
             continue
+        seen.add(event.job_id)
         if event.kind == EventKind.CREATED and event.dependency_raw != LATE_DEPENDENCY:
-            first_deps[event.job_id] = parse_dependency_spec(event.dependency_raw)
-        else:
-            first_deps[event.job_id] = DependencySpec()
+            targets = dependency_targets(event.dependency_raw)
+            if targets is not None:
+                first_deps[event.job_id] = targets
     return first_deps
 
 
@@ -353,7 +359,7 @@ class LogStats(NamedTuple):
     window: tuple[datetime, datetime] | None
 
 
-def compute_stats(log: CaseLog, first_deps: Mapping[str, DependencySpec]) -> LogStats:
+def compute_stats(log: CaseLog, first_deps: Mapping[str, tuple[str, ...]]) -> LogStats:
     """Summarize the log: counts, explicit-dependency fractions, time window.
 
     CPU/RAM averages are out of scope: the six observed queue columns carry
@@ -364,9 +370,7 @@ def compute_stats(log: CaseLog, first_deps: Mapping[str, DependencySpec]) -> Log
     jobs = log.job_ids()
     accounts = {e.account for e in log.events}
     job_account = {e.job_id: e.account for e in log.events}
-    explicit_jobs = {
-        j for j in jobs if not first_deps.get(j, DependencySpec()).is_empty
-    }
+    explicit_jobs = jobs.intersection(first_deps)
     explicit_accounts = {job_account[j] for j in explicit_jobs}
     timestamps = [e.timestamp for e in log.events]
     return LogStats(

@@ -342,8 +342,12 @@ def write_oracle(oracle: Oracle, directory) -> None:
 #   max_running=<n>          (optional; at least 1)
 #   job <id> account=<a> group=<g> cmd=<path> dur=<secs> deps=<id,id|-> mode=<batch|manual>
 #
-# Blank lines and lines starting with '#' are ignored. account, group and cmd are not empty.
-# A job id holds none of the DEPENDENCY column's marks: colon, comma, ?, +, ( and ).
+# Lines end at LF only. Blank lines and lines starting with '#' are ignored. A job
+# line names each of its fields at most once and no other; deps and mode may be
+# left out. account, group and cmd are not empty. A job id holds none of the
+# DEPENDENCY column's marks: colon, comma, ?, +, ( and ).
+
+_JOB_FIELDS = frozenset({"account", "group", "cmd", "dur", "deps", "mode"})
 
 
 def load_scenario(source: Path | str) -> ScenarioSpec:
@@ -353,7 +357,7 @@ def load_scenario(source: Path | str) -> ScenarioSpec:
     interval = 30
     max_running: int | None = None
     jobs: list[SimJob] = []
-    for line_number, raw_line in enumerate(text.splitlines(), start=1):
+    for line_number, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
@@ -367,6 +371,10 @@ def load_scenario(source: Path | str) -> ScenarioSpec:
                 if "=" not in token:
                     raise ParseError(line_number, f"expected key=value, got {token!r}")
                 key, value = token.split("=", 1)
+                if key not in _JOB_FIELDS:
+                    raise ParseError(line_number, f"unknown field {key!r}")
+                if key in fields:
+                    raise ParseError(line_number, f"repeated field {key!r}")
                 fields[key] = value
             missing = {"account", "group", "cmd", "dur"} - fields.keys()
             if missing:

@@ -21,9 +21,10 @@ split line's account, job id, DEPENDENCY and group are interned like its
 state, so a job's rows, events and observer record share one string per
 column however often its line changes.
 
-``parse_dependency_spec`` splits a DEPENDENCY value into clauses, each a
-condition tag and its target job ids. Only the targets are read downstream:
-they draw the edges of explicit correlation.
+``dependency_targets`` reads a DEPENDENCY value as the target job ids of its
+clauses, or None when it declares nothing. A clause's condition tag is not
+read: the targets draw the edges of explicit correlation, and whether a job
+declares anything at all is what ``stats`` counts.
 """
 
 from __future__ import annotations
@@ -58,27 +59,6 @@ _NO_DEPENDENCY_VALUES = {"", "(null)", "null"}
 _TARGET = re.compile(r"(.*?)(?:\+\d+)?(?:\([^()]*\))?", re.DOTALL)
 
 
-class DependencyClause(NamedTuple):
-    tag: str
-    targets: tuple[str, ...]
-
-
-class DependencySpec(NamedTuple):
-    """Parsed DEPENDENCY column value: zero or more condition clauses."""
-
-    clauses: tuple[DependencyClause, ...] = ()
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.clauses
-
-    def targets(self) -> list[str]:
-        out: list[str] = []
-        for clause in self.clauses:
-            out.extend(clause.targets)
-        return out
-
-
 class JobRow(NamedTuple):
     """One parsed line of a queue snapshot.
 
@@ -107,31 +87,28 @@ class MalformedRow(NamedTuple):
     line: str
 
 
-def parse_dependency_spec(raw: str) -> DependencySpec:
-    """Parse a DEPENDENCY column value.
+def dependency_targets(raw: str) -> tuple[str, ...] | None:
+    """The target job ids a DEPENDENCY column value declares, or None if it
+    declares nothing.
 
-    Total: any input yields a spec. A clause keeps its condition tag
-    lower-cased and uninterpreted, so an unfamiliar tag never aborts
-    observation. Targets are bare job ids: "after:7+10" and
-    "afterok:7(unfulfilled)" both target 7.
+    Total: any input yields a result. Clauses are split by ``,`` or ``?`` and
+    their targets by ``:``; a clause's condition tag is not read, so an
+    unfamiliar tag never aborts observation. Targets are bare job ids, in
+    order: "after:7+10" and "afterok:7(unfulfilled)" both target 7. A value
+    that is empty, ``null``, ``(null)`` or only separators declares nothing;
+    one with a clause but no target, such as ``singleton``, declares ().
     """
-    raw = raw.strip()
-    if raw.lower() in _NO_DEPENDENCY_VALUES:
-        return DependencySpec()
-    clauses = []
-    for part in re.split(r"[,?]", raw):
-        part = part.strip()
-        if not part:
-            continue
-        pieces = part.split(":")
-        tag = pieces[0].strip().lower()
-        targets = tuple(
-            target
-            for piece in pieces[1:]
-            if (target := _TARGET.fullmatch(piece.strip()).group(1))
-        )
-        clauses.append(DependencyClause(tag, targets))
-    return DependencySpec(tuple(clauses))
+    if raw.strip().lower() in _NO_DEPENDENCY_VALUES:
+        return None
+    clauses = [part for part in re.split(r"[,?]", raw) if part.strip()]
+    if not clauses:
+        return None
+    return tuple(
+        target
+        for clause in clauses
+        for piece in clause.split(":")[1:]
+        if (target := _TARGET.fullmatch(piece.strip()).group(1))
+    )
 
 
 def normalize_command(command_path: str) -> str:

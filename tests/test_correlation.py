@@ -513,7 +513,7 @@ class TestApplyCases:
 class TestExtractFirstDependencies:
     def test_late_marker_maps_to_empty(self):
         events = [event("1", dep="(late)")]
-        assert extract_first_dependencies(events)["1"].is_empty
+        assert extract_first_dependencies(events) == {}
 
     def test_same_on_events_and_case_log(self):
         result = simulator.simulate(simulator.load_bundled_scenario("fig1_explicit"))
@@ -521,4 +521,4 @@ class TestExtractFirstDependencies:
         derived = extract_first_dependencies(events)
         log = apply_cases(events, assign_cases_implicit(events))
         assert extract_first_dependencies(log) == derived
-        assert derived["4"].targets() == ["2", "3"]
+        assert derived["4"] == ("2", "3")

@@ -86,15 +86,15 @@ class TestDiffSnapshot:
     def test_first_dependency_captured_once(self):
         state = ObserverState()
         events = diff_snapshot(state, [row("1", PENDING, dep="afterok:7")], T0)
-        assert extract_first_dependencies(events)["1"].targets() == ["7"]
+        assert extract_first_dependencies(events)["1"] == ("7",)
         t1 = T0 + timedelta(seconds=30)
         later = diff_snapshot(state, [row("1", PENDING, dep="(null)")], t1)
-        assert extract_first_dependencies(events + later)["1"].targets() == ["7"]
+        assert extract_first_dependencies(events + later)["1"] == ("7",)
 
     def test_late_first_sight_flags_dependency(self):
         events = diff_snapshot(ObserverState(), [row("1", RUNNING)], T0)
         assert events[0].dependency_raw == observer.LATE_DEPENDENCY
-        assert extract_first_dependencies(events)["1"].is_empty
+        assert extract_first_dependencies(events) == {}
 
 
 class TestFinalizeVanished:
@@ -405,7 +405,7 @@ class TestRunObservation:
         ]
         sink = []
         run_observation(snaps, sink)
-        assert extract_first_dependencies(sink)["4"].targets() == ["2", "3"]
+        assert extract_first_dependencies(sink)["4"] == ("2", "3")
 
 
 NEW_YORK = ZoneInfo("America/New_York")

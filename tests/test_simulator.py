@@ -60,6 +60,30 @@ class TestLoadScenario:
             load_scenario("seed=0\nwhat is this\n")
         assert exc_info.value.line_number == 2
 
+    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+    def test_lines_end_at_lf_only(self, brk):
+        with pytest.raises(ParseError, match="^line 2: unrecognized line: 'bogus'$"):
+            load_scenario(f"# a{brk}b\nbogus\n")
+        # The command is what cannot be one column, not a missing duration.
+        text = f"seed=0\njob 1 account=a group=g cmd=/x/a{brk}b.sh dur=30\n"
+        with pytest.raises(ParseError, match="^line 2: expected key=value, got 'b.sh'$"):
+            load_scenario(text)
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ("dur=30 mdoe=manual", "unknown field 'mdoe'"),
+            ("dur=30 dur=60", "repeated field 'dur'"),
+            ("dur=30 mode=batch mode=manual", "repeated field 'mode'"),
+            ("dur=30 deps=- deps=-", "repeated field 'deps'"),
+            ("dur=30 =x", "unknown field ''"),
+        ],
+    )
+    def test_job_field_unknown_or_repeated(self, fields, message):
+        text = f"seed=0\njob 1 account=a group=g cmd=/x.sh {fields}\n"
+        with pytest.raises(ParseError, match=f"^line 2: {message}$"):
+            load_scenario(text)
+
     def test_max_running_below_one_rejected(self):
         text = "max_running=0\njob 1 account=a group=g cmd=/x.sh dur=30 deps=- mode=batch\n"
         with pytest.raises(InvalidScenario, match="^max_running must be at least 1$"):

@@ -14,11 +14,10 @@ from hpcmine.snapshots import (
     PENDING,
     RUNNING,
     SNAPSHOT_HEADER,
-    DependencySpec,
     JobRow,
     MalformedRow,
     normalize_command,
-    parse_dependency_spec,
+    dependency_targets,
     parse_snapshot,
 )
 
@@ -299,55 +298,61 @@ class TestParserMatchesReference:
             row.state = RUNNING
 
 
+# A DEPENDENCY value as squeue may print it: clauses of a tag and targets, each
+# with an optional "+<minutes>" delay and "(<state>)" suffix, joined by "," or
+# "?", with blanks, empty clauses and null markers in any case among them.
+_DEPENDENCY_VALUES = st.lists(
+    st.sampled_from(
+        ["afterok", "AfterAny", "singleton", "", " ", ":", ",", "?", "null", "(NULL)", "7",
+         "41-2", "100_1", "+10", "(unfulfilled)", "(x)(y)", "+", "()", "\t"]
+    ),
+    max_size=8,
+).map("".join)
+
+
 class TestParseDependencySpec:
-    @pytest.mark.parametrize("raw", ["(null)", "NULL", "null", "", "  (NULL)  "])
+    @pytest.mark.parametrize("raw", ["(null)", "NULL", "null", "", "  (NULL)  ", ",", " ?, "])
     def test_no_dependency_values(self, raw):
-        assert parse_dependency_spec(raw).is_empty
+        assert dependency_targets(raw) is None
 
     def test_single_clause(self):
-        spec = parse_dependency_spec("afterok:2:3")
-        assert len(spec.clauses) == 1
-        clause = spec.clauses[0]
-        assert clause.tag == "afterok"
-        assert clause.targets == ("2", "3")
+        assert dependency_targets("afterok:2:3") == ("2", "3")
 
     def test_multiple_clauses(self):
-        spec = parse_dependency_spec("afterany:10,afterok:11:12")
-        assert [c.tag for c in spec.clauses] == ["afterany", "afterok"]
-        assert spec.targets() == ["10", "11", "12"]
+        assert dependency_targets("afterany:10,afterok:11:12") == ("10", "11", "12")
 
     def test_question_mark_separator(self):
-        spec = parse_dependency_spec("afterok:1?afterany:2")
-        assert len(spec.clauses) == 2
+        assert dependency_targets("afterok:1?afterany:2") == ("1", "2")
 
-    def test_bare_clause_is_unknown_without_targets(self):
-        spec = parse_dependency_spec("singleton")
-        assert spec.clauses[0].tag == "singleton"
-        assert spec.clauses[0].targets == ()
+    @pytest.mark.parametrize("raw", ["singleton", "afterok:", "afterok:,"])
+    def test_bare_clause_is_unknown_without_targets(self, raw):
+        assert dependency_targets(raw) == ()
 
     @pytest.mark.parametrize(
         "raw,targets",
         [
-            ("afterok:123(unfulfilled)", ["123"]),
-            ("afterany:4:5(failed)", ["4", "5"]),
-            ("after:7+10", ["7"]),
-            ("after:7+10(unfulfilled)", ["7"]),
-            ("singleton", []),
+            ("afterok:123(unfulfilled)", ("123",)),
+            ("afterany:4:5(failed)", ("4", "5")),
+            ("after:7+10", ("7",)),
+            ("after:7+10(unfulfilled)", ("7",)),
+            ("singleton", ()),
         ],
     )
     def test_squeue_target_suffixes_stripped(self, raw, targets):
-        assert parse_dependency_spec(raw).targets() == targets
+        assert dependency_targets(raw) == targets
 
     def test_unknown_tag_still_extracts_targets(self):
-        spec = parse_dependency_spec("aftercorr:7:8")
-        assert spec.clauses[0].tag == "aftercorr"
-        assert spec.clauses[0].targets == ("7", "8")
+        assert dependency_targets("aftercorr:7:8") == ("7", "8")
 
-    @given(st.text(max_size=80))
+    @given(st.text(max_size=80) | _DEPENDENCY_VALUES)
+    @example("NuLl")
+    @example(" singleton ? ,afterok:7+5(x) ")
     def test_total_on_arbitrary_input(self, raw):
-        spec = parse_dependency_spec(raw)
-        assert isinstance(spec, DependencySpec)
-        assert all(t for c in spec.clauses for t in c.targets)
+        # None exactly when the specification finds no clause, else every
+        # clause's targets in order.
+        clauses = spec.clauses(raw)
+        expected = tuple(t for _, targets in clauses for t in targets) if clauses else None
+        assert dependency_targets(raw) == expected
 
 
 class TestNormalizeCommand:

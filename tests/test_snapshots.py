@@ -324,8 +324,11 @@ class TestParseDependencySpec:
     def test_question_mark_separator(self):
         assert dependency_targets("afterok:1?afterany:2") == ("1", "2")
 
-    @pytest.mark.parametrize("raw", ["singleton", "afterok:", "afterok:,"])
-    def test_bare_clause_is_unknown_without_targets(self, raw):
+    def test_bare_clause_is_unknown_without_targets(self):
+        assert dependency_targets("singleton") == ()
+
+    @pytest.mark.parametrize("raw", ["afterok:", "afterok:,"])
+    def test_clause_with_empty_target_list_is_unknown(self, raw):
         assert dependency_targets(raw) == ()
 
     @pytest.mark.parametrize(

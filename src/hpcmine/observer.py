@@ -293,12 +293,24 @@ def read_snapshot_file(path) -> str:
 
 
 def write_snapshot_file(path, text: str) -> None:
-    """Write ``text`` as UTF-8 to ``path``, replacing what the file held."""
+    """Write ``text`` as UTF-8 to ``path``, replacing what the file held.
+
+    An existing file is overwritten in place and then cut to length: it is
+    not opened with ``O_TRUNC``, because truncating a file to zero frees
+    every block it held (and, on a filesystem mounted ``discard``, discards
+    them), only for the write to allocate them again. Nor is the file
+    replaced atomically: a write that fails part-way leaves the bytes written
+    so far and no byte of the old file.
+    """
     data = memoryview(text.encode("utf-8"))
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | _O_BINARY, 0o666)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | _O_BINARY, 0o666)
+    written = 0
     try:
-        while data:
-            data = data[os.write(fd, data) :]
+        try:
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        finally:
+            os.ftruncate(fd, written)
     finally:
         os.close(fd)
 

@@ -101,12 +101,21 @@ class ScenarioSpec(NamedTuple):
         if len(set(ids)) != len(ids):
             raise InvalidScenario("duplicate job ids")
         known = set(ids)
+        header_start = SNAPSHOT_HEADER.split()[:2]
         for job in self.jobs:
-            # Each is one squeue column, or the observer skips the row as malformed.
+            # Each is one squeue column without a NUL, or the observer skips
+            # the row as malformed.
             for name in ("job_id", "account", "group", "command_path"):
                 value = getattr(job, name)
                 if value.split() != [value]:
                     raise ValidationError(job.job_id, f"{name} {value!r} is not one column")
+                if "\0" in value:
+                    raise ValidationError(job.job_id, f"{name} {value!r} holds a NUL")
+            # The observer skips a line whose first two columns are the header's.
+            if [job.account, job.job_id] == header_start:
+                raise ValidationError(
+                    job.job_id, f"account {job.account} and job_id {job.job_id} start the header"
+                )
             if any(mark in job.job_id for mark in _DEPENDENCY_MARKS):
                 raise ValidationError(
                     job.job_id, f"job_id holds one of {_DEPENDENCY_MARKS!r}"
@@ -306,7 +315,9 @@ def write_snapshots(snapshots: list[Snapshot], directory) -> list[Path]:
     """Write one snapshot_<timestamp>.txt file per snapshot; returns the paths.
 
     Each file holds the UTF-8 bytes of its snapshot's text, whatever the
-    locale (``observer.write_snapshot_file``).
+    locale (``observer.write_snapshot_file``). A file of an earlier run with
+    the same name is overwritten in place and cut to length, not truncated
+    to zero first (which frees its blocks) nor replaced atomically.
 
     Snapshot files of an earlier run that this run did not write are
     removed, so a replay of the directory reads this run alone.

@@ -122,6 +122,26 @@ class TestSimulate:
         oracle = simulate(load_bundled_scenario("fig1_explicit")).oracle
         assert events == oracle.events
 
+    @pytest.mark.parametrize(
+        "earlier,later",
+        [
+            (["fig8_parallel"], ["fig1_explicit"]),
+            (["fig1_explicit"], ["fig8_parallel"]),
+            (["fig1_explicit", "--seed", "3"], ["fig1_explicit"]),
+        ],
+    )
+    def test_second_run_into_a_used_directory_is_byte_identical(self, tmp_path, earlier, later):
+        # Snapshot files are overwritten in place, longer or shorter than before.
+        fresh, used = tmp_path / "fresh", tmp_path / "used"
+        assert main(["simulate", *earlier, "-o", str(used)]) == 0
+        assert main(["simulate", *later, "-o", str(used)]) == 0
+        assert main(["simulate", *later, "-o", str(fresh)]) == 0
+
+        def files(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        assert files(used) == files(fresh)
+
     def test_unwritable_output_is_an_error(self, tmp_path, capsys):
         stale = tmp_path / "out" / "snapshots" / "snapshot_x.txt"
         stale.mkdir(parents=True)  # named like a snapshot, but cannot be removed

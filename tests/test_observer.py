@@ -558,6 +558,47 @@ class TestSnapshotFiles:
         observer.write_snapshot_file(path, "a 2 (null) /y.sh R g\n")
         assert path.read_bytes() == b"a 2 (null) /y.sh R g\n"
 
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            # longer, shorter, longer again, empty
+            ["a 1 (null) /x.sh PD g\n" * 40, "a 2 (null) /é.sh R g\n", "a 3 (null) /z CG g\n" * 90, ""],
+            # the same length, other bytes
+            ["a 1 (null) /x.sh PD g\n", "a 2 (null) /y.sh CG g\n", "b 2 (null) /y.sh CG h\n"],
+        ],
+    )
+    def test_overwrite_leaves_exactly_the_new_bytes(self, tmp_path, texts):
+        path = tmp_path / snapshot_filename(T0)
+        for text in texts:
+            observer.write_snapshot_file(path, text)
+            assert path.read_bytes() == text.encode("utf-8")
+
+    def test_failed_write_leaves_only_the_bytes_written(self, tmp_path, monkeypatch):
+        path = tmp_path / snapshot_filename(T0)
+        path.write_bytes(b"o" * 1000)
+        real_open, real_write = os.open, os.write
+        opened, sizes = [], []
+
+        def open_and_record(*args):
+            opened.append(real_open(*args))
+            return opened[-1]
+
+        def write_7_twice_then_fail(fd, data):
+            sizes.append(len(data))
+            if len(sizes) > 2:
+                raise OSError(28, "No space left on device")
+            return real_write(fd, bytes(data[:7]))
+
+        monkeypatch.setattr(os, "open", open_and_record)
+        monkeypatch.setattr(os, "write", write_7_twice_then_fail)
+        with pytest.raises(OSError, match="No space left on device"):
+            observer.write_snapshot_file(path, "a 1 (null) /x.sh PD g\n")
+        monkeypatch.undo()
+        assert sizes == [22, 15, 8]
+        with pytest.raises(OSError):  # closed
+            os.fstat(opened[0])
+        assert path.read_bytes() == b"a 1 (null) /x.sh PD g\n"[:14]
+
     def test_short_writes_still_write_whole_files(self, tmp_path, monkeypatch):
         real_write = os.write
         sizes = []

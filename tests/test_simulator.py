@@ -119,6 +119,33 @@ class TestLoadScenario:
             ScenarioSpec(jobs=jobs).validate()
         assert exc_info.value.job_id == job_id
 
+    @pytest.mark.parametrize("field", ["job_id", "account", "group", "command_path"])
+    def test_column_field_with_nul_rejected(self, field):
+        # The observer skips a line holding a NUL as malformed: the job would go unseen.
+        value = "/x\0.sh"
+        job = SimJob("1", "a", "g", "/x.sh", 30)._replace(**{field: value})
+        with pytest.raises(ValidationError) as exc_info:
+            ScenarioSpec(jobs=(job,)).validate()
+        assert str(exc_info.value) == f"job {job.job_id}: {field} {value!r} holds a NUL"
+        assert exc_info.value.job_id == job.job_id
+        with pytest.raises(ValidationError, match="^job 1: command_path .* holds a NUL$"):
+            load_scenario("job 1 account=a group=g cmd=/x\0.sh dur=30\n")
+
+    def test_header_shaped_job_rejected(self):
+        # The observer reads "ACCOUNT JOBID ..." as the header: the job would go unseen.
+        text = "job JOBID account=ACCOUNT group=g cmd=/x.sh dur=30\n"
+        message = "^job JOBID: account ACCOUNT and job_id JOBID start the header$"
+        with pytest.raises(ValidationError, match=message) as exc_info:
+            load_scenario(text)
+        assert exc_info.value.job_id == "JOBID"
+
+    @pytest.mark.parametrize("account,job_id", [("ACCOUNT", "1"), ("a", "JOBID")])
+    def test_half_a_header_is_observed(self, account, job_id):
+        result = simulate(ScenarioSpec(jobs=(SimJob(job_id, account, "g", "/x.sh", 30),)))
+        events, _ = replay_events(result)
+        assert events == result.oracle.events
+        assert len(events) == 4
+
     def test_oracle_csvs_quote_commas(self, tmp_path):
         # A scenario cannot name a job "a,b", but write_oracle takes any oracle.
         result = simulate(load_scenario("job ab account=a group=g cmd=/x dur=30\n"))

@@ -12,14 +12,10 @@ A job's state is its ST code as squeue prints it (``PD``, ``R``, ``CG``,
 how far along its lifecycle a code is belongs to discovery.
 
 A row holds only what its line says; the observation time belongs to the
-snapshot. Between two polls most lines of a queue come back unchanged, so
-``parse_snapshot`` keeps the previous call's good data lines with their rows,
-returns the same row for a line it has just seen and splits only the others.
-On a large queue its result also names the fresh and the departed rows, so
-the observer can skip the rest. What it keeps is bounded by two snapshots. A
-split line's account, job id, DEPENDENCY and group are interned like its
-state, so a job's rows, events and observer record share one string per
-column however often its line changes.
+snapshot. ``parse_snapshot`` reuses the last call's row of a line it has just
+seen; on a large queue it visits only the lines between those two polls share
+at start and end, and names the fresh and departed rows. A split line's fields
+but COMMAND are interned, so a job's rows, events and record share them.
 
 ``dependency_targets`` reads a DEPENDENCY value as the target job ids of its
 clauses, or None when it declares nothing. A clause's condition tag is not
@@ -31,6 +27,7 @@ from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_left
 from datetime import datetime
 from typing import NamedTuple
 
@@ -134,10 +131,10 @@ class SnapshotRows(list):
     ``continues`` is the previous call's result when both calls kept their
     books and neither shows a job id on two different lines, else None. Then
     every row but the fresh ones is the previous call's row of the same line,
-    so its job's state has not changed.
+    so its job's state has not changed. The next call reuses it: do not edit.
     """
 
-    __slots__ = ("fresh", "departed", "continues", "_job_ids")
+    __slots__ = ("fresh", "departed", "continues", "_job_ids", "_text", "_skipped")
 
 
 # Below this many good lines in the previous call, ``parse_snapshot`` returns
@@ -161,22 +158,20 @@ def parse_snapshot(
     Lines end at LF only, so a command holding a form feed or U+2028 stays on
     its line; ``observer.decode_snapshot`` reads CR LF and a lone CR as LF.
     The header line (first two words ``ACCOUNT JOBID``) is skipped, so a job
-    whose account is ``ACCOUNT`` is still a row. Data lines with fewer
-    than 6 columns or holding a NUL are reported via ``errors`` (and the
-    module logger, which names the snapshot by ``observed_at``) and skipped;
-    parsing continues. A NUL would reach the events file, which Python
-    3.10's ``csv.reader`` refuses to read back.
+    whose account is ``ACCOUNT`` is still a row. Data lines with fewer than 6
+    columns or holding a NUL, which Python 3.10's ``csv.reader`` could not read
+    back from the events file, are skipped and reported each time, with their
+    line number, via ``errors`` and the module logger (naming ``observed_at``).
 
-    A line that was a good data line of the previous call returns that call's
-    row, the same object; only new and changed lines are split. A row depends
-    only on its line, so interleaving calls for different streams gives the
-    same rows, only more slowly. Header, blank and malformed lines are never
-    kept, so a malformed line is reported every time it appears.
+    A good data line of the previous call returns that call's row, the same
+    object; a row depends only on its line, so interleaved calls for different
+    streams give the same rows. The next call reuses the list: do not edit it.
 
     When the previous call had at least ``_MIN_TRACKED_LINES`` good lines, the
-    result is a ``SnapshotRows``, which also names the fresh and departed rows,
-    so that ``diff_snapshot`` and ``finalize_vanished`` can skip the rest.
-    Finding them costs one dict operation per fresh or departed row.
+    result is a ``SnapshotRows``, which also names the fresh and departed rows
+    for ``diff_snapshot`` and ``finalize_vanished``. If that call's result was
+    one too, had no line twice and shares over half its text with ``text`` as
+    whole lines at start and end, those keep its rows and are not visited.
     """
     global _previous_lines, _previous_rows
     previous = _previous_lines
@@ -187,32 +182,46 @@ def parse_snapshot(
     new_row = tuple.__new__  # skips the Python-level JobRow.__new__
     intern = sys.intern
     tracked = len(previous) >= _MIN_TRACKED_LINES
+    lines, first, skipped = (), 1, []
     if tracked:
+        middle, tail_rows, tail_skips = (), (), ()
         rows: list[JobRow] = SnapshotRows()
-        kept = previous.pop  # what is left in ``previous`` has departed
         split: dict[str, JobRow] = {}  # the fresh lines, in file order
+        old = continued is not None and len(continued) == len(previous) and continued._text or ""
+        head, tail = _shared_lines(old, text)
+        if 2 * (head + tail) > len(old):
+            middle = old[head : len(old) - tail].split("\n")
+            outside = len(continued) + len(continued._skipped) - len(middle)
+            if head <= tail:  # the LFs of the shorter shared part are counted
+                first = old.count("\n", 0, head) + 1
+            else:
+                first = outside - old.count("\n", len(old) - tail) + 1
+            lines = text[head : len(text) - tail].split("\n")
+            skipped = continued._skipped[: bisect_left(continued._skipped, (first,))]
+            at = bisect_left(continued._skipped, (first + len(middle),))
+            tail_skips = continued._skipped[at:]
+            rows += continued[: first - 1 - len(skipped)]
+            tail_rows = continued[len(continued) - outside + first - 1 + len(tail_skips) :]
+            _previous_lines = current = previous  # less the old middle's lines:
+            previous = dict(zip(gone := [*filter(current.get, middle)], map(current.pop, gone)))
+            _report(skipped, 0, observed_at, errors)
+        if continued is not None:  # free the old text before the loop
+            continued._text = old = None
+        kept = previous.pop  # what is left in ``previous`` has departed
     else:
         rows = []
         kept = previous.get
         split = current
-    for line_number, line in enumerate(text.split("\n"), start=1):
+    for line_number, line in enumerate(lines or text.split("\n"), first):
         row = kept(line, None)
         if row is None:
             tokens = line.split()
             if not tokens or tokens[:2] == _HEADER_START:
+                if tracked:
+                    skipped.append((line_number, ""))
                 continue
             if len(tokens) < 6 or "\0" in line:
-                malformed = MalformedRow(line_number, line)
-                import logging  # loaded only when there is something to report
-
-                logging.getLogger(__name__).warning(
-                    "skipping malformed snapshot row %d of the snapshot at %s: %r",
-                    line_number,
-                    format_iso(observed_at),
-                    line,
-                )
-                if errors is not None:
-                    errors.append(malformed)
+                skipped += _report([(line_number, line)], 0, observed_at, errors)
                 continue
             row = new_row(
                 JobRow,
@@ -230,11 +239,42 @@ def parse_snapshot(
             current[line] = row
         rows.append(row)
     if tracked:
+        rows += tail_rows
+        skipped += _report(tail_skips, len(lines) - len(middle), observed_at, errors)
         current.update(split)
-        departed = list(previous.values())
-        _keep_books(rows, list(split.values()), departed, continued, len(current))
+        _keep_books(rows, [*split.values()], [*previous.values()], continued, len(current))
+        rows._text, rows._skipped = text, skipped  # (line number, "" or malformed line)
         _previous_rows = rows
     return rows
+
+
+def _report(skipped: list, shift: int, observed_at: datetime, errors: list | None) -> list:
+    """``skipped`` moved ``shift`` lines on; logs its malformed lines, adds them to ``errors``."""
+    skipped = [(number + shift, line) for number, line in skipped]
+    for line_number, line in skipped:
+        if line:  # not a header or blank line
+            import logging  # loaded only when there is something to report
+            message = "skipping malformed snapshot row %d of the snapshot at %s: %r"
+            logging.getLogger(__name__).warning(message, line_number, format_iso(observed_at), line)
+            if errors is not None:
+                errors.append(MalformedRow(line_number, line))
+    return skipped
+
+
+def _shared_lines(old: str, new: str) -> tuple[int, int]:
+    """The lengths of the runs of whole lines both texts start and end with, apart in
+    both. Slices of doubling, then halving, length down to 64 are compared in C."""
+    size, end, head = len(old), len(new), 0
+    for at_end in (False, True):
+        limit, n, step, growing = min(size, end) - head, 0, 256, True
+        while step >= 64:
+            at, to = (size - n - step, end - n - step) if at_end else (n, n)
+            found = n + step <= limit and new.startswith(old[at : at + step], to)
+            n, growing = n + step * found, growing and found
+            step = step * 2 if growing else step // 2
+        if not at_end:
+            head = old.rfind("\n", 0, n) + 1
+    return head, size - start if (start := old.find("\n", size - n)) >= 0 else 0
 
 
 def _keep_books(

@@ -11,6 +11,7 @@ good snapshot row and span each snapshot's parse, diff and vanish step once.
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 from collections import Counter
@@ -101,3 +102,24 @@ def test_poll_replay(tmp_path):
     timings = json.loads(stamps.read_text())
     count = len(list(snapshots.iterdir()))
     assert len(timings["absorb"]) == len(timings["probes"]) == count
+
+
+def test_poll_sweep_pools_its_runs(tmp_path, monkeypatch):
+    # The events check itself runs in CI (``tools/poll_sweep.py --quick``); here
+    # a 12-poll window checks the record's shape and that invocations pool.
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "tools"))
+    import poll_sweep
+
+    monkeypatch.setattr(poll_sweep, "POLLS", 12)
+    out = tmp_path / "sweep.json"
+    for _ in range(2):
+        assert poll_sweep.main(["--quick", "--label", "here", "--out", str(out)]) == 0
+    stored = json.loads(out.read_text())
+    assert stored["settings"] == {"seed": 1, "polls": 12}
+    record = stored["results"]["here"]
+    assert sorted(record) == ["dag_backlog x1", "manual_history x1"]
+    for orders in record.values():
+        assert sorted(orders) == sorted(poll_sweep.ORDERS)
+        for entry in orders.values():
+            assert entry["polls"] == 12 and len(entry["runs_p50_ms"]) == 2
+            assert entry["absorb_p50_ms"] == round(statistics.median(entry["runs_p50_ms"]), 4)

@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import spec
-from test_spec import NOISE
+from test_spec import NOISE, THRESHOLDS, tracked_from
 from hpcmine import observer, simulator, snapshots
 from hpcmine.snapshots import (
     COMPLETED,
@@ -227,13 +227,43 @@ class TestParserMatchesReference:
                 if tick < len(run):
                     _assert_parses_as_spec(run[tick], at)
 
-    @given(_snapshot_runs())
-    def test_keeps_only_the_last_calls_good_lines(self, runs):
-        for text in runs[0]:
-            rows = parse_snapshot(text, T0)
+    @given(_snapshot_runs(), THRESHOLDS)
+    def test_keeps_only_the_last_calls_good_lines(self, runs, threshold):
+        # What the next call reuses: the line map and, once the parser keeps its
+        # books, the result with its text and its skipped lines, by number.
+        with tracked_from(threshold):
+            before = None
+            for text in runs[0]:
+                rows = parse_snapshot(text, T0)
+                kept = snapshots._previous_lines
+                assert {line: tuple(row) for line, row in kept.items()} == _kept_lines(text)
+                assert {id(row) for row in kept.values()} <= {id(row) for row in rows}
+                if snapshots._previous_rows is not None:
+                    assert snapshots._previous_rows is rows and rows._text is text
+                    assert rows._skipped == [
+                        (number, line if spec.parse(line)[1] else "")
+                        for number, line in enumerate(text.split("\n"), 1)
+                        if not spec.parse(line)[0]
+                    ]
+                    if isinstance(before, snapshots.SnapshotRows):
+                        assert before._text is None  # only the last poll's text is kept
+                before = rows
+
+    def test_shared_head_and_tail_keep_their_rows(self):
+        # On a large queue, from the third poll on, the lines two polls share at
+        # their start and end are not visited: the line map is kept, not rebuilt.
+        lines = [f"a {i} (null) /x.sh R g" for i in range(100)]
+        with tracked_from(snapshots._MIN_TRACKED_LINES):
+            parse_snapshot("\n".join(lines), T0)
+            before = parse_snapshot("\n".join(lines), T0)
             kept = snapshots._previous_lines
-            assert {line: tuple(row) for line, row in kept.items()} == _kept_lines(text)
-            assert {id(row) for row in kept.values()} <= {id(row) for row in rows}
+            lines[50] = "a 50 (null) /x.sh CG g"
+            rows = parse_snapshot("\n".join(lines), T0)
+            assert snapshots._previous_lines is kept
+        assert rows.fresh == [("a", "50", "(null)", "/x.sh", COMPLETING, "g")]
+        assert rows.departed == [before[50]] and rows.continues is before
+        assert [row is old for row, old in zip(rows, before)].count(False) == 1
+        assert kept == {line: row for line, row in zip(lines, rows)}
 
     def test_malformed_line_reported_at_each_appearance(self):
         job = "a 1 (null) /x.sh PD g"

@@ -6,6 +6,7 @@ CR or LF, hostile event lists go straight to the CSV codec and later stages."""
 import contextlib
 import io
 import logging
+import sys
 import tempfile
 from datetime import datetime, timedelta, timezone
 from operator import add
@@ -13,6 +14,7 @@ from pathlib import Path
 from unittest import mock
 from zoneinfo import ZoneInfo
 
+import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +25,10 @@ from hpcmine.eventlog import CSV_HEADER, EVENTS_CSV_HEADER, WRITE_BLOCK, CaseLog
 from hpcmine.eventlog import EventKind, JobEvent, compute_stats, read_csv, read_events_csv
 from hpcmine.eventlog import render_stats, write_csv
 from hpcmine.simulator import ORACLE_EVENTS_HEADER
-from hpcmine.snapshots import COMPLETED, COMPLETING, PENDING, RUNNING
+from hpcmine.snapshots import COMPLETED, COMPLETING, PENDING, RUNNING, SNAPSHOT_HEADER
+
+sys.path.insert(0, str(Path(__file__).parents[1] / "tools"))
+import poll_sweep  # noqa: E402  (it finds perfbench/workloads.py itself)
 
 MILESTONES = {"pending": PENDING, "running": RUNNING, "completed": COMPLETED}
 
@@ -66,7 +71,9 @@ _states = st.lists(st.sampled_from(["PD", "R", "CG", "CD", "S", "F", "pd"]), max
 
 def tracked_from(threshold):
     """The parser keeps its books after a snapshot of ``threshold`` good lines, and
-    starts with an empty cache, so that an example parses alike each time it runs."""
+    starts with an empty cache, so that an example parses alike each time it runs:
+    no line map, and no last result, whose text and skipped lines the next call
+    would reuse. On leaving, the cache is as it was."""
     return mock.patch.multiple(
         snapshots, _MIN_TRACKED_LINES=threshold, _previous_lines={}, _previous_rows=None
     )
@@ -326,6 +333,84 @@ def test_a_list_diffed_in_between_ends_the_continued_path():
         assert type(rows) is snapshots.SnapshotRows and rows.continues is not None
     assert runs[1] == runs[0]
     assert sum(e.state == PENDING for e in runs[0]) == 2 * 3
+
+
+def assert_observes_as_spec(stream):
+    """Observed at the shipped threshold, each poll parses as it does from an
+    empty cache, malformed lines and their numbers included, and the events are
+    the specification's. Returns each poll's malformed lines."""
+    state, observed, reported = observer.ObserverState(), [], []
+    with tracked_from(snapshots._MIN_TRACKED_LINES):
+        for at, text in stream:
+            errors, cold_errors = [], []
+            rows = observer.parse_snapshot(text, at, errors)
+            with tracked_from(snapshots._MIN_TRACKED_LINES):
+                assert rows == observer.parse_snapshot(text, at, cold_errors)
+            assert errors == cold_errors
+            reported.append(errors)
+            observed += observer.diff_snapshot(state, rows, at)
+            observed += observer.finalize_vanished(state, rows, at)
+    assert observed == spec.observe(stream)[0]
+    return reported
+
+
+def _timed(texts):
+    return [observer.Snapshot(T0 + timedelta(seconds=30 * i), text) for i, text in enumerate(texts)]
+
+
+@pytest.mark.parametrize("order", poll_sweep.ORDERS)
+def test_generated_large_queue_matches_spec(order):
+    # The first 80 polls of the benchmark's dag_backlog stream, hundreds of lines
+    # each: as generated, shuffled on every poll, and with the new lines last.
+    texts = [text for _, text in poll_sweep.workloads.generate_dag_backlog(1).snapshots[:80]]
+    assert_observes_as_spec(_timed(poll_sweep.reorder(texts, order)))
+
+
+def _jobs(ids, state=RUNNING):
+    return [f"u{i % 3} {i} (null) /x/step{i % 4}.sh --n {i % 5} {state} g{i % 2}" for i in ids]
+
+
+# Queues of 80 lines. Each stream repeats its first poll, so that from its third
+# poll on the parser may reuse the head and tail it shares with the poll before.
+_QUEUE = _jobs(range(100, 180))
+_LARGE_STREAMS = {
+    "nowhere": [_QUEUE] * 4,
+    "head": [_QUEUE, _QUEUE, _jobs([100], COMPLETING) + _QUEUE[1:], _QUEUE[1:],
+             _jobs([101], COMPLETING) + _QUEUE[2:]],
+    "tail": [_QUEUE, _QUEUE, _QUEUE + _jobs([180], PENDING), _QUEUE + _jobs([180, 181], PENDING),
+             _QUEUE[:-1] + _jobs([180]) + _jobs([181], PENDING)],
+    "both ends": [_QUEUE, _QUEUE, _jobs([100], COMPLETING) + _QUEUE[1:] + _jobs([180], PENDING),
+                  _QUEUE[1:] + _jobs([180]), _QUEUE[2:-1] + _jobs([180], COMPLETING)],
+    "every line": [_jobs(range(100, 180), PENDING), _jobs(range(100, 180), PENDING), _QUEUE,
+                   _jobs(range(100, 180), COMPLETING), _jobs(range(180, 260), PENDING)],
+    "middle leaves": [_QUEUE, _QUEUE, _QUEUE[:40] + _jobs([140], COMPLETING) + _QUEUE[41:],
+                      _QUEUE[:40] + _QUEUE[41:], _QUEUE[:39] + _QUEUE[41:]],
+    "head line in middle": [_QUEUE, _QUEUE, _QUEUE[:40] + _QUEUE[3:4] + _QUEUE[41:],
+                            _QUEUE[:40] + _QUEUE[3:4] + _QUEUE[42:], _QUEUE[:40] + _QUEUE[42:]],
+    "id on two lines": [_QUEUE, _QUEUE, _QUEUE[:40] + _jobs([105], COMPLETING) + _QUEUE[40:],
+                        _QUEUE[:40] + _jobs([105], COMPLETING) + _QUEUE[41:],
+                        _QUEUE[:40] + _QUEUE[41:]],
+    # A malformed line sits in the shared head and another in the shared tail;
+    # the middle grows and shrinks, so the second has another number each time.
+    "malformed": [
+        queue[:2] + ["broken line"] + queue[2:-2] + ["a 9 PD g"] + queue[-2:]
+        for queue in [_QUEUE, _QUEUE, _QUEUE[:40] + _jobs([180, 181], PENDING) + _QUEUE[40:],
+                      _QUEUE[:39] + _QUEUE[41:], _QUEUE[:39] + _QUEUE[42:]]
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LARGE_STREAMS))
+@pytest.mark.parametrize("header", [True, False])
+@pytest.mark.parametrize("end", ["\n", ""])
+def test_large_queue_streams_match_spec(name, header, end):
+    polls = [[SNAPSHOT_HEADER] * header + lines for lines in _LARGE_STREAMS[name]]
+    reported = assert_observes_as_spec(_timed(["\n".join(lines) + end for lines in polls]))
+    if name == "malformed":  # both lines are reported on every poll, by their numbers
+        numbers = [[i + 1 for i, line in enumerate(lines) if line in ("broken line", "a 9 PD g")]
+                   for lines in polls]
+        assert [[error.line_number for error in errors] for errors in reported] == numbers
+        assert len({tuple(want) for want in numbers}) > 2
 
 
 _HOSTILE = ',"\n\r \tab1\x0b\x85é中\U0001f600'

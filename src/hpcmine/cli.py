@@ -60,13 +60,14 @@ def _observe(args, source: Iterable[observer.Snapshot], sink: observer.EventSink
 
 
 def _correlate(
-    args, events: list[eventlog.JobEvent], output
+    args, events: Iterable[eventlog.JobEvent], output
 ) -> tuple[eventlog.CaseLog, dict | None] | None:
-    """Write the case log from ``events``, which ``apply_cases`` consumes.
+    """Write the case log of ``events``, a log or a list of them.
 
     Returns the log and, for the explicit strategy, the first dependencies
     it parsed, which the stats reuse.
     """
+    events = eventlog.CaseLog.of(events)
     first_deps = None
     if args.strategy == "explicit":
         first_deps = correlation.extract_first_dependencies(events)
@@ -93,7 +94,7 @@ def _correlate(
 
 def _discover(args, log: eventlog.CaseLog, output, stats_out) -> None:
     if args.account:
-        log = eventlog.CaseLog([e for e in log if e.account == args.account])
+        log = log.for_account(args.account)
     milestone = discovery.MILESTONES[args.milestone]
     traces = discovery.project_case_traces(log, milestone=milestone)
     dfg = discovery.discover_dfg(
@@ -128,8 +129,12 @@ def cmd_observe(args) -> int:
         return _observe(args, source, sink)
 
 
+def _read_events(path) -> eventlog.CaseLog:
+    return eventlog.read_csv(path, eventlog.EVENTS_CSV_HEADER)
+
+
 def cmd_correlate(args) -> int:
-    events = _read(eventlog.read_events_csv, args.events_csv)
+    events = _read(_read_events, args.events_csv)
     if events is None:
         return 1
     return 0 if _correlate(args, events, args.output) is not None else 1
@@ -190,19 +195,32 @@ def cmd_pipeline(args) -> int:
     """Observe, correlate, discover and stats in one process, in memory.
 
     Writes the files the separate commands would write, but never reads
-    one of them back. The observed events are held in memory and written
-    to ``events.csv`` in one batch once observation ends, also when the
+    one of them back. The observed events are held as a ``CaseLog``: once a
+    poll leaves ``FOLD_BLOCK`` or more of them in a list, they are folded
+    into the log, so the list never holds more than a block and a poll. The
+    log is written to ``events.csv`` once observation ends, also when the
     source fails; the file is opened first, so an unwritable output fails
     before any work is done.
     """
     source = observer.ReplayDirectorySource(args.replay)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    events: list[eventlog.JobEvent] = []
+    events = eventlog.CaseLog()
+    block: list[eventlog.JobEvent] = []
+
+    def polls() -> Iterable[observer.Snapshot]:
+        for snapshot in source:
+            yield snapshot
+            if len(block) >= eventlog.FOLD_BLOCK:
+                events.extend(block)
+                block.clear()
+
     with observer.CsvEventSink(out / "events.csv") as sink:
         try:
-            rc = _observe(args, source, events)
+            rc = _observe(args, polls(), block)
         finally:
+            events.extend(block)
+            block.clear()
             sink.extend(events)
     if rc != 0:
         return rc

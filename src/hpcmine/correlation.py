@@ -12,15 +12,13 @@ reversed edges only when there is a cycle.
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import add, attrgetter, itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .eventlog import (  # extract_first_dependencies is re-exported
+    FOLD_BLOCK,
     CaseLog,
     JobEvent,
     extract_first_dependencies,
-    with_case,
 )
 
 DEFAULT_GROUP = "default"
@@ -111,7 +109,7 @@ def build_dependency_graph(
     sorted, to ``dropped_edges``.
     """
     graph = DependencyGraph()
-    observed = {event.job_id for event in events}
+    observed = CaseLog.of(events).job_ids()
     graph.vertices |= observed
     for job_id, targets in first_deps.items():
         if job_id not in graph.vertices:
@@ -197,50 +195,44 @@ def assign_cases_implicit(events: Iterable[JobEvent]) -> CaseAssignment:
     group reads "default". Combinations whose ``account-group`` texts collide
     (``p``, ``a-b`` and ``p-a``, ``b``) are told apart as explicit ids are,
     taken in sorted order."""
-    combination = {e.job_id: (e.account, e.group or DEFAULT_GROUP) for e in events}
-    distinct = sorted(set(combination.values()))
+    log = CaseLog.of(events)
+    jobs = log.field("job_id")[0]
+    accounts, codes = log.field("account")
+    groups = log.field("group")[0]
+    last = log.by_job(codes)  # -1 for a job with no event here
+    pair_of = {code: (accounts[code], groups[code] or DEFAULT_GROUP) for code in set(last) - {-1}}
+    distinct = sorted(set(pair_of.values()))
     name_of = dict(zip(distinct, _numbered(f"{a}-{g}" for a, g in distinct)))
-    return CaseAssignment({job_id: name_of[c] for job_id, c in combination.items()})
+    case_of = {code: name_of[pair] for code, pair in pair_of.items()}
+    return CaseAssignment({jobs[job]: case_of[code] for job, code in enumerate(last) if code >= 0})
 
 
-# Events stamped per slice by ``apply_cases``.
-STAMP_BLOCK = 256
+# A list given to ``apply_cases`` is read into a log this many events at a time.
+STAMP_BLOCK = FOLD_BLOCK
 
 
-def apply_cases(events: list[JobEvent], assignment: CaseAssignment) -> CaseLog:
-    """Attach case ids and produce the sorted event log, consuming ``events``.
+def apply_cases(events: Iterable[JobEvent], assignment: CaseAssignment) -> CaseLog:
+    """Stamp ``events`` with their jobs' case ids and sort them by case, time
+    and job id; events equal on all three keep their order.
 
-    Each event of the list is replaced by its copy with the case id, and the
-    list itself is sorted by case, time and job id and becomes the log's
-    ``events``: no event is held twice. Pass a copy to keep the original
-    order. On ``UnassignedJob`` the list is left stamped up to the unassigned
-    event and unsorted.
+    ``events`` is consumed: a ``CaseLog`` is stamped and sorted in place and
+    returned. A list is read into a log, then rewritten in place in the
+    log's order, and is the log's ``events``. ``UnassignedJob`` names the
+    job of the first event, in the given order, whose job has no case, and
+    leaves ``events`` as it was.
     """
-    cases = assignment.cases
-    case_of = cases.__getitem__
-    job_id = attrgetter("job_id")
-    head = itemgetter(slice(0, -1))  # every field but ``case_id``, the last
-    new_event = tuple.__new__  # skips the Python-level JobEvent.__new__
-    # One slice at a time, with no Python call per event: replacing the
-    # whole list at once would hold every event twice.
-    for start in range(0, len(events), STAMP_BLOCK):
-        stop = start + STAMP_BLOCK
-        block = events[start:stop]
-        try:
-            case_ids = list(map(case_of, map(job_id, block)))
-        except KeyError:
-            for i, event in enumerate(block, start):
-                case_id = cases.get(event.job_id)
-                if case_id is None:
-                    raise UnassignedJob(event.job_id) from None
-                events[i] = with_case(event, case_id)
-            continue
-        events[start:stop] = map(
-            new_event, repeat(JobEvent), map(add, map(head, block), zip(case_ids))
-        )
-    # Three stable sorts, least significant key first, give the order of the
-    # (case_id, timestamp, job_id) key without a key tuple per event.
-    events.sort(key=job_id)
-    events.sort(key=attrgetter("timestamp"))
-    events.sort(key=attrgetter("case_id"))
-    return CaseLog(events)
+    log = CaseLog.of(events)
+    jobs, job_codes = log.field("job_id")
+    case_ids = list(map(assignment.cases.get, jobs))
+    if None in case_ids:
+        missing = {code for code, case_id in enumerate(case_ids) if case_id is None}
+        first = next(filter(missing.__contains__, job_codes), None)
+        if first is not None:
+            raise UnassignedJob(jobs[first])
+        case_ids = ["" if case_id is None else case_id for case_id in case_ids]  # no event here
+    log.stamp(case_ids)
+    if isinstance(events, list):
+        events.clear()
+        events.extend(log)
+        log._events = events
+    return log

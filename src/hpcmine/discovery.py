@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import Counter
+from array import array
+from collections import Counter, deque
 from datetime import datetime
-from operator import itemgetter
-from typing import NamedTuple
+from itertools import compress, count, repeat
+from operator import itemgetter, le, or_
+from typing import Iterable, NamedTuple
 
-from .eventlog import CaseLog, EventKind, csv_line
+from .eventlog import CaseLog, EventKind, JobEvent, _gathered, csv_line
 from .snapshots import COMPLETED, COMPLETING, PENDING, RUNNING
 
 # How far along its lifecycle each squeue state code is; a suspended job
@@ -82,7 +84,7 @@ class Dfg:
         return not self.activities
 
 
-def project_case_traces(log: CaseLog, milestone: str = RUNNING) -> list[Trace]:
+def project_case_traces(log: Iterable[JobEvent], milestone: str = RUNNING) -> list[Trace]:
     """Project the log onto one trace per case.
 
     ``milestone`` is a value of ``MILESTONES``, a squeue state code. Each job
@@ -92,46 +94,46 @@ def project_case_traces(log: CaseLog, milestone: str = RUNNING) -> list[Trace]:
     milestone. Jobs that never reach the milestone are dropped (counted in a
     warning). Entries sort by timestamp, ties by job id.
 
-    One pass over the log folds each job's anchor and completion, the
-    earliest synthetic or COMPLETED event, so the log need not be sorted.
+    Each job's anchor and completion, its earliest synthetic or COMPLETED
+    event, come from ``CaseLog.earliest``, so the log need not be sorted.
     """
+    log = CaseLog.of(log)
     threshold = _STATE_RANK[milestone]
-    rank = _STATE_RANK.get
-    synthetic = EventKind.SYNTHETIC_COMPLETED
-    # (case id, job id) -> [anchor time, anchor activity, completion time]
-    jobs: dict[tuple[str, str], list] = {}
-    for event in log.events:
-        key = (event.case_id, event.job_id)
-        job = jobs.get(key)
-        if job is None:
-            job = jobs[key] = [None, None, None]
-        at = event.timestamp
-        if rank(event.state, -1) >= threshold and (job[0] is None or at < job[0]):
-            job[0] = at
-            job[1] = event.activity
-        if (event.kind is synthetic or event.state == COMPLETED) and (
-            job[2] is None or at < job[2]
-        ):
-            job[2] = at
-
-    per_case: dict[str, list] = {}
-    dropped = 0
-    for (case_id, job_id), (at, activity, completed) in jobs.items():
-        entries = per_case.setdefault(case_id, [])
-        if at is None:
-            dropped += 1
-        else:
-            entries.append((at, job_id, activity, completed))
+    states, state_codes = log.field("state")
+    reaches = [_STATE_RANK.get(state, -1) >= threshold for state in states]
+    ends = [state == COMPLETED for state in states]
+    kinds, kind_codes = log.field("kind")
+    ends_kind = [kind is EventKind.SYNTHETIC_COMPLETED for kind in kinds]
+    cases, jobs, present, (anchors, completions) = log.earliest(
+        bytes(map(reaches.__getitem__, state_codes)),
+        bytes(map(or_, map(ends.__getitem__, state_codes), map(ends_kind.__getitem__, kind_codes))),
+    )
+    job_ids = log.field("job_id")[0]
+    stamps, at_codes = log.field("timestamp")
+    activities, triple_codes = log.field("activity")
+    case_ids = log.field("case_id")[0]
+    # The pairs with an event, in a bucket per case; a case's entries are
+    # made and sorted only when its trace is.
+    buckets = [array("I") for _ in case_ids]
+    present_pairs = array("I", compress(count(), map(le, repeat(0), present)))
+    deque(map(array.append, map(buckets.__getitem__, _gathered(cases, present_pairs)), present_pairs), maxlen=0)
     traces: list[Trace] = []
-    for case_id in sorted(per_case):
-        entries = per_case[case_id]
+    dropped = 0
+    for case in sorted(filter(buckets.__getitem__, range(len(case_ids))), key=case_ids.__getitem__):
+        pairs = buckets[case]
+        buckets[case] = None
+        entries = [(stamps[at_codes[anchors[p]]], job_ids[jobs[p]], p) for p in pairs if anchors[p] >= 0]
+        dropped += len(pairs) - len(entries)
         entries.sort(key=itemgetter(0, 1))
-        traces.append(
-            Trace(
-                case_id,
-                tuple(TraceStep(activity, at, completed) for at, _, activity, completed in entries),
+        steps = [
+            TraceStep(
+                activities[triple_codes[anchors[p]]],
+                at,
+                None if completions[p] < 0 else stamps[at_codes[completions[p]]],
             )
-        )
+            for at, _, p in entries
+        ]
+        traces.append(Trace(case_ids[case], tuple(steps)))
     if dropped:
         name = next((name for name, code in MILESTONES.items() if code == milestone), milestone)
         import logging  # loaded only when there is something to report

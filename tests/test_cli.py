@@ -1,5 +1,6 @@
 import argparse
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -12,10 +13,24 @@ from pathlib import Path
 import pytest
 
 import hpcmine
-from hpcmine import observer
+from hpcmine import correlation, observer
 from hpcmine.cli import SQUEUE_CMD_ENV, build_parser, main
-from hpcmine.eventlog import CSV_HEADER, EVENTS_CSV_HEADER, CsvEventSink, write_csv
-from hpcmine.simulator import load_bundled_scenario, simulate
+from hpcmine.eventlog import (
+    CSV_HEADER,
+    EVENTS_CSV_HEADER,
+    FOLD_BLOCK,
+    CsvEventSink,
+    JobEvent,
+    write_csv,
+)
+from hpcmine.simulator import (
+    ScenarioSpec,
+    SimJob,
+    SubmitMode,
+    load_bundled_scenario,
+    simulate,
+    write_snapshots,
+)
 from hpcmine.snapshots import SNAPSHOT_HEADER
 from test_correlation import event
 
@@ -491,6 +506,29 @@ class TestStats:
 
 
 class TestPipeline:
+    def test_holds_at_most_a_block_of_events_when_correlating(self, tmp_path, monkeypatch):
+        # Six blocks of events: 1,536 jobs, each created, run and completed.
+        jobs = tuple(
+            SimJob(str(i), f"acc{i % 3}", "g", f"/x/s{i % 4}.sh", 30 * (1 + i % 3), (), SubmitMode.BATCH)
+            for i in range(1, 1537)
+        )
+        result = simulate(ScenarioSpec(jobs=jobs, seed=1, snapshot_interval=30, max_running=64))
+        assert len(result.oracle.events) > 5 * FOLD_BLOCK
+        write_snapshots(result.snapshots, tmp_path / "snapshots")
+        alive = []
+        apply_cases = correlation.apply_cases
+
+        def counted(events, assignment):
+            gc.collect()
+            alive.append(sum(type(o) is JobEvent for o in gc.get_objects()))
+            return apply_cases(events, assignment)
+
+        monkeypatch.setattr(correlation, "apply_cases", counted)
+        del result
+        argv = ["pipeline", "--replay", str(tmp_path / "snapshots"), "--strategy", "implicit"]
+        assert main([*argv, "-o", str(tmp_path / "out")]) == 0
+        assert len(alive) == 1 and alive[0] <= FOLD_BLOCK
+
     def test_full_pipeline_deterministic(self, tmp_path, fig1_replay):
         out_a, out_b = tmp_path / "pa", tmp_path / "pb"
         for out in (out_a, out_b):

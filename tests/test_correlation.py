@@ -1,5 +1,6 @@
 import hashlib
 import logging
+import operator
 import random
 from datetime import datetime, timedelta, timezone
 
@@ -24,7 +25,7 @@ from hpcmine.correlation import (
     cyclic_jobs,
     extract_first_dependencies,
 )
-from hpcmine.eventlog import write_csv
+from hpcmine.eventlog import CaseLog, write_csv
 from hpcmine.observer import EventKind, JobEvent
 from hpcmine.snapshots import PENDING
 from test_simulator import _assert_true_cases, _specs
@@ -434,28 +435,38 @@ class TestApplyCases:
         assert log.events is events
         assert [(e.case_id, e.job_id) for e in events] == [("a", "2"), ("b", "3"), ("b", "1")]
 
-    def test_unassigned_job_leaves_the_list_partly_stamped(self):
+    def test_unassigned_job_leaves_the_list_unchanged(self):
         events = [event("2"), event("1"), event("3")]
+        given = list(events)
         with pytest.raises(UnassignedJob) as raised:
             apply_cases(events, CaseAssignment({"2": "a", "3": "a"}))
         assert raised.value.job_id == "1"
-        assert [(e.job_id, e.case_id) for e in events] == [("2", "a"), ("1", ""), ("3", "")]
+        assert len(events) == len(given)
+        assert all(map(operator.is_, events, given))
 
-    def test_unassigned_job_in_the_second_block(self):
+    @pytest.mark.parametrize("as_log", [False, True], ids=["list", "log"])
+    def test_unassigned_job_is_the_first_in_the_given_order(self, as_log):
+        # Job "x" is first seen past the first block; job "0x", whose id sorts
+        # first, before it. Sorted by case, "x" comes first and "0x" last,
+        # though the log's job table still holds "0x" first.
         events = [event(str(i % 7)) for i in range(2 * STAMP_BLOCK + 10)]
-        missing = STAMP_BLOCK + 7
-        events[missing] = event("x")
+        events[2] = event("0x")
+        events[STAMP_BLOCK + 7] = event("x")
         cases = {str(i): f"c{i}" for i in range(7)}
+        log = apply_cases(CaseLog(events), CaseAssignment(cases | {"x": "a", "0x": "z"}))
+        given = list(log)
+        assert (given[0].job_id, given[-1].job_id) == ("x", "0x")
         with pytest.raises(UnassignedJob) as raised:
-            apply_cases(events, CaseAssignment(cases))
+            apply_cases(log if as_log else given, CaseAssignment(cases))
         assert raised.value.job_id == "x"
-        assert [e.job_id for e in events] == [
-            "x" if i == missing else str(i % 7) for i in range(len(events))
-        ]
-        assert [e.case_id for e in events[:missing]] == [
-            f"c{i % 7}" for i in range(missing)
-        ]
-        assert {e.case_id for e in events[missing:]} == {""}
+        assert list(log) == given
+
+    def test_a_log_given_is_stamped_and_sorted_in_place(self):
+        events = [event("2", offset=10), event("1", offset=10), event("3", offset=5)]
+        log = CaseLog(events)
+        assert apply_cases(log, CaseAssignment({"1": "b", "2": "a", "3": "b"})) is log
+        assert [(e.case_id, e.job_id) for e in log] == [("a", "2"), ("b", "3"), ("b", "1")]
+        assert [e.case_id for e in events] == ["", "", ""]
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())

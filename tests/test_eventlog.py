@@ -2,6 +2,7 @@ import csv
 import io
 import random
 import sys
+from operator import attrgetter
 from datetime import datetime, timedelta, timezone
 from zoneinfo import ZoneInfo
 
@@ -14,6 +15,7 @@ from conftest import random_case_log, replay_events
 from hpcmine import simulator
 from hpcmine.simulator import ORACLE_EVENTS_HEADER
 from hpcmine.correlation import (
+    CaseAssignment,
     apply_cases,
     assign_cases_explicit,
     build_dependency_graph,
@@ -36,9 +38,9 @@ from hpcmine.eventlog import (
     read_csv,
     read_events_csv,
     render_stats,
-    with_case,
     write_csv,
 )
+from hpcmine.discovery import project_case_traces
 from hpcmine.snapshots import COMPLETED, PENDING, RUNNING
 from hpcmine.timeutil import format_iso
 
@@ -50,9 +52,9 @@ def roundtrip(log):
     return rows, read_csv(buffer)
 
 
-class TestWithCase:
+class TestCaseLogFields:
     # A non-default value for every JobEvent field. A field added to the
-    # record fails this test by name until it is added here and to with_case.
+    # record fails this test by name until it is added here and to CaseLog.
     SAMPLE = {
         "job_id": "17",
         "account": "acct",
@@ -65,11 +67,30 @@ class TestWithCase:
         "case_id": "old",
     }
 
-    def test_copies_every_field(self):
+    def test_keeps_every_field(self):
         event = JobEvent(**{name: self.SAMPLE[name] for name in JobEvent._fields})
-        copy = with_case(event, "new")
-        assert copy == event._replace(case_id="new")
-        assert type(copy) is JobEvent and copy.case_id == "new"
+        back = list(CaseLog([event]))
+        assert back == [event]
+        assert type(back[0]) is JobEvent and back[0].timestamp.fold == 0
+
+    @pytest.mark.parametrize("piece", [100, 600])
+    def test_a_table_past_256_values_keeps_every_code(self, piece):
+        # Codes are one byte until a table passes 256 values, then four.
+        start = datetime(2023, 5, 1, tzinfo=timezone.utc)
+        events = [
+            JobEvent(f"{i % 300}", f"a{i}", "g", "x", f"S{i}", f"d{i}", EventKind.CREATED,
+                     start - timedelta(seconds=i % 290), f"c{i % 280}")
+            for i in range(600)
+        ]
+        log = CaseLog()
+        for at in range(0, len(events), piece):
+            log.extend(events[at : at + piece])
+        assert list(log) == events
+        cases = {e.job_id: f"c{int(e.job_id) % 7}" for e in events}
+        want = [e._replace(case_id=cases[e.job_id]) for e in events]
+        for key in ("job_id", "timestamp", "case_id"):
+            want.sort(key=attrgetter(key))
+        assert list(apply_cases(log, CaseAssignment(cases))) == want
 
 
 class TestJobEvent:
@@ -456,7 +477,7 @@ class TestReadCsvMatchesPerRowDecode:
             assert _read_outcome(read_csv, buffer.getvalue(), CSV_HEADER) == log.events
 
     def test_events_file_round_trip(self):
-        events = [with_case(e, "") for e in random_case_log(random.Random(8)).events]
+        events = [e._replace(case_id="") for e in random_case_log(random.Random(8))]
         buffer = io.StringIO()
         with CsvEventSink(buffer) as sink:
             for event in events:
@@ -556,3 +577,111 @@ class TestRenderStats:
         assert lines[0].startswith("Number of events")
         assert lines[3].endswith("0.00%")
         assert lines[5].endswith("-")
+
+
+_NEW_YORK = ZoneInfo("America/New_York")
+# Wall clocks around New York's DST fold of 2023-11-05, where 01:30 comes twice.
+_WALLS = [datetime(2023, 11, 5, 0, 59), datetime(2023, 11, 5, 1, 30), datetime(2023, 11, 5, 3, 0)]
+
+
+@st.composite
+def _log_events(draw):
+    """Events with hostile text and any state code, at times of one zone, in
+    any order: equal, decreasing, and the two sides of the fold, which
+    compare equal. A job may show under several accounts and cases."""
+    text = st.text(',"\r\n abé', max_size=4)
+    event = st.builds(
+        JobEvent,
+        job_id=st.sampled_from(["1", "2", "10", 'x,"y']) | text,
+        account=st.sampled_from(["a", "b"]) | text,
+        group=text,
+        activity=st.sampled_from(["A", "B"]) | text,
+        state=st.sampled_from([PENDING, RUNNING, "CG", COMPLETED, "S", "F"]) | text,
+        dependency_raw=text,
+        kind=st.sampled_from(EventKind),
+        timestamp=st.builds(
+            lambda wall, fold: wall.replace(tzinfo=_NEW_YORK, fold=fold),
+            st.sampled_from(_WALLS),
+            st.integers(0, 1),
+        ),
+        case_id=st.sampled_from(["c1", "c2"]) | text,
+    )
+    return draw(st.lists(event, max_size=30))
+
+
+def _csv_rows(events, header):
+    def cell(e, column):
+        if column == "timestamp":
+            return format_iso(e.timestamp)
+        if column == "event_kind":
+            return e.kind.value
+        return getattr(e, "state" if column == "lifecycle" else column)
+
+    return [header] + [[cell(e, column) for column in header] for e in events]
+
+
+def _with_folds(events):
+    # Times on the two sides of a fold compare equal: compare their folds too.
+    return [(e, e.timestamp.fold) for e in events]
+
+
+_FOLD_PAIR = [
+    JobEvent("1", "a", "g", "A", RUNNING, "(null)", EventKind.CREATED,
+             datetime(2023, 11, 5, 1, 30, tzinfo=_NEW_YORK, fold=fold), case)
+    for fold, case in [(1, "c1"), (0, "c2")]
+] + [JobEvent("1", "b", "g", "A", COMPLETED, "(null)", EventKind.SYNTHETIC_COMPLETED,
+              datetime(2023, 11, 5, 0, 59, tzinfo=_NEW_YORK), "c1")]
+
+
+class TestCaseLogProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(_log_events())
+    @example(_FOLD_PAIR)
+    def test_codec_of_the_log_and_of_the_list_agree(self, events):
+        log = CaseLog(events)
+        assert _with_folds(log) == _with_folds(events)
+        for header in (EVENTS_CSV_HEADER, CSV_HEADER):
+            want = "".join(map(csv_line, _csv_rows(events, header)))
+            for written in (log, events):
+                buffer = io.StringIO()
+                assert write_csv(written, buffer, header) == len(events)
+                assert buffer.getvalue() == want
+            back = read_csv(io.StringIO(want), header)
+            buffer = io.StringIO()
+            write_csv(back, buffer, header)
+            assert buffer.getvalue() == want
+            in_utc = [
+                e._replace(timestamp=e.timestamp.astimezone(timezone.utc),
+                           case_id=e.case_id if "case_id" in header else "")
+                for e in events
+            ]
+            assert list(back) == in_utc
+
+    @settings(max_examples=200, deadline=None)
+    @given(_log_events(), st.sampled_from([dict, CaseLog]))
+    @example(_FOLD_PAIR, CaseLog)
+    def test_apply_cases_sorts_stably_by_case_time_and_job(self, events, given_as):
+        cases = {e.job_id: ("c2" if e.account == "a" else "c1") for e in events}
+        # As the three stable sorts, least significant key first, left it.
+        want = [e._replace(case_id=cases[e.job_id]) for e in events]
+        for key in ("job_id", "timestamp", "case_id"):
+            want.sort(key=attrgetter(key))
+        given = list(events) if given_as is dict else CaseLog(events)
+        log = apply_cases(given, CaseAssignment(cases))
+        assert _with_folds(log) == _with_folds(want)
+        assert _with_folds(given) == _with_folds(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_log_events())
+    @example(_FOLD_PAIR)
+    def test_projection_and_stats_of_any_log(self, events):
+        # Jobs under two cases, out of time order: projection keys by (case, job).
+        for milestone in (PENDING, RUNNING, COMPLETED):
+            traces = project_case_traces(CaseLog(events), milestone)
+            want, _ = spec.traces(events, milestone)
+            assert traces == want
+            steps = [(s.at.fold, s.completed_at and s.completed_at.fold) for t in traces for s in t.steps]
+            assert steps == [(s.at.fold, s.completed_at and s.completed_at.fold)
+                             for t in want for s in t.steps]
+        stats = compute_stats(CaseLog(events), extract_first_dependencies(events))
+        assert render_stats(stats) == render_stats(spec.stats(events))

@@ -59,31 +59,28 @@ def _observe(args, source: Iterable[observer.Snapshot], sink: observer.EventSink
     return 0
 
 
-def _correlate(
-    args, events: Iterable[eventlog.JobEvent], output
-) -> tuple[eventlog.CaseLog, dict | None] | None:
-    """Write the case log of ``events``, a log or a list of them.
+def _correlate(args, log: eventlog.CaseLog, output) -> tuple[eventlog.CaseLog, dict | None] | None:
+    """Stamp ``log`` with its case ids, in place, and write it.
 
     Returns the log and, for the explicit strategy, the first dependencies
     it parsed, which the stats reuse.
     """
-    events = eventlog.CaseLog.of(events)
     first_deps = None
     if args.strategy == "explicit":
-        first_deps = correlation.extract_first_dependencies(events)
-        graph = correlation.build_dependency_graph(events, first_deps)
+        first_deps = correlation.extract_first_dependencies(log)
+        graph = correlation.build_dependency_graph(log, first_deps)
         assignment = correlation.assign_cases_explicit(graph, hash_ids=args.hash_case_ids)
         # A target never observed has a case but holds no event.
         case_ids = [assignment.cases[job] for job in graph.vertices - graph.external]
         if len(set(case_ids)) == len(case_ids) > 1:
             _warn("no explicit interdependencies found: every event belongs to a different case")
     else:
-        assignment = correlation.assign_cases_implicit(events)
+        assignment = correlation.assign_cases_implicit(log)
         case_ids = list(assignment.cases.values())
         if len(set(case_ids)) == 1 and len(case_ids) > 1:
             _warn("single account-group combination: every event belongs to the same case")
     try:
-        log = correlation.apply_cases(events, assignment)
+        correlation.apply_cases(log, assignment)
     except correlation.UnassignedJob as exc:
         _err(str(exc))
         return None
@@ -129,15 +126,11 @@ def cmd_observe(args) -> int:
         return _observe(args, source, sink)
 
 
-def _read_events(path) -> eventlog.CaseLog:
-    return eventlog.read_csv(path, eventlog.EVENTS_CSV_HEADER)
-
-
 def cmd_correlate(args) -> int:
-    events = _read(_read_events, args.events_csv)
-    if events is None:
+    log = _read(eventlog.read_events_csv, args.events_csv)
+    if log is None:
         return 1
-    return 0 if _correlate(args, events, args.output) is not None else 1
+    return 0 if _correlate(args, log, args.output) is not None else 1
 
 
 def cmd_discover(args) -> int:

@@ -14,12 +14,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple
 
-from .eventlog import (  # extract_first_dependencies is re-exported
-    FOLD_BLOCK,
-    CaseLog,
-    JobEvent,
-    extract_first_dependencies,
-)
+# extract_first_dependencies is re-exported: perfbench/traced.py reads it here.
+from .eventlog import CaseLog, extract_first_dependencies
 
 DEFAULT_GROUP = "default"
 
@@ -99,7 +95,7 @@ class CaseAssignment(NamedTuple):
 
 
 def build_dependency_graph(
-    events: Iterable[JobEvent], first_deps: Mapping[str, tuple[str, ...]]
+    log: CaseLog, first_deps: Mapping[str, tuple[str, ...]]
 ) -> DependencyGraph:
     """Build the declared-dependency DAG over the observed jobs.
 
@@ -109,7 +105,7 @@ def build_dependency_graph(
     sorted, to ``dropped_edges``.
     """
     graph = DependencyGraph()
-    observed = CaseLog.of(events).job_ids()
+    observed = log.job_ids()
     graph.vertices |= observed
     for job_id, targets in first_deps.items():
         if job_id not in graph.vertices:
@@ -190,12 +186,11 @@ def assign_cases_explicit(graph: DependencyGraph, hash_ids: bool = False) -> Cas
     )
 
 
-def assign_cases_implicit(events: Iterable[JobEvent]) -> CaseAssignment:
+def assign_cases_implicit(log: CaseLog) -> CaseAssignment:
     """One case per ACCOUNT-GROUP combination of each job's last event; an empty
     group reads "default". Combinations whose ``account-group`` texts collide
     (``p``, ``a-b`` and ``p-a``, ``b``) are told apart as explicit ids are,
     taken in sorted order."""
-    log = CaseLog.of(events)
     jobs = log.field("job_id")[0]
     accounts, codes = log.field("account")
     groups = log.field("group")[0]
@@ -207,21 +202,14 @@ def assign_cases_implicit(events: Iterable[JobEvent]) -> CaseAssignment:
     return CaseAssignment({jobs[job]: case_of[code] for job, code in enumerate(last) if code >= 0})
 
 
-# A list given to ``apply_cases`` is read into a log this many events at a time.
-STAMP_BLOCK = FOLD_BLOCK
+def apply_cases(log: CaseLog, assignment: CaseAssignment) -> CaseLog:
+    """Stamp the events of ``log`` with their jobs' case ids and sort them,
+    in place, by case, time and job id; events equal on all three keep their
+    order. Returns ``log``.
 
-
-def apply_cases(events: Iterable[JobEvent], assignment: CaseAssignment) -> CaseLog:
-    """Stamp ``events`` with their jobs' case ids and sort them by case, time
-    and job id; events equal on all three keep their order.
-
-    ``events`` is consumed: a ``CaseLog`` is stamped and sorted in place and
-    returned. A list is read into a log, then rewritten in place in the
-    log's order, and is the log's ``events``. ``UnassignedJob`` names the
-    job of the first event, in the given order, whose job has no case, and
-    leaves ``events`` as it was.
+    ``UnassignedJob`` names the job of the first event, in log order, whose
+    job has no case, and leaves ``log`` as it was.
     """
-    log = CaseLog.of(events)
     jobs, job_codes = log.field("job_id")
     case_ids = list(map(assignment.cases.get, jobs))
     if None in case_ids:
@@ -231,8 +219,4 @@ def apply_cases(events: Iterable[JobEvent], assignment: CaseAssignment) -> CaseL
             raise UnassignedJob(jobs[first])
         case_ids = ["" if case_id is None else case_id for case_id in case_ids]  # no event here
     log.stamp(case_ids)
-    if isinstance(events, list):
-        events.clear()
-        events.extend(log)
-        log._events = events
     return log

@@ -16,9 +16,9 @@ from collections import Counter, deque
 from datetime import datetime
 from itertools import compress, count, repeat
 from operator import itemgetter, le, or_
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .eventlog import CaseLog, EventKind, JobEvent, _gathered, csv_line
+from .eventlog import CaseLog, EventKind, _gathered, csv_line
 from .snapshots import COMPLETED, COMPLETING, PENDING, RUNNING
 
 # How far along its lifecycle each squeue state code is; a suspended job
@@ -84,7 +84,7 @@ class Dfg:
         return not self.activities
 
 
-def project_case_traces(log: Iterable[JobEvent], milestone: str = RUNNING) -> list[Trace]:
+def project_case_traces(log: CaseLog, milestone: str = RUNNING) -> list[Trace]:
     """Project the log onto one trace per case.
 
     ``milestone`` is a value of ``MILESTONES``, a squeue state code. Each job
@@ -97,7 +97,6 @@ def project_case_traces(log: Iterable[JobEvent], milestone: str = RUNNING) -> li
     Each job's anchor and completion, its earliest synthetic or COMPLETED
     event, come from ``CaseLog.earliest``, so the log need not be sorted.
     """
-    log = CaseLog.of(log)
     threshold = _STATE_RANK[milestone]
     states, state_codes = log.field("state")
     reaches = [_STATE_RANK.get(state, -1) >= threshold for state in states]

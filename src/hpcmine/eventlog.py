@@ -5,8 +5,9 @@ One record, ``JobEvent``, is what the observer emits, with an empty
 building and copying one costs what a tuple costs. A ``CaseLog`` holds
 events as columns: per event and field, a code into a small table of the
 field's distinct values, one byte or four, where a ``JobEvent`` in a list
-takes 120 bytes an event. The stages from correlation on read the columns. The raw events
-file and the case log are two column layouts of one CSV codec.
+takes 120 bytes an event. Every stage from correlation on takes a log and
+reads its columns. The raw events file and the case log are two column
+layouts of one CSV codec.
 
 The codec has one encoding, ``csv_line``'s, which every CSV file the package
 writes is in, and one reader, ``csv.reader``, behind ``read_csv``. Events
@@ -240,14 +241,13 @@ class CaseLog:
     beyond. An instant is a time, or ``(time, 1)`` on the second side of a
     DST fold: the two sides hash and compare equal, but are an hour apart.
     Iterating gives the events as ``JobEvent``s in log order, and
-    ``CaseLog(events)`` takes them. Every stage that reads a log also takes
-    a ``JobEvent`` list, made into a log once (``CaseLog.of``).
+    ``CaseLog(events)`` takes them.
 
     ``job_cases`` is set while each job has one case and the log is sorted
     by case, time and job id, as ``stamp`` leaves it: each job code's case code.
     """
 
-    __slots__ = _LOG_COLUMNS + ("job_cases", "_events")
+    __slots__ = _LOG_COLUMNS + ("job_cases",)
 
     def __init__(self, events: Iterable[JobEvent] = ()) -> None:
         self.job = _Column()
@@ -258,13 +258,7 @@ class CaseLog:
         self.at = _Column()
         self.case = _Column()
         self.job_cases: array | None = None
-        self._events: list[JobEvent] | None = None
         self.extend(events)
-
-    @classmethod
-    def of(cls, events: Iterable[JobEvent]) -> CaseLog:
-        """``events`` if it is a log, else a log of them."""
-        return events if isinstance(events, CaseLog) else cls(events)
 
     def extend(self, events: Iterable[JobEvent]) -> None:
         """Append ``events``, ``FOLD_BLOCK`` at a time, with no Python call per event."""
@@ -276,7 +270,7 @@ class CaseLog:
             self._fold(*fields, list(map(_get_value, kinds)), stamps, case_ids)
 
     def _fold(self, job_ids, accounts, groups, activities, states, deps, kinds, instants, case_ids):
-        self.job_cases = self._events = None
+        self.job_cases = None
         self.job.fold(job_ids)
         self.triple.fold(accounts, groups, activities)
         self.state.fold(states)
@@ -291,12 +285,6 @@ class CaseLog:
     def __iter__(self) -> Iterator[JobEvent]:
         fields = [map(values.__getitem__, codes) for values, codes in map(self.field, JobEvent._fields)]
         return map(tuple.__new__, repeat(JobEvent), zip(*fields))
-
-    @property
-    def events(self) -> list[JobEvent]:
-        """The events as a new list; for a log ``apply_cases`` made of a list,
-        that list, which it stamped and sorted."""
-        return list(self) if self._events is None else self._events
 
     def field(self, name: str) -> tuple[list, Sequence[int]]:
         """The values of ``JobEvent`` field ``name`` by code, and its codes."""
@@ -371,7 +359,6 @@ class CaseLog:
             setattr(self, name, column)
         self.case = cases.taken(self.job.codes)
         self.job_cases = cases.codes
-        self._events = None
 
     def earliest(self, *flags: bytes) -> tuple[Sequence[int], Sequence[int], array, list[array]]:
         """Each (case, job) pair's first event, and its earliest of each of ``flags``.
@@ -408,7 +395,7 @@ class CaseLog:
         log = CaseLog.__new__(CaseLog)
         for name in _LOG_COLUMNS:
             setattr(log, name, getattr(self, name).taken(positions))
-        log.job_cases, log._events = self.job_cases, None
+        log.job_cases = self.job_cases
         return log
 
 
@@ -591,28 +578,27 @@ def _fold_rows(log: CaseLog, rows: list[list[str]], first: int, header: list[str
                 try:
                     _COLUMNS[name][2](text)
                 except ValueError:
-                    if name != "timestamp":
-                        raise
-                    raise BadTimestamp(number, text) from None
+                    if name == "timestamp":
+                        raise BadTimestamp(number, text) from None
+                    raise MalformedCsv(number, f"unknown {name} {text!r}") from None
     log._fold(*(fields.get(name, ("",) * len(rows)) for name in JobEvent._fields))
 
 
-def read_events_csv(source) -> list[JobEvent]:
+def read_events_csv(source) -> CaseLog:
     """Read a raw events file written by the observer."""
-    return read_csv(source, EVENTS_CSV_HEADER).events
+    return read_csv(source, EVENTS_CSV_HEADER)
 
 
-def extract_first_dependencies(events: Iterable[JobEvent]) -> dict[str, tuple[str, ...]]:
+def extract_first_dependencies(log: CaseLog) -> dict[str, tuple[str, ...]]:
     """Map each job that declares a dependency at first sight to its targets.
 
     A job is in the map when its first event is a creation that shows its
     DEPENDENCY column (not ``(late)``) and the column declares something
     (see ``snapshots.dependency_targets``); the targets may be ().
 
-    Works on the observer's event stream and on a case log alike: both keep
-    each job's events in time order, so a job's first event is its creation.
+    Works on the observer's events and on a case log alike: both keep each
+    job's events in time order, so a job's first event is its creation.
     """
-    log = CaseLog.of(events)
     jobs, job_codes = log.field("job_id")
     deps, dep_codes = log.field("dependency_raw")
     kind_codes = log.kind.codes
@@ -629,6 +615,7 @@ def extract_first_dependencies(events: Iterable[JobEvent]) -> dict[str, tuple[st
     return first_deps
 
 
+# Read by perfbench/traced.py.
 first_dependencies_from_log = extract_first_dependencies
 
 
@@ -641,15 +628,12 @@ class LogStats(NamedTuple):
     window: tuple[datetime, datetime] | None
 
 
-def compute_stats(
-    log: Iterable[JobEvent], first_deps: Mapping[str, tuple[str, ...]]
-) -> LogStats:
+def compute_stats(log: CaseLog, first_deps: Mapping[str, tuple[str, ...]]) -> LogStats:
     """Summarize the log: counts, explicit-dependency fractions, time window.
 
     CPU/RAM averages are out of scope: the six observed queue columns carry
     no resource fields.
     """
-    log = CaseLog.of(log)
     if not len(log):
         return LogStats(0, 0, 0, 0.0, 0.0, None)
     jobs = log.job.table

@@ -22,7 +22,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Protocol
 
-from .eventlog import (  # CsvEventSink and read_events_csv are re-exported
+# CsvEventSink and read_events_csv are re-exported: perfbench/traced.py reads them here.
+from .eventlog import (
     LATE_DEPENDENCY,
     CsvEventSink,
     EventKind,

@@ -21,7 +21,7 @@ from hpcmine.discovery import (
     export_dot,
     project_case_traces,
 )
-from hpcmine.eventlog import read_csv, write_csv
+from hpcmine.eventlog import CaseLog, read_csv, write_csv
 from hpcmine.snapshots import PENDING, parse_snapshot
 
 
@@ -31,7 +31,7 @@ def _ok(n, text):
 
 def fig1_case_log():
     result = simulator.simulate(simulator.load_bundled_scenario("fig1_explicit"))
-    events, _ = replay_events(result)
+    events = CaseLog(replay_events(result)[0])
     graph = build_dependency_graph(events, extract_first_dependencies(events))
     return apply_cases(events, assign_cases_explicit(graph)), result
 
@@ -39,7 +39,7 @@ def fig1_case_log():
 def test_criterion_1_explicit_case_id_fidelity():
     start = time.monotonic()
     log, _ = fig1_case_log()
-    case_ids = {e.case_id for e in log.events}
+    case_ids = {e.case_id for e in log}
     assert case_ids == {"JID4321"}
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
@@ -127,7 +127,7 @@ def test_criterion_4_explicit_partition_equals_union_find():
 
 def test_criterion_5_parallel_pair_detection():
     result = simulator.simulate(simulator.load_bundled_scenario("fig8_parallel"))
-    events, _ = replay_events(result)
+    events = CaseLog(replay_events(result)[0])
     log = apply_cases(events, assign_cases_implicit(events))
     dfg = discover_dfg(project_case_traces(log))
     parallel = detect_parallel(dfg)
@@ -139,7 +139,7 @@ def test_criterion_6_degeneracies():
     # Explicit strategy without declared dependencies: one case per job,
     # hence singleton traces and an edgeless model.
     result = simulator.simulate(simulator.load_bundled_scenario("fig1_manual"))
-    events, _ = replay_events(result)
+    events = CaseLog(replay_events(result)[0])
     graph = build_dependency_graph(events, extract_first_dependencies(events))
     explicit = assign_cases_explicit(graph)
     assert len(set(explicit.cases.values())) == len(explicit.cases) == 4
@@ -174,7 +174,7 @@ def test_criterion_8_bottleneck_annotation():
         job._replace(duration=600 if job.job_id == "1" else 60) for job in base.jobs
     )
     result = simulator.simulate(base._replace(jobs=jobs))
-    events, _ = replay_events(result)
+    events = CaseLog(replay_events(result)[0])
     graph = build_dependency_graph(events, extract_first_dependencies(events))
     log = apply_cases(events, assign_cases_explicit(graph))
     dfg = discover_dfg(project_case_traces(log))
@@ -196,7 +196,7 @@ def test_criterion_9_csv_round_trip():
         buffer = io.StringIO()
         write_csv(log, buffer)
         buffer.seek(0)
-        assert read_csv(buffer).events == log.events
+        assert list(read_csv(buffer)) == list(log)
     _ok(9, "read(write(log)) identity holds on 500 random logs with quoting")
 
 

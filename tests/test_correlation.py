@@ -1,6 +1,5 @@
 import hashlib
 import logging
-import operator
 import random
 from datetime import datetime, timedelta, timezone
 
@@ -14,7 +13,6 @@ from hpcmine import correlation, simulator
 from hpcmine.correlation import (
     _component_case_id,
     MAX_CASE_ID_LENGTH,
-    STAMP_BLOCK,
     CaseAssignment,
     DependencyGraph,
     UnassignedJob,
@@ -25,7 +23,7 @@ from hpcmine.correlation import (
     cyclic_jobs,
     extract_first_dependencies,
 )
-from hpcmine.eventlog import CaseLog, write_csv
+from hpcmine.eventlog import FOLD_BLOCK, CaseLog, write_csv
 from hpcmine.observer import EventKind, JobEvent
 from hpcmine.snapshots import PENDING
 from test_simulator import _assert_true_cases, _specs
@@ -47,12 +45,12 @@ def event(job_id, account="a", group="g", dep="(null)", kind=EventKind.CREATED, 
 
 
 def fig7_inputs():
-    events = [
+    events = CaseLog([
         event("1"),
         event("2", dep="afterok:1"),
         event("3", dep="afterok:1"),
         event("4", dep="afterok:2:3"),
-    ]
+    ])
     first_deps = extract_first_dependencies(events)
     return events, first_deps
 
@@ -65,13 +63,13 @@ class TestBuildDependencyGraph:
         assert graph.edges == {("1", "2"), ("1", "3"), ("2", "4"), ("3", "4")}
 
     def test_no_dependencies_yields_isolated_vertices(self):
-        events = [event(str(i)) for i in range(1, 5)]
+        events = CaseLog(event(str(i)) for i in range(1, 5))
         graph = build_dependency_graph(events, extract_first_dependencies(events))
         assert len(graph.vertices) == 4
         assert graph.edges == set()
 
     def test_unobserved_target_becomes_external_placeholder(self):
-        events = [event("2", dep="afterok:99")]
+        events = CaseLog([event("2", dep="afterok:99")])
         graph = build_dependency_graph(events, extract_first_dependencies(events))
         assert graph.vertices == {"2", "99"}
         assert graph.external == {"99"}
@@ -79,7 +77,7 @@ class TestBuildDependencyGraph:
 
     def test_cycle_edge_dropped(self, caplog):
         # Both edges of a 2-cycle are dropped, but they still join one case.
-        events = [event("1", dep="afterok:2"), event("2", dep="afterok:1")]
+        events = CaseLog([event("1", dep="afterok:2"), event("2", dep="afterok:1")])
         with caplog.at_level(logging.WARNING, logger="hpcmine.correlation"):
             graph = build_dependency_graph(events, extract_first_dependencies(events))
         assert graph.edges == set()
@@ -93,13 +91,13 @@ class TestBuildDependencyGraph:
         # 0 -> 1 -> 2 -> 3 -> 1 and 3 -> 4: every edge of the cycle is
         # dropped, whichever edge closed it; the edges into and out of the
         # cycle are kept.
-        events = [
+        events = CaseLog([
             event("0"),
             event("1", dep="afterok:0:3"),
             event("2", dep="afterok:1"),
             event("3", dep="afterok:2"),
             event("4", dep="afterok:3"),
-        ]
+        ])
         with caplog.at_level(logging.WARNING, logger="hpcmine.correlation"):
             graph = build_dependency_graph(events, extract_first_dependencies(events))
         assert graph.edges == {("0", "1"), ("3", "4")}
@@ -112,14 +110,14 @@ class TestBuildDependencyGraph:
     def test_job_between_cycles_reported_downstream_job_not(self, caplog):
         # 1 <-> 2 -> 3 -> 4 <-> 5 -> 6: job 3 sits between the two cycles and
         # is reported; job 6 is only downstream of them and keeps its edge.
-        events = [
+        events = CaseLog([
             event("1", dep="afterok:2"),
             event("2", dep="afterok:1"),
             event("3", dep="afterok:2"),
             event("4", dep="afterok:3:5"),
             event("5", dep="afterok:4"),
             event("6", dep="afterok:5"),
-        ]
+        ])
         with caplog.at_level(logging.WARNING, logger="hpcmine.correlation"):
             graph = build_dependency_graph(events, extract_first_dependencies(events))
         assert graph.edges == {("5", "6")}
@@ -137,7 +135,7 @@ class TestBuildDependencyGraph:
         graph.add_edge("1", "2")
         assert graph.edges == {("1", "2")}
         assert graph.dropped_edges == []
-        events = [event("1"), event("2", dep="afterok:1:1")]
+        events = CaseLog([event("1"), event("2", dep="afterok:1:1")])
         with caplog.at_level(logging.WARNING, logger="hpcmine.correlation"):
             graph = build_dependency_graph(events, extract_first_dependencies(events))
         assert graph.edges == {("1", "2")}
@@ -146,7 +144,7 @@ class TestBuildDependencyGraph:
 
     def test_two_disjoint_chains(self):
         result = simulator.simulate(simulator.load_bundled_scenario("two_chains"))
-        events, _ = replay_events(result)
+        events = CaseLog(replay_events(result)[0])
         graph = build_dependency_graph(events, extract_first_dependencies(events))
         assignment = assign_cases_explicit(graph)
         components = {}
@@ -251,8 +249,8 @@ class TestAssignCasesExplicit:
 
     def test_long_chain_cases_csv_stays_small(self, tmp_path):
         n = 4000
-        events = [event("1")]
-        events += [event(str(i), dep=f"afterok:{i - 1}", offset=i) for i in range(2, n + 1)]
+        events = CaseLog([event("1")])
+        events.extend(event(str(i), dep=f"afterok:{i - 1}", offset=i) for i in range(2, n + 1))
         graph = build_dependency_graph(events, extract_first_dependencies(events))
         assignment = assign_cases_explicit(graph)
         assert len(set(assignment.cases.values())) == 1
@@ -275,7 +273,8 @@ class TestReverseOrderChain:
             return cyclic_jobs(edges)
 
         monkeypatch.setattr(correlation, "cyclic_jobs", counted)
-        graph = build_dependency_graph(events, extract_first_dependencies(events))
+        log = CaseLog(events)
+        graph = build_dependency_graph(log, extract_first_dependencies(log))
         assert len(calls) == 1
         return graph
 
@@ -337,7 +336,8 @@ class TestUnionFindMatchesReference:
     def test_graph_and_explicit_cases(self, isolated, edges):
         vertices = sorted(set(isolated).union(*edges))
         events = _events_for(vertices, edges)
-        graph = build_dependency_graph(events, extract_first_dependencies(events))
+        log = CaseLog(events)
+        graph = build_dependency_graph(log, extract_first_dependencies(log))
         assert (graph.vertices, graph.edges, graph.external, graph.dropped_edges) == (
             spec.dependency_graph(events)
         )
@@ -361,11 +361,11 @@ class TestOrderInvariance:
         # Which edge closed a cycle depends on arrival order; which jobs sit
         # on or behind one does not.
         vertices = sorted(set(isolated).union(*edges))
-        events = _events_for(vertices, edges)
+        events = CaseLog(_events_for(vertices, edges))
         graph = build_dependency_graph(events, extract_first_dependencies(events))
-        shuffled_events = _events_for(
+        shuffled_events = CaseLog(_events_for(
             rng.sample(vertices, len(vertices)), rng.sample(edges, len(edges))
-        )
+        ))
         first_deps = list(extract_first_dependencies(shuffled_events).items())
         rng.shuffle(first_deps)
         shuffled = build_dependency_graph(shuffled_events, dict(first_deps))
@@ -379,11 +379,11 @@ class TestOrderInvariance:
 
 class TestAssignCasesImplicit:
     def test_account_group_key(self):
-        assignment = assign_cases_implicit([event("1", account="thes1331", group="p0")])
+        assignment = assign_cases_implicit(CaseLog([event("1", account="thes1331", group="p0")]))
         assert assignment.cases == {"1": "thes1331-p0"}
 
     def test_distinct_groups_distinct_cases(self):
-        events = [event("1", group="g1"), event("2", group="g2")]
+        events = CaseLog([event("1", group="g1"), event("2", group="g2")])
         assignment = assign_cases_implicit(events)
         assert assignment.cases["1"] != assignment.cases["2"]
 
@@ -392,18 +392,21 @@ class TestAssignCasesImplicit:
         # first keeps it, and an empty group is the same case as "default".
         events = [event("1", account="p-a", group="b"), event("2", account="p", group="a-b"),
                   event("3", account="p-a", group=""), event("4", account="p-a", group="default")]
-        assert assign_cases_implicit(events).cases == {
+        assert assign_cases_implicit(CaseLog(events)).cases == {
             "1": "p-a-b-2", "2": "p-a-b", "3": "p-a-default", "4": "p-a-default"
         }
 
     def test_empty_group_reads_default(self):
-        assignment = assign_cases_implicit([event("1", account="acc", group="")])
+        assignment = assign_cases_implicit(CaseLog([event("1", account="acc", group="")]))
         assert assignment.cases["1"] == "acc-default"
 
     def test_invariant_under_event_order(self):
         events = [event(str(i), group=f"g{i % 2}") for i in range(6)]
         shuffled = list(reversed(events))
-        assert assign_cases_implicit(events).cases == assign_cases_implicit(shuffled).cases
+        assert (
+            assign_cases_implicit(CaseLog(events)).cases
+            == assign_cases_implicit(CaseLog(shuffled)).cases
+        )
 
 
 class TestApplyCases:
@@ -411,53 +414,44 @@ class TestApplyCases:
         events, first_deps = fig7_inputs()
         assignment = assign_cases_explicit(build_dependency_graph(events, first_deps))
         log = apply_cases(events, assignment)
-        assert {e.case_id for e in log.events} == {"JID4321"}
-        assert len(log.events) == 4
+        assert {e.case_id for e in log} == {"JID4321"}
+        assert len(log) == 4
 
     def test_empty(self):
-        log = apply_cases([], assign_cases_implicit([]))
-        assert log.events == []
+        log = apply_cases(CaseLog(), assign_cases_implicit(CaseLog()))
+        assert list(log) == []
 
     def test_sorted_by_case_then_time_then_job(self):
-        events = [event("2", offset=10), event("1", offset=10), event("3", offset=5)]
+        events = CaseLog([event("2", offset=10), event("1", offset=10), event("3", offset=5)])
         log = apply_cases(events, assign_cases_implicit(events))
-        keys = [(e.case_id, e.timestamp, e.job_id) for e in log.events]
+        keys = [(e.case_id, e.timestamp, e.job_id) for e in log]
         assert keys == sorted(keys)
 
     def test_unassigned_job_raises(self):
         with pytest.raises(UnassignedJob):
-            apply_cases([event("1")], assign_cases_implicit([]))
-
-    def test_stamps_and_sorts_the_given_list(self):
-        events = [event("2", offset=10), event("1", offset=10), event("3", offset=5)]
-        assignment = CaseAssignment({"1": "b", "2": "a", "3": "b"})
-        log = apply_cases(events, assignment)
-        assert log.events is events
-        assert [(e.case_id, e.job_id) for e in events] == [("a", "2"), ("b", "3"), ("b", "1")]
+            apply_cases(CaseLog([event("1")]), assign_cases_implicit(CaseLog()))
 
     def test_unassigned_job_leaves_the_list_unchanged(self):
         events = [event("2"), event("1"), event("3")]
-        given = list(events)
+        log = CaseLog(events)
         with pytest.raises(UnassignedJob) as raised:
-            apply_cases(events, CaseAssignment({"2": "a", "3": "a"}))
+            apply_cases(log, CaseAssignment({"2": "a", "3": "a"}))
         assert raised.value.job_id == "1"
-        assert len(events) == len(given)
-        assert all(map(operator.is_, events, given))
+        assert list(log) == events
 
-    @pytest.mark.parametrize("as_log", [False, True], ids=["list", "log"])
-    def test_unassigned_job_is_the_first_in_the_given_order(self, as_log):
+    def test_unassigned_job_is_the_first_in_the_given_order(self):
         # Job "x" is first seen past the first block; job "0x", whose id sorts
         # first, before it. Sorted by case, "x" comes first and "0x" last,
         # though the log's job table still holds "0x" first.
-        events = [event(str(i % 7)) for i in range(2 * STAMP_BLOCK + 10)]
+        events = [event(str(i % 7)) for i in range(2 * FOLD_BLOCK + 10)]
         events[2] = event("0x")
-        events[STAMP_BLOCK + 7] = event("x")
+        events[FOLD_BLOCK + 7] = event("x")
         cases = {str(i): f"c{i}" for i in range(7)}
         log = apply_cases(CaseLog(events), CaseAssignment(cases | {"x": "a", "0x": "z"}))
         given = list(log)
         assert (given[0].job_id, given[-1].job_id) == ("x", "0x")
         with pytest.raises(UnassignedJob) as raised:
-            apply_cases(log if as_log else given, CaseAssignment(cases))
+            apply_cases(log, CaseAssignment(cases))
         assert raised.value.job_id == "x"
         assert list(log) == given
 
@@ -485,30 +479,29 @@ class TestApplyCases:
                 max_size=12,
             )
         )
-        length = data.draw(st.sampled_from([0, 1, STAMP_BLOCK, STAMP_BLOCK + 1, 600]))
+        length = data.draw(st.sampled_from([0, 1, FOLD_BLOCK, FOLD_BLOCK + 1, 600]))
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
         events = [rng.choice(pool) for _ in range(length)]
         cases = {job: data.draw(st.sampled_from(["a", "b", "c"])) for job in "12345"}
         expected = spec.case_log(events, cases)
-        log = apply_cases(events, CaseAssignment(cases))
-        assert log.events is events
-        assert events == expected
-        assert {type(e) for e in events} <= {JobEvent}
+        stamped = list(apply_cases(CaseLog(events), CaseAssignment(cases)))
+        assert stamped == expected
+        assert {type(e) for e in stamped} <= {JobEvent}
 
     def test_simulator_chain_case_counts(self):
         result = simulator.simulate(simulator.load_bundled_scenario("two_chains"))
-        events, _ = replay_events(result)
+        events = CaseLog(replay_events(result)[0])
         graph = build_dependency_graph(events, extract_first_dependencies(events))
         log = apply_cases(events, assign_cases_explicit(graph))
         per_case = {}
-        for e in log.events:
+        for e in log:
             per_case[e.case_id] = per_case.get(e.case_id, 0) + 1
         # 4 jobs each emitting created, running, completing, completed.
         assert sorted(per_case.values()) == [16, 16]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_each_event_equals_replace_with_case_id(self, seed):
-        # apply_cases copies events by tuple slicing; a field added to JobEvent later must not be dropped by that copy.
+        # A field added to JobEvent later must survive the log's columns and stamping.
         rng = random.Random(seed)
         events = [e._replace(case_id="") for e in random_case_log(rng, n_cases=6)]
         rng.shuffle(events)
@@ -517,18 +510,17 @@ class TestApplyCases:
             (e._replace(case_id=cases[e.job_id]) for e in events),
             key=lambda e: (e.case_id, e.timestamp, e.job_id),
         )
-        log = apply_cases(events, CaseAssignment(cases))
-        assert log.events == expected
+        log = apply_cases(CaseLog(events), CaseAssignment(cases))
+        assert list(log) == expected
 
 
 class TestExtractFirstDependencies:
     def test_late_marker_maps_to_empty(self):
-        events = [event("1", dep="(late)")]
-        assert extract_first_dependencies(events) == {}
+        assert extract_first_dependencies(CaseLog([event("1", dep="(late)")])) == {}
 
     def test_same_on_events_and_case_log(self):
         result = simulator.simulate(simulator.load_bundled_scenario("fig1_explicit"))
-        events, _ = replay_events(result)
+        events = CaseLog(replay_events(result)[0])
         derived = extract_first_dependencies(events)
         log = apply_cases(events, assign_cases_implicit(events))
         assert extract_first_dependencies(log) == derived

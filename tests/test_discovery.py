@@ -129,7 +129,7 @@ class TestProjectCaseTraces:
 
     def test_fig1_trace_shape(self):
         result = simulator.simulate(simulator.load_bundled_scenario("fig1_explicit"))
-        events, _ = replay_events(result)
+        events = CaseLog(replay_events(result)[0])
         graph = build_dependency_graph(events, extract_first_dependencies(events))
         log = apply_cases(events, assign_cases_explicit(graph))
         traces = project_case_traces(log)
@@ -243,7 +243,7 @@ class TestDegeneracies:
             simulator.SimJob(str(i), "acc", "g", f"/u/s{i}.sh", 30) for i in range(1, 5)
         )
         result = simulator.simulate(simulator.ScenarioSpec(jobs=jobs))
-        events, _ = replay_events(result)
+        events = CaseLog(replay_events(result)[0])
         graph = build_dependency_graph(events, extract_first_dependencies(events))
         assignment = assign_cases_explicit(graph)
         assert len(set(assignment.cases.values())) == 4
@@ -253,7 +253,7 @@ class TestDegeneracies:
 
     def test_implicit_single_account_group_gives_one_case(self):
         result = simulator.simulate(simulator.load_bundled_scenario("fig1_manual"))
-        events, _ = replay_events(result)
+        events = CaseLog(replay_events(result)[0])
         assignment = assign_cases_implicit(events)
         assert set(assignment.cases.values()) == {"acc1-proj9"}
         log = apply_cases(events, assignment)

@@ -288,7 +288,7 @@ class TestCsvEncodeMatchesPerColumnEncoder:
             with CsvEventSink(path) as sink:
                 sink.append(event)
                 raise KeyError("poll")
-        assert read_events_csv(path) == [event]
+        assert list(read_events_csv(path)) == [event]
 
     @pytest.mark.parametrize("header", [["job_id"], ["job_id", "nonesuch", "timestamp"]])
     def test_bad_header_opens_no_file(self, tmp_path, header):
@@ -361,7 +361,7 @@ class TestCsvRoundTrip:
         )
         rows, back = roundtrip(CaseLog([event]))
         assert rows == 1
-        assert back.events == [event]
+        assert list(back) == [event]
 
     def test_timestamp_format(self):
         log = random_case_log(random.Random(0))
@@ -386,15 +386,15 @@ class TestCsvRoundTrip:
             dependency_raw="afterok:1,afterany:2",
         )
         _, back = roundtrip(CaseLog([event]))
-        assert back.events == [event]
+        assert list(back) == [event]
 
     def test_randomized_logs(self):
         rng = random.Random(42)
         for _ in range(50):
             log = random_case_log(rng)
             rows, back = roundtrip(log)
-            assert rows == len(log.events)
-            assert back.events == log.events
+            assert rows == len(log)
+            assert list(back) == list(log)
 
     def test_schema_mismatch(self):
         with pytest.raises(SchemaMismatch):
@@ -408,6 +408,19 @@ class TestCsvRoundTrip:
         with pytest.raises(BadTimestamp) as exc_info:
             read_csv(buffer)
         assert exc_info.value.row_number == 2
+
+    @pytest.mark.parametrize("header", [EVENTS_CSV_HEADER, CSV_HEADER], ids=["events", "cases"])
+    def test_unknown_event_kind_names_its_row(self, header):
+        cells = {
+            "case_id": "c", "job_id": "1", "account": "acc", "group": "g", "activity": "a",
+            "state": PENDING, "lifecycle": PENDING, "event_kind": "bogus",
+            "timestamp": "2024-01-01T00:00:00Z", "dependency_raw": "(null)",
+        }
+        text = ",".join(header) + "\n" + ",".join(cells[name] for name in header) + "\n"
+        with pytest.raises(MalformedCsv) as exc_info:
+            read_csv(io.StringIO(text), header)
+        assert exc_info.value.row_number == 2
+        assert str(exc_info.value) == "malformed CSV in row 2: unknown event_kind 'bogus'"
 
 
 _HOSTILE_TEXT = st.text(',"\n\r \tab1\x0b\x85\u00e9\u4e2d\U0001f600', max_size=6)
@@ -443,7 +456,7 @@ class TestHostileEventsRoundTrip:
     def test_case_log(self, events):
         rows, back = roundtrip(events)
         assert rows == len(events)
-        assert back.events == events
+        assert list(back) == events
 
     @settings(max_examples=200, deadline=None)
     @given(_round_trip_events(st.just("")))
@@ -453,12 +466,12 @@ class TestHostileEventsRoundTrip:
             for event in events:
                 sink.append(event)
         buffer.seek(0)
-        assert read_events_csv(buffer) == events
+        assert list(read_events_csv(buffer)) == events
 
 
 def _read_outcome(read, text, header):
     try:
-        return read(io.StringIO(text), header).events
+        return list(read(io.StringIO(text), header))
     except BadTimestamp as exc:
         return ("BadTimestamp", exc.row_number, exc.value)
     except SchemaMismatch as exc:
@@ -474,7 +487,7 @@ class TestReadCsvMatchesPerRowDecode:
             buffer = io.StringIO()
             log = random_case_log(rng, n_cases=6)
             write_csv(log, buffer)
-            assert _read_outcome(read_csv, buffer.getvalue(), CSV_HEADER) == log.events
+            assert _read_outcome(read_csv, buffer.getvalue(), CSV_HEADER) == list(log)
 
     def test_events_file_round_trip(self):
         events = [e._replace(case_id="") for e in random_case_log(random.Random(8))]
@@ -494,8 +507,8 @@ class TestReadCsvMatchesPerRowDecode:
             for i in range(1000)
         ])
         _, back = roundtrip(log)
-        assert back.events == log.events
-        assert {id(e.state) for e in back.events} == {id(sys.intern(c)) for c in codes}
+        assert list(back) == list(log)
+        assert {id(e.state) for e in back} == {id(sys.intern(c)) for c in codes}
 
     def test_unknown_state_code_decodes_alike(self):
         # The state code "created" is also an event kind's text: each column
@@ -546,10 +559,10 @@ class TestComputeStats:
 
     def test_fig1_hand_count(self):
         result = simulator.simulate(simulator.load_bundled_scenario("fig1_explicit"))
-        events, _ = replay_events(result)
-        graph = build_dependency_graph(events, extract_first_dependencies(events))
-        log = apply_cases(events, assign_cases_explicit(graph))
-        stats = compute_stats(log, extract_first_dependencies(events))
+        events = CaseLog(replay_events(result)[0])
+        first_deps = extract_first_dependencies(events)
+        log = apply_cases(events, assign_cases_explicit(build_dependency_graph(events, first_deps)))
+        stats = compute_stats(log, first_deps)
         assert stats.num_events == 16
         assert stats.num_unique_jobs == 4
         assert stats.num_accounts == 1
@@ -559,7 +572,7 @@ class TestComputeStats:
     def test_invariant_under_reordering(self):
         log = random_case_log(random.Random(3))
         first_deps = first_dependencies_from_log(log)
-        reordered = CaseLog(list(reversed(log.events)))
+        reordered = CaseLog(reversed(list(log)))
         assert compute_stats(log, first_deps) == compute_stats(reordered, first_deps)
 
     def test_accounts_bounded_by_jobs(self):
@@ -658,17 +671,16 @@ class TestCaseLogProperties:
             assert list(back) == in_utc
 
     @settings(max_examples=200, deadline=None)
-    @given(_log_events(), st.sampled_from([dict, CaseLog]))
-    @example(_FOLD_PAIR, CaseLog)
-    def test_apply_cases_sorts_stably_by_case_time_and_job(self, events, given_as):
+    @given(_log_events())
+    @example(_FOLD_PAIR)
+    def test_apply_cases_sorts_stably_by_case_time_and_job(self, events):
         cases = {e.job_id: ("c2" if e.account == "a" else "c1") for e in events}
         # As the three stable sorts, least significant key first, left it.
         want = [e._replace(case_id=cases[e.job_id]) for e in events]
         for key in ("job_id", "timestamp", "case_id"):
             want.sort(key=attrgetter(key))
-        given = list(events) if given_as is dict else CaseLog(events)
-        log = apply_cases(given, CaseAssignment(cases))
-        assert _with_folds(log) == _with_folds(want)
+        given = CaseLog(events)
+        assert apply_cases(given, CaseAssignment(cases)) is given
         assert _with_folds(given) == _with_folds(want)
 
     @settings(max_examples=100, deadline=None)
@@ -683,5 +695,6 @@ class TestCaseLogProperties:
             steps = [(s.at.fold, s.completed_at and s.completed_at.fold) for t in traces for s in t.steps]
             assert steps == [(s.at.fold, s.completed_at and s.completed_at.fold)
                              for t in want for s in t.steps]
-        stats = compute_stats(CaseLog(events), extract_first_dependencies(events))
+        log = CaseLog(events)
+        stats = compute_stats(log, extract_first_dependencies(log))
         assert render_stats(stats) == render_stats(spec.stats(events))

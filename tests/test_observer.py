@@ -15,6 +15,7 @@ from conftest import replay_events
 from hpcmine import observer, simulator
 from hpcmine.correlation import apply_cases, assign_cases_implicit, extract_first_dependencies
 from hpcmine.discovery import discover_dfg, project_case_traces
+from hpcmine.eventlog import CaseLog
 from hpcmine.observer import (
     CommandSource,
     CsvEventSink,
@@ -86,15 +87,15 @@ class TestDiffSnapshot:
     def test_first_dependency_captured_once(self):
         state = ObserverState()
         events = diff_snapshot(state, [row("1", PENDING, dep="afterok:7")], T0)
-        assert extract_first_dependencies(events)["1"] == ("7",)
+        assert extract_first_dependencies(CaseLog(events))["1"] == ("7",)
         t1 = T0 + timedelta(seconds=30)
         later = diff_snapshot(state, [row("1", PENDING, dep="(null)")], t1)
-        assert extract_first_dependencies(events + later)["1"] == ("7",)
+        assert extract_first_dependencies(CaseLog(events + later))["1"] == ("7",)
 
     def test_late_first_sight_flags_dependency(self):
         events = diff_snapshot(ObserverState(), [row("1", RUNNING)], T0)
         assert events[0].dependency_raw == observer.LATE_DEPENDENCY
-        assert extract_first_dependencies(events) == {}
+        assert extract_first_dependencies(CaseLog(events)) == {}
 
 
 class TestFinalizeVanished:
@@ -405,7 +406,7 @@ class TestRunObservation:
         ]
         sink = []
         run_observation(snaps, sink)
-        assert extract_first_dependencies(sink)["4"] == ("2", "3")
+        assert extract_first_dependencies(CaseLog(sink))["4"] == ("2", "3")
 
 
 NEW_YORK = ZoneInfo("America/New_York")
@@ -440,8 +441,8 @@ class TestObservationTimesInUtc:
         with CsvEventSink(written) as sink:
             run_observation(polls, sink)
         through_file = read_events_csv(io.StringIO(written.getvalue()))
-        for events in (in_memory, through_file):
-            log = apply_cases(events, assign_cases_implicit(events))
+        for log in (CaseLog(in_memory), through_file):
+            apply_cases(log, assign_cases_implicit(log))
             dfg = discover_dfg(project_case_traces(log))
             assert dfg.edges[("a.sh", "b.sh")].durations == [3600.0]
 
@@ -713,4 +714,4 @@ class TestEventsCsv:
             for event in events:
                 sink.append(event)
         buffer.seek(0)
-        assert read_events_csv(buffer) == events
+        assert list(read_events_csv(buffer)) == events

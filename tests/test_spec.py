@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 
 import spec
 from hpcmine import cli, correlation, discovery, observer, snapshots
-from hpcmine.correlation import STAMP_BLOCK, CaseAssignment, apply_cases
-from hpcmine.eventlog import CSV_HEADER, EVENTS_CSV_HEADER, WRITE_BLOCK, CaseLog, CsvEventSink
+from hpcmine.correlation import CaseAssignment, apply_cases
+from hpcmine.eventlog import CSV_HEADER, EVENTS_CSV_HEADER, FOLD_BLOCK, WRITE_BLOCK
+from hpcmine.eventlog import CaseLog, CsvEventSink
 from hpcmine.eventlog import EventKind, JobEvent, compute_stats, read_csv, read_events_csv
 from hpcmine.eventlog import render_stats, write_csv
 from hpcmine.simulator import ORACLE_EVENTS_HEADER
@@ -213,18 +214,19 @@ def test_pipeline_matches_spec(stream, options):
 
     # Stage by stage, in memory.
     (cases, log, traces, dfg), want = expected(events, args)
-    first_deps = correlation.extract_first_dependencies(observed)
-    graph = correlation.build_dependency_graph(observed, first_deps)
+    observed_log = CaseLog(observed)
+    first_deps = correlation.extract_first_dependencies(observed_log)
+    graph = correlation.build_dependency_graph(observed_log, first_deps)
     assert (graph.vertices, graph.edges, graph.external, graph.dropped_edges) == (
         spec.dependency_graph(events)
     )
     if args.strategy == "explicit":
         assignment = correlation.assign_cases_explicit(graph, args.hash_case_ids)
     else:
-        assignment = correlation.assign_cases_implicit(observed)
+        assignment = correlation.assign_cases_implicit(observed_log)
     assert assignment.cases == cases
-    stamped = apply_cases(list(observed), assignment)
-    assert stamped.events == log
+    stamped = apply_cases(CaseLog(observed), assignment)
+    assert list(stamped) == log
     assert compute_stats(stamped, first_deps) == spec.stats(log)
     if args.account:
         stamped = CaseLog([e for e in stamped if e.account == args.account])
@@ -237,11 +239,11 @@ def test_pipeline_matches_spec(stream, options):
         memory, files = Path(memory), Path(files)
         # In memory, as ``hpcmine pipeline`` runs.
         with CsvEventSink(memory / "events.csv") as sink:
-            sink.extend(observed)
+            sink.extend(observed_log)
         assert (memory / "events.csv").read_bytes() == events_csv
 
         def pipeline():
-            log, first_deps = cli._correlate(args, observed, memory / "cases.csv")
+            log, first_deps = cli._correlate(args, observed_log, memory / "cases.csv")
             cli._discover(args, log, memory / "dfg.dot", memory / "edges.csv")
             cli._stats(log, first_deps)
 
@@ -251,7 +253,7 @@ def test_pipeline_matches_spec(stream, options):
         with CsvEventSink(files / "events.csv") as sink:
             observer.run_observation(stream, sink, synthetic_complete=synthetic_complete)
         assert (files / "events.csv").read_bytes() == events_csv
-        assert read_events_csv(files / "events.csv") == events
+        assert list(read_events_csv(files / "events.csv")) == events
 
         def stages():
             cases, edges = str(files / "cases.csv"), str(files / "edges.csv")
@@ -416,7 +418,7 @@ def test_large_queue_streams_match_spec(name, header, end):
 _HOSTILE = ',"\n\r \tab1\x0b\x85é中\U0001f600'
 _PLAIN = "ab1 \t.:()é中\U0001f600"
 _ZONES = [timezone.utc, timezone(timedelta(hours=5, minutes=30)), timezone(timedelta(hours=-8))]
-_LENGTHS = sorted({0, 1, 600} | {n + d for n in (WRITE_BLOCK, STAMP_BLOCK) for d in (-1, 0, 1)})
+_LENGTHS = sorted({0, 1, 600} | {n + d for n in (WRITE_BLOCK, FOLD_BLOCK) for d in (-1, 0, 1)})
 
 
 @st.composite
@@ -468,11 +470,10 @@ def test_codec_and_later_stages_match_spec(events_and_cases):
         assert write_csv(iter(events), written, header) == len(events)
         assert written.getvalue().splitlines(keepends=True) == want
         if header == CSV_HEADER:
-            assert read_csv(io.StringIO(written.getvalue())).events == events
+            assert list(read_csv(io.StringIO(written.getvalue()))) == events
 
-    stamped = list(events)
-    assert apply_cases(stamped, CaseAssignment(cases)).events is stamped
-    assert stamped == spec.case_log(events, cases)
+    stamped = apply_cases(CaseLog(events), CaseAssignment(cases))
+    assert list(stamped) == spec.case_log(events, cases)
 
     # Projection folds over the log in any order, not only as apply_cases sorts it.
     unsorted = [e._replace(case_id=cases[e.job_id]) for e in events]

@@ -83,3 +83,33 @@ def test_every_text_mode_file_call_names_its_encoding():
                     missing.append(f"{path.name}:{node.lineno}")
     assert checked
     assert missing == []
+
+
+# Names a module imports only to re-export them: perfbench/traced.py reads
+# them through the importing module.
+RE_EXPORTS = {
+    "observer.py": {"CsvEventSink", "read_events_csv"},
+    "correlation.py": {"extract_first_dependencies"},
+}
+
+
+def test_every_imported_name_is_used():
+    # A name counts as used when the module reads it anywhere, annotations
+    # included; ``from __future__`` imports bind no name.
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if name not in used and name not in RE_EXPORTS.get(path.name, ())
+            ]
+    assert unused == []

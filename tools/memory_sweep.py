@@ -57,10 +57,9 @@ SIZES = [
 ]
 QUICK = [("manual_history", 4), ("dag_backlog", 4)]
 # Runs the pipeline with the Python heap traced from the start, then reads
-# its events.csv back as a list and makes an event log of fresh copies of
+# its events.csv back as a log and makes a second log of fresh copies of
 # those events; the last line it prints is the pipeline's traced peak and
-# what the log holds beyond the events' field values, in bytes. (A log that
-# wraps the list it is given holds the copies themselves.)
+# what the log holds beyond the events' field values, in bytes.
 TRACED = (
     "import sys, tracemalloc; from itertools import repeat; tracemalloc.start(); "
     "from hpcmine import cli, eventlog; "

@@ -11,6 +11,10 @@ snapshot's observation time, which both take as an argument: a parsed row
 carries no time, so an unchanged line can be the same row in every round.
 When the rows say what changed since the round before, as ``parse_snapshot``'s
 do on a large queue, both visit only that.
+
+A snapshot source yields ``snapshots.Snapshot``s: ``ReplayDirectorySource``
+reads the files that ``snapshots.write_snapshot_file`` writes, and
+``CommandSource`` polls ``squeue``.
 """
 
 from __future__ import annotations
@@ -30,19 +34,10 @@ from .eventlog import (
     JobEvent,
     read_events_csv,
 )
-from .snapshots import (
-    COMPLETED,
-    PENDING,
-    JobRow,
-    MalformedRow,
-    SnapshotRows,
-    normalize_command,
-    parse_snapshot,
-)
-from .timeutil import format_basic, parse_basic
-
-DEFAULT_SQUEUE_COMMAND = 'squeue -o "%a %i %E %o %t %g"'
-DEFAULT_INTERVAL_SECONDS = 30.0
+from .snapshots import COMPLETED, PENDING, JobRow, MalformedRow, SnapshotRows, normalize_command
+from .snapshots import DEFAULT_INTERVAL_SECONDS, DEFAULT_SQUEUE_COMMAND, Snapshot, parse_snapshot
+from .snapshots import _O_BINARY, SNAPSHOT_FILE_PREFIX, SNAPSHOT_FILE_SUFFIX, is_snapshot_filename
+from .timeutil import parse_basic
 
 
 class ObserverError(Exception):
@@ -231,13 +226,6 @@ def finalize_vanished(
     return events
 
 
-class Snapshot(NamedTuple):
-    """One poll of the queue; equal to the plain ``(observed_at, text)`` tuple."""
-
-    observed_at: datetime
-    text: str
-
-
 class EventSink(Protocol):
     """Where ``run_observation`` puts events: a plain list or a ``CsvEventSink``,
     which writes each poll's events when the next poll's arrive or on close."""
@@ -245,21 +233,6 @@ class EventSink(Protocol):
     def append(self, event: JobEvent) -> None: ...
 
 
-SNAPSHOT_FILE_PREFIX = "snapshot_"
-SNAPSHOT_FILE_SUFFIX = ".txt"
-
-
-def snapshot_filename(observed_at: datetime) -> str:
-    return f"{SNAPSHOT_FILE_PREFIX}{format_basic(observed_at)}{SNAPSHOT_FILE_SUFFIX}"
-
-
-def is_snapshot_filename(name: str) -> bool:
-    """Whether a replay reads the file of this name as a snapshot."""
-    return name.startswith(SNAPSHOT_FILE_PREFIX) and name.endswith(SNAPSHOT_FILE_SUFFIX)
-
-
-# Snapshot files are bytes on disk: no platform newline translation.
-_O_BINARY = getattr(os, "O_BINARY", 0)
 _READ_SIZE = 1 << 16
 
 
@@ -291,29 +264,6 @@ def read_snapshot_file(path) -> str:
         raise SourceFailure(str(exc)) from exc
     except UnicodeDecodeError as exc:  # its message names no file
         raise SourceFailure(f"{path}: {exc}") from exc
-
-
-def write_snapshot_file(path, text: str) -> None:
-    """Write ``text`` as UTF-8 to ``path``, replacing what the file held.
-
-    An existing file is overwritten in place and then cut to length: it is
-    not opened with ``O_TRUNC``, because truncating a file to zero frees
-    every block it held (and, on a filesystem mounted ``discard``, discards
-    them), only for the write to allocate them again. Nor is the file
-    replaced atomically: a write that fails part-way leaves the bytes written
-    so far and no byte of the old file.
-    """
-    data = memoryview(text.encode("utf-8"))
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | _O_BINARY, 0o666)
-    written = 0
-    try:
-        try:
-            while written < len(data):
-                written += os.write(fd, data[written:])
-        finally:
-            os.ftruncate(fd, written)
-    finally:
-        os.close(fd)
 
 
 class ReplayDirectorySource:

@@ -3,7 +3,8 @@
 Executes declarative workflow scenarios on a tick clock (one tick per
 snapshot interval), emits squeue-format snapshot text for every tick, and
 records the ground-truth event stream an observer should reproduce: the
-snapshots are ``observer.Snapshot``s and the oracle is the observer's exact
+snapshots are ``snapshots.Snapshot``s, written in the snapshot file format
+without loading the observer, and the oracle is the observer's exact
 ``JobEvent`` output, every field included.
 
 Per-job lifecycle in ticks: at least one pending tick, a running phase of
@@ -41,8 +42,8 @@ from typing import NamedTuple
 
 from .correlation import cyclic_jobs, find_root
 from .eventlog import EventKind, JobEvent, csv_line, write_csv
-from .observer import Snapshot, is_snapshot_filename, snapshot_filename, write_snapshot_file
 from .snapshots import COMPLETED, COMPLETING, PENDING, RUNNING, SNAPSHOT_HEADER, normalize_command
+from .snapshots import Snapshot, is_snapshot_filename, snapshot_filename, write_snapshot_file
 
 SIM_EPOCH = datetime(2024, 1, 1, 0, 0, 0, tzinfo=timezone.utc)
 
@@ -315,7 +316,7 @@ def write_snapshots(snapshots: list[Snapshot], directory) -> list[Path]:
     """Write one snapshot_<timestamp>.txt file per snapshot; returns the paths.
 
     Each file holds the UTF-8 bytes of its snapshot's text, whatever the
-    locale (``observer.write_snapshot_file``). A file of an earlier run with
+    locale (``snapshots.write_snapshot_file``). A file of an earlier run with
     the same name is overwritten in place and cut to length, not truncated
     to zero first (which frees its blocks) nor replaced atomically.
 

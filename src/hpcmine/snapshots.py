@@ -21,17 +21,22 @@ but COMMAND are interned, so a job's rows, events and record share them.
 clauses, or None when it declares nothing. A clause's condition tag is not
 read: the targets draw the edges of explicit correlation, and whether a job
 declares anything at all is what ``stats`` counts.
+
+A ``Snapshot`` is one poll's observation time and text. Its file holds the
+text's UTF-8 bytes, named ``snapshot_<ISO 8601 basic UTC>.txt``: the simulator
+writes these files, and ``observer`` reads them back.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 from bisect import bisect_left
 from datetime import datetime
 from typing import NamedTuple
 
-from .timeutil import format_iso
+from .timeutil import format_basic, format_iso
 
 UNKNOWN_COMMAND = "<unknown>"
 
@@ -47,6 +52,10 @@ COMPLETED = "CD"
 # the columns of another format (``%T`` prints STATE) after the same two.
 SNAPSHOT_HEADER = "ACCOUNT JOBID DEPENDENCY COMMAND ST GROUP"
 _HEADER_START = SNAPSHOT_HEADER.split()[:2]
+
+# What ``observe --live`` runs to print that header's columns, and how often.
+DEFAULT_SQUEUE_COMMAND = 'squeue -o "%a %i %E %o %t %g"'
+DEFAULT_INTERVAL_SECONDS = 30.0
 
 
 _NO_DEPENDENCY_VALUES = {"", "(null)", "null"}
@@ -82,6 +91,53 @@ class MalformedRow(NamedTuple):
 
     line_number: int
     line: str
+
+
+class Snapshot(NamedTuple):
+    """One poll of the queue; equal to the plain ``(observed_at, text)`` tuple."""
+
+    observed_at: datetime
+    text: str
+
+
+SNAPSHOT_FILE_PREFIX = "snapshot_"
+SNAPSHOT_FILE_SUFFIX = ".txt"
+
+
+def snapshot_filename(observed_at: datetime) -> str:
+    return f"{SNAPSHOT_FILE_PREFIX}{format_basic(observed_at)}{SNAPSHOT_FILE_SUFFIX}"
+
+
+def is_snapshot_filename(name: str) -> bool:
+    """Whether a replay reads the file of this name as a snapshot."""
+    return name.startswith(SNAPSHOT_FILE_PREFIX) and name.endswith(SNAPSHOT_FILE_SUFFIX)
+
+
+# Snapshot files are bytes on disk: no platform newline translation.
+_O_BINARY = getattr(os, "O_BINARY", 0)
+
+
+def write_snapshot_file(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path``, replacing what the file held.
+
+    An existing file is overwritten in place and then cut to length: it is
+    not opened with ``O_TRUNC``, because truncating a file to zero frees
+    every block it held (and, on a filesystem mounted ``discard``, discards
+    them), only for the write to allocate them again. Nor is the file
+    replaced atomically: a write that fails part-way leaves the bytes written
+    so far and no byte of the old file.
+    """
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | _O_BINARY, 0o666)
+    written = 0
+    try:
+        try:
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        finally:
+            os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def dependency_targets(raw: str) -> tuple[str, ...] | None:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import hpcmine
-from hpcmine import correlation, observer
+from hpcmine import correlation, discovery, observer
 from hpcmine.cli import SQUEUE_CMD_ENV, build_parser, main
 from hpcmine.eventlog import (
     CSV_HEADER,
@@ -31,7 +31,7 @@ from hpcmine.simulator import (
     simulate,
     write_snapshots,
 )
-from hpcmine.snapshots import SNAPSHOT_HEADER
+from hpcmine.snapshots import SNAPSHOT_HEADER, snapshot_filename
 from test_correlation import event
 
 
@@ -345,7 +345,7 @@ class TestObserve:
         replay = tmp_path / "replay"
         replay.mkdir()
         t0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
-        first, second = (observer.snapshot_filename(t0 + timedelta(seconds=s)) for s in (0, 30))
+        first, second = (snapshot_filename(t0 + timedelta(seconds=s)) for s in (0, 30))
         (replay / first).write_bytes(b"a 1 (null) /x.sh PD g\na 2 (null) /y.sh R g\n")
         (replay / second).write_bytes(b"a 1 (null) /caf\xe9.sh R g\n")
         events = tmp_path / "events.csv"
@@ -607,6 +607,16 @@ print(json.dumps(report))
 """
 
 
+# Runs ``main`` on the argv given as JSON in this fresh interpreter and prints
+# its exit code and the ``hpcmine`` modules loaded by then.
+_FRESH_MODULES = """
+import json, sys
+from hpcmine.cli import main
+code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "hpcmine")]))
+"""
+
+
 class TestLazyImports:
     def test_pipeline_loads_no_module_it_does_not_use(self, tmp_path, fig1_replay):
         malformed = tmp_path / "malformed"
@@ -653,3 +663,43 @@ class TestLazyImports:
         with open(tmp_path / "hashed" / "cases.csv") as fh:
             case_ids = {row["case_id"] for row in csv.DictReader(fh)}
         assert case_ids == {"JID" + hashlib.sha256(b"4,3,2,1").hexdigest()[:16]}
+
+    def test_each_command_loads_only_the_modules_it_runs(self, tmp_path):
+        scenario = Path(hpcmine.__file__).parent / "scenarios" / "fig1_explicit.scenario"
+        always = {"hpcmine", "hpcmine.cli", "hpcmine.snapshots", "hpcmine.timeutil"}
+        runs = [
+            (["simulate", str(scenario), "-o", "sim"], {"eventlog", "correlation", "simulator"}),
+            (["observe", "--replay", "sim/snapshots", "-o", "events.csv"], {"eventlog", "observer"}),
+            (["correlate", "events.csv", "-o", "cases.csv"], {"eventlog", "correlation"}),
+            (["discover", "cases.csv", "-o", "dfg.dot"], {"eventlog", "discovery"}),
+            (["stats", "cases.csv"], {"eventlog"}),
+            (
+                ["pipeline", "--replay", "sim/snapshots", "-o", "out"],
+                {"eventlog", "observer", "correlation", "discovery"},
+            ),
+        ]
+        paths = [str(Path(hpcmine.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        for argv, stages in runs:
+            done = subprocess.run(
+                [sys.executable, "-c", _FRESH_MODULES, json.dumps(argv)],
+                capture_output=True, text=True, env=env, cwd=tmp_path,
+            )
+            assert done.returncode == 0, done.stderr
+            code, loaded = json.loads(done.stdout.splitlines()[-1])
+            assert code == 0, argv[0]
+            assert set(loaded) == always | {f"hpcmine.{m}" for m in stages}, argv[0]
+
+    def test_parser_spells_out_the_discovery_choices(self):
+        commands = next(
+            action.choices
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        for name in ("discover", "pipeline"):
+            options = {o: a for a in commands[name]._actions for o in a.option_strings}
+            assert options["--milestone"].choices == sorted(discovery.MILESTONES)
+            assert options["--milestone"].default in discovery.MILESTONES
+            duration = options["--edge-duration"]
+            assert duration.choices == [mode.value for mode in discovery.DurationMode]
+            assert duration.default == discovery.DurationMode.START_START.value

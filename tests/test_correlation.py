@@ -462,6 +462,29 @@ class TestApplyCases:
         assert [(e.case_id, e.job_id) for e in log] == [("a", "2"), ("b", "3"), ("b", "1")]
         assert [e.case_id for e in events] == ["", "", ""]
 
+    @pytest.mark.parametrize("strategy", ["explicit", "implicit"])
+    def test_a_filtered_log_gets_the_cases_of_its_events_alone(self, tmp_path, strategy):
+        # ``for_account`` keeps the whole job and triple tables, so jobs 3 and
+        # 4 are left with no event. "p-a"/"b" and "p"/"a-b" both read "p-a-b",
+        # and the triple of the filtered-out job 4 is the table's last.
+        events = [
+            event("1", account="p-a", group="b"),
+            event("2", account="p-a", group="b", dep="afterok:1", offset=30),
+            event("3", account="q", offset=60),
+            event("4", account="p", group="a-b", offset=90),
+        ]
+        written = []
+        for log in (CaseLog(events).for_account("p-a"), CaseLog(events[:2])):
+            if strategy == "explicit":
+                graph = build_dependency_graph(log, extract_first_dependencies(log))
+                assignment = assign_cases_explicit(graph)
+            else:
+                assignment = assign_cases_implicit(log)
+            path = tmp_path / f"cases_{len(written)}.csv"
+            write_csv(apply_cases(log, assignment), path)
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_matches_per_event_stamp_and_key_sort(self, data):

@@ -293,6 +293,11 @@ class TestExportDot:
         assert "penwidth=5.00" in a_b
         assert "penwidth=5.00" not in b_c
 
+    def test_longest_mean_edge_under_a_second_has_max_penwidth(self):
+        # A→B gaps of 0 s and 1 s: the longest mean edge is 0.5 s long.
+        dfg = discover_dfg([trace(("A", 0), ("B", 0)), trace(("A", 10), ("B", 11))])
+        assert '  "A" -> "B" [label="2 / 0s / 0s", penwidth=5.00];' in export_dot(dfg)
+
     def test_parallel_pairs_dashed(self):
         dfg = discover_dfg([trace(("A", 0), ("B", 30)), trace(("B", 100), ("A", 130))])
         dot = export_dot(dfg, detect_parallel(dfg))

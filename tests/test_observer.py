@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import spec
 from conftest import replay_events
-from hpcmine import observer, simulator
+from hpcmine import observer, simulator, snapshots
 from hpcmine.correlation import apply_cases, assign_cases_implicit, extract_first_dependencies
 from hpcmine.discovery import discover_dfg, project_case_traces
 from hpcmine.eventlog import CaseLog
@@ -29,9 +29,8 @@ from hpcmine.observer import (
     finalize_vanished,
     read_events_csv,
     run_observation,
-    snapshot_filename,
 )
-from hpcmine.snapshots import COMPLETED, COMPLETING, PENDING, RUNNING, JobRow
+from hpcmine.snapshots import COMPLETED, COMPLETING, PENDING, RUNNING, JobRow, snapshot_filename
 from hpcmine.timeutil import parse_basic
 from test_spec import REPORT_PHASES, THRESHOLDS, tracked_from
 
@@ -555,8 +554,8 @@ class TestSnapshotFiles:
 
     def test_shorter_file_leaves_no_tail(self, tmp_path):
         path = tmp_path / snapshot_filename(T0)
-        observer.write_snapshot_file(path, "a 1 (null) /long/path/x.sh PD g\n" * 50)
-        observer.write_snapshot_file(path, "a 2 (null) /y.sh R g\n")
+        snapshots.write_snapshot_file(path, "a 1 (null) /long/path/x.sh PD g\n" * 50)
+        snapshots.write_snapshot_file(path, "a 2 (null) /y.sh R g\n")
         assert path.read_bytes() == b"a 2 (null) /y.sh R g\n"
 
     @pytest.mark.parametrize(
@@ -571,7 +570,7 @@ class TestSnapshotFiles:
     def test_overwrite_leaves_exactly_the_new_bytes(self, tmp_path, texts):
         path = tmp_path / snapshot_filename(T0)
         for text in texts:
-            observer.write_snapshot_file(path, text)
+            snapshots.write_snapshot_file(path, text)
             assert path.read_bytes() == text.encode("utf-8")
 
     def test_failed_write_leaves_only_the_bytes_written(self, tmp_path, monkeypatch):
@@ -593,7 +592,7 @@ class TestSnapshotFiles:
         monkeypatch.setattr(os, "open", open_and_record)
         monkeypatch.setattr(os, "write", write_7_twice_then_fail)
         with pytest.raises(OSError, match="No space left on device"):
-            observer.write_snapshot_file(path, "a 1 (null) /x.sh PD g\n")
+            snapshots.write_snapshot_file(path, "a 1 (null) /x.sh PD g\n")
         monkeypatch.undo()
         assert sizes == [22, 15, 8]
         with pytest.raises(OSError):  # closed
